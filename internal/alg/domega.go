@@ -26,19 +26,20 @@ func NewD(a, b, c, d int64, k int) D {
 
 // CanonD canonicalizes the pair (w, k) by Algorithm 1: while both parity
 // conditions hold, divide the coefficient vector by √2 and decrement k.
-// The loop terminates because each step halves the integer u-part of N(w).
+// An already canonical w is returned as is; otherwise the reduction runs in
+// place on a private copy (canonDInPlace).
 func CanonD(w Zomega, k int) D {
 	if w.IsZero() {
 		return D{ZomegaZero, 0}
 	}
-	for {
-		r, ok := w.DivSqrt2()
-		if !ok {
-			return D{w, k}
-		}
-		w = r
-		k--
+	if !parityEq(w.A, w.C) || !parityEq(w.B, w.D) {
+		return D{w, k}
 	}
+	s := getScratch()
+	loadZ(&s.w, w)
+	r := s.finishD(k)
+	putScratch(s)
+	return r
 }
 
 // Convenient constants (treat as immutable).
@@ -71,24 +72,8 @@ func (d D) IsOne() bool { return d.K == 0 && d.W.IsOne() }
 // Equal reports value equality (structural equality of canonical forms).
 func (d D) Equal(y D) bool { return d.K == y.K && d.W.Equal(y.W) }
 
-// align raises both operands to a common denominator exponent
-// k = max(d.K, y.K) by multiplying the lower-k coefficient vector by √2.
-func align(d, y D) (Zomega, Zomega, int) {
-	k := d.K
-	if y.K > k {
-		k = y.K
-	}
-	wd, wy := d.W, y.W
-	for i := d.K; i < k; i++ {
-		wd = wd.MulSqrt2()
-	}
-	for i := y.K; i < k; i++ {
-		wy = wy.MulSqrt2()
-	}
-	return wd, wy, k
-}
-
-// Add returns d + y.
+// Add returns d + y: both operands are raised to the common exponent
+// k = max(d.K, y.K) in scratch (scaleInto), summed and canonicalized there.
 func (d D) Add(y D) D {
 	if d.IsZero() {
 		return y
@@ -96,8 +81,18 @@ func (d D) Add(y D) D {
 	if y.IsZero() {
 		return d
 	}
-	wd, wy, k := align(d, y)
-	return CanonD(wd.Add(wy), k)
+	k := max(d.K, y.K)
+	s := getScratch()
+	defer putScratch(s)
+	scaleInto(&s.w, d.W, k-d.K, nil, &s.t)
+	scaleInto(&s.p, y.W, k-y.K, nil, &s.t)
+	for i := range s.w {
+		s.w[i].Add(&s.w[i], &s.p[i])
+	}
+	if isZero4(&s.w) {
+		return DZero
+	}
+	return s.finishD(k)
 }
 
 // Sub returns d − y.
@@ -111,7 +106,11 @@ func (d D) Mul(y D) D {
 	if d.IsZero() || y.IsZero() {
 		return DZero
 	}
-	return CanonD(d.W.Mul(y.W), d.K+y.K)
+	s := getScratch()
+	mulInto(&s.w, d.W, y.W, &s.t)
+	r := s.finishD(d.K + y.K) // Z[ω] has no zero divisors: s.w ≠ 0
+	putScratch(s)
+	return r
 }
 
 // Conj returns the complex conjugate (1/√2 is real, so K is unchanged).

@@ -47,38 +47,22 @@ func NewQ(a, b, c, d int64, k int, den int64) Q {
 func QFromParts(w Zomega, k int, den *big.Int) Q { return canonQ(w, k, den) }
 
 // canonQ normalizes (w, k) / den: sign into the numerator, powers of two in
-// den into k, the remaining odd part reduced against the coefficient content.
+// den into k, the remaining odd part reduced against the coefficient content
+// (scratch.finishQ, on a private copy).
 func canonQ(w Zomega, k int, den *big.Int) Q {
 	if den.Sign() == 0 {
 		panic("alg: zero denominator in Q[ω]")
 	}
-	if w.IsZero() {
-		return Q{DZero, big.NewInt(1)}
-	}
-	e := cp(den)
-	if e.Sign() < 0 {
-		e.Neg(e)
-		w = w.Neg()
-	}
-	for e.Bit(0) == 0 {
-		e.Rsh(e, 1)
-		k += 2 // dividing by 2 = multiplying by (1/√2)²
-	}
-	if e.Cmp(bigOne) != 0 {
-		g := new(big.Int).GCD(nil, nil, w.Content(), e)
-		if g.Cmp(bigOne) > 0 {
-			w = w.DivExactInt(g)
-			e.Quo(e, g)
-		}
-	}
-	// Dividing by an odd integer preserves coefficient parities, so the
-	// minimal-k reduction below interacts cleanly with the E-reduction above.
-	return Q{CanonD(w, k), e}
+	s := getScratch()
+	loadZ(&s.w, w)
+	s.e.Set(den)
+	r := s.finishQ(k)
+	putScratch(s)
+	return r
 }
 
-// reQ re-canonicalizes a (D, E) pair where the D part is already canonical
-// but the content/denominator reduction may still apply.
-func reQ(n D, e *big.Int) Q { return canonQ(n.W, n.K, e) }
+// isOneInt reports x == 1.
+func isOneInt(x *big.Int) bool { return x.Cmp(bigOne) == 0 }
 
 // IsZero reports whether q == 0.
 func (q Q) IsZero() bool { return q.N.IsZero() }
@@ -97,27 +81,66 @@ func (q Q) Add(y Q) Q {
 	if y.IsZero() {
 		return q
 	}
-	// With both denominators 1 (all of D[ω], i.e. the typical weight after
-	// Clifford+T circuits) the cross-multiplications are by 1 — skip them.
-	if q.E.Cmp(bigOne) == 0 && y.E.Cmp(bigOne) == 0 {
-		return reQ(q.N.Add(y.N), bigOne)
-	}
-	// q + y = (Nq·Ey + Ny·Eq) / (Eq·Ey)
-	a := CanonD(q.N.W.MulInt(y.E), q.N.K)
-	b := CanonD(y.N.W.MulInt(q.E), y.N.K)
-	s := a.Add(b)
-	return reQ(s, new(big.Int).Mul(q.E, y.E))
+	return q.addSub(y, false)
 }
 
 // Sub returns q − y.
-func (q Q) Sub(y Q) Q { return q.Add(y.Neg()) }
+func (q Q) Sub(y Q) Q {
+	if y.IsZero() {
+		return q
+	}
+	if q.IsZero() {
+		return y.Neg()
+	}
+	return q.addSub(y, true)
+}
 
-// Neg returns −q.
-func (q Q) Neg() Q { return Q{q.N.Neg(), cp(q.E)} }
+// addSub returns q ± y for nonzero operands, fused into one canonicalization:
+//
+//	q ± y = (Nq·Ey ± Ny·Eq) / (Eq·Ey)
+//
+// over the common exponent k = max(Kq, Ky). Denominators of 1 (all of D[ω],
+// the typical weight of a Clifford+T circuit) skip their multiplications.
+func (q Q) addSub(y Q, sub bool) Q {
+	k := max(q.N.K, y.N.K)
+	var eq, ey *big.Int // nil: the denominator is 1
+	if !isOneInt(q.E) {
+		eq = q.E
+	}
+	if !isOneInt(y.E) {
+		ey = y.E
+	}
+	s := getScratch()
+	scaleInto(&s.w, q.N.W, k-q.N.K, ey, &s.t)
+	scaleInto(&s.p, y.N.W, k-y.N.K, eq, &s.t)
+	for i := range s.w {
+		if sub {
+			s.w[i].Sub(&s.w[i], &s.p[i])
+		} else {
+			s.w[i].Add(&s.w[i], &s.p[i])
+		}
+	}
+	switch {
+	case eq == nil && ey == nil:
+		s.e.SetInt64(1)
+	case eq == nil:
+		s.e.Set(ey)
+	case ey == nil:
+		s.e.Set(eq)
+	default:
+		s.e.Mul(eq, ey)
+	}
+	r := s.finishQ(k)
+	putScratch(s)
+	return r
+}
+
+// Neg returns −q (sharing q's denominator).
+func (q Q) Neg() Q { return Q{q.N.Neg(), q.E} }
 
 // Mul returns q · y. Multiplications by exact 0 and 1 short-circuit: edge
 // weights in QMDDs are overwhelmingly trivial, and the general path costs a
-// full Zomega product plus re-canonicalization.
+// full Zomega product plus canonicalization, both fused in scratch.
 func (q Q) Mul(y Q) Q {
 	if q.IsZero() || y.IsZero() {
 		return QZero
@@ -128,39 +151,65 @@ func (q Q) Mul(y Q) Q {
 	if y.IsOne() {
 		return q
 	}
-	return reQ(q.N.Mul(y.N), new(big.Int).Mul(q.E, y.E))
+	s := getScratch()
+	mulInto(&s.w, q.N.W, y.N.W, &s.t)
+	s.e.Mul(q.E, y.E)
+	r := s.finishQ(q.N.K + y.N.K)
+	putScratch(s)
+	return r
 }
 
-// Conj returns the complex conjugate.
-func (q Q) Conj() Q { return Q{q.N.Conj(), cp(q.E)} }
+// Conj returns the complex conjugate (sharing q's denominator).
+func (q Q) Conj() Q { return Q{q.N.Conj(), q.E} }
 
-// Inv returns the multiplicative inverse 1/q, constructed as in the paper
-// (Section IV-B, Example 8): with N(w) = u + v√2,
-//
-//	w⁻¹ = w̄ · (u − v√2) / (u² − 2v²),
-//
-// and the √2-exponent and odd denominator move between numerator and
-// denominator as units / odd integers. Inv panics on zero.
+// Inv returns the multiplicative inverse 1/q (see Div for the construction).
+// Inv panics on zero.
 func (q Q) Inv() Q {
 	if q.IsZero() {
 		panic("alg: inverse of zero in Q[ω]")
 	}
-	w, k := q.N.W, q.N.K
-	n := w.Norm()
-	m := n.FieldNorm() // nonzero integer u² − 2v²
-	num := w.Conj().Mul(n.Conj().Zomega()).MulInt(q.E)
-	// value⁻¹ = num · √2^k / m  = (1/√2)^{−k} · num / m
-	return canonQ(num, -k, m)
+	return QOne.Div(q)
 }
 
-// Div returns q / y. It panics when y is zero. Division by exact 1 (the
-// common case under Q[ω]-inverse normalization, where most pivots are
-// trivial) returns q unchanged without constructing an inverse.
+// Div returns q / y, constructed from the inverse of the paper
+// (Section IV-B, Example 8): with y = (1/√2)^Ky·wy / Ey and
+// N(wy) = u + v√2,
+//
+//	wy⁻¹ = w̄y · (u − v√2) / (u² − 2v²),
+//
+// so q / y = (1/√2)^(Kq−Ky) · wq·w̄y·(u − v√2)·Ey / (Eq·(u² − 2v²)). The
+// numerator is built in scratch and canonicalized once; no inverse is
+// materialized. Div panics when y is zero. Division by exact 1 (the common
+// case under Q[ω]-inverse normalization, where most pivots are trivial)
+// returns q unchanged.
 func (q Q) Div(y Q) Q {
+	if y.IsZero() {
+		panic("alg: division by zero in Q[ω]")
+	}
 	if y.IsOne() {
 		return q
 	}
-	return q.Mul(y.Inv())
+	if q.IsZero() {
+		return QZero
+	}
+	s := getScratch()
+	normInto(&s.u, &s.v, &s.t, y.N.W)
+	mulConjInto(&s.p, q.N.W, y.N.W, &s.t)
+	mulConj2NormInto(&s.w, &s.p, &s.u, &s.v, &s.r, &s.t)
+	if !isOneInt(y.E) {
+		mulByInPlace(s.w[:], y.E, &s.t)
+	}
+	s.e.Mul(&s.u, &s.u) // u² − 2v², nonzero since y ≠ 0
+	s.t.Mul(&s.v, &s.v)
+	s.t.Lsh(&s.t, 1)
+	s.e.Sub(&s.e, &s.t)
+	if !isOneInt(q.E) {
+		s.t.Mul(&s.e, q.E)
+		s.e.Set(&s.t)
+	}
+	r := s.finishQ(q.N.K - y.N.K)
+	putScratch(s)
+	return r
 }
 
 // InD reports whether q lies in the subring D[ω] (odd denominator 1) and, if

@@ -43,9 +43,9 @@ func (Ring) Equal(a, b Q) bool { return a.Equal(b) }
 func (Ring) Key(a Q) string { return a.Key() }
 
 // ConcurrentSafe reports that the algebraic ring may be used from multiple
-// goroutines at once (coeff.ConcurrentRing): all arithmetic allocates fresh
-// values, and the only package-level state (the √2 precision cache) is
-// immutable after publication.
+// goroutines at once (coeff.ConcurrentRing): values are immutable, the fused
+// kernels take their scratch from a sync.Pool (one private scratch per
+// call), and the √2 precision cache is immutable after publication.
 func (Ring) ConcurrentSafe() bool { return true }
 
 // Exact reports that Q[ω] arithmetic is exact (coeff.ExactRing): every ring

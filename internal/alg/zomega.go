@@ -13,8 +13,9 @@
 // decision-diagram weights is exact value equality.
 //
 // All coefficient arithmetic uses math/big, so no overflow or rounding ever
-// occurs. Values are immutable: every operation returns a fresh value and
-// never aliases the operands' coefficients.
+// occurs. Values are immutable and may share coefficients: an operation can
+// return one of its operands (Q.Mul by 1 returns the other factor) or a value
+// whose integers share storage with another's. Never mutate a returned value.
 package alg
 
 import (
@@ -93,92 +94,41 @@ func (z Zomega) Sub(y Zomega) Zomega {
 }
 
 // Neg returns −z.
-func (z Zomega) Neg() Zomega {
-	return Zomega{
-		new(big.Int).Neg(z.A),
-		new(big.Int).Neg(z.B),
-		new(big.Int).Neg(z.C),
-		new(big.Int).Neg(z.D),
-	}
+func (z Zomega) Neg() Zomega { return perm(0b1111, z.A, z.B, z.C, z.D) }
+
+// perm returns the Zomega with coefficients (a, b, c, d), each negated when
+// its bit (1 for a … 8 for d) is set in neg: the shape of every signed
+// coefficient permutation below.
+func perm(neg uint, a, b, c, d *big.Int) Zomega {
+	r := freeze(neg, a, b, c, d)
+	return Zomega{&r[0], &r[1], &r[2], &r[3]}
 }
 
 // Mul returns z · y, reducing powers of ω with ω⁴ = −1.
 //
 // Writing z = Σ zᵢωⁱ and y = Σ yⱼωʲ (z₃ = A, z₂ = B, z₁ = C, z₀ = D), the raw
 // product has powers ω⁰..ω⁶ and the reduction is ω⁴ = −1, ω⁵ = −ω, ω⁶ = −ω².
+// Each reduced coefficient is accumulated directly in pooled scratch (see
+// mulInto), so the only allocations are the result's.
 func (z Zomega) Mul(y Zomega) Zomega {
-	z0, z1, z2, z3 := z.D, z.C, z.B, z.A
-	y0, y1, y2, y3 := y.D, y.C, y.B, y.A
-
-	var r [7]*big.Int
-	for k := range r {
-		r[k] = new(big.Int)
-	}
-	var t big.Int
-	mulAdd := func(dst *big.Int, x, y *big.Int) { dst.Add(dst, t.Mul(x, y)) }
-
-	mulAdd(r[0], z0, y0)
-	mulAdd(r[1], z0, y1)
-	mulAdd(r[1], z1, y0)
-	mulAdd(r[2], z0, y2)
-	mulAdd(r[2], z1, y1)
-	mulAdd(r[2], z2, y0)
-	mulAdd(r[3], z0, y3)
-	mulAdd(r[3], z1, y2)
-	mulAdd(r[3], z2, y1)
-	mulAdd(r[3], z3, y0)
-	mulAdd(r[4], z1, y3)
-	mulAdd(r[4], z2, y2)
-	mulAdd(r[4], z3, y1)
-	mulAdd(r[5], z2, y3)
-	mulAdd(r[5], z3, y2)
-	mulAdd(r[6], z3, y3)
-
-	return Zomega{
-		A: r[3],
-		B: new(big.Int).Sub(r[2], r[6]),
-		C: new(big.Int).Sub(r[1], r[5]),
-		D: new(big.Int).Sub(r[0], r[4]),
-	}
-}
-
-// MulInt returns z · n for an ordinary integer n.
-func (z Zomega) MulInt(n *big.Int) Zomega {
-	return Zomega{
-		new(big.Int).Mul(z.A, n),
-		new(big.Int).Mul(z.B, n),
-		new(big.Int).Mul(z.C, n),
-		new(big.Int).Mul(z.D, n),
-	}
+	s := getScratch()
+	mulInto(&s.w, z, y, &s.t)
+	r := freezeZ(&s.w)
+	putScratch(s)
+	return r
 }
 
 // Conj returns the complex conjugate z̄. Since ω̄ = ω⁻¹ = −ω³,
 // conj maps (a, b, c, d) ↦ (−c, −b, −a, d).
-func (z Zomega) Conj() Zomega {
-	return Zomega{
-		new(big.Int).Neg(z.C),
-		new(big.Int).Neg(z.B),
-		new(big.Int).Neg(z.A),
-		cp(z.D),
-	}
-}
+func (z Zomega) Conj() Zomega { return perm(0b0111, z.C, z.B, z.A, z.D) }
 
 // Conj2 returns the √2-conjugate: the Galois automorphism ω ↦ −ω, which
 // fixes i = ω² and sends √2 ↦ −√2. It maps (a, b, c, d) ↦ (−a, b, −c, d).
-func (z Zomega) Conj2() Zomega {
-	return Zomega{
-		new(big.Int).Neg(z.A),
-		cp(z.B),
-		new(big.Int).Neg(z.C),
-		cp(z.D),
-	}
-}
+func (z Zomega) Conj2() Zomega { return perm(0b0101, z.A, z.B, z.C, z.D) }
 
 // MulOmega returns z · ω (a rotation of the coefficient quadruple with one
 // sign flip: ω·(aω³+bω²+cω+d) = bω³ + cω² + dω − a).
-func (z Zomega) MulOmega() Zomega {
-	return Zomega{cp(z.B), cp(z.C), cp(z.D), new(big.Int).Neg(z.A)}
-}
+func (z Zomega) MulOmega() Zomega { return perm(0b1000, z.B, z.C, z.D, z.A) }
 
 // MulOmegaPow returns z · ω^r for any r (taken mod 8).
 func (z Zomega) MulOmegaPow(r int) Zomega {
@@ -190,44 +140,23 @@ func (z Zomega) MulOmegaPow(r int) Zomega {
 	return w
 }
 
-// MulSqrt2 returns z · √2 = z · (ω − ω³):
-// (a, b, c, d) ↦ (b−d, c+a, b+d, c−a).
-func (z Zomega) MulSqrt2() Zomega {
-	return Zomega{
-		new(big.Int).Sub(z.B, z.D),
-		new(big.Int).Add(z.C, z.A),
-		new(big.Int).Add(z.B, z.D),
-		new(big.Int).Sub(z.C, z.A),
-	}
-}
-
-// DivSqrt2 returns z / √2 and whether the division is exact in Z[ω].
-// It is exact iff a ≡ c and b ≡ d (mod 2); then
-// (a, b, c, d) ↦ ((b−d)/2, (c+a)/2, (b+d)/2, (c−a)/2).
-func (z Zomega) DivSqrt2() (Zomega, bool) {
-	if !parityEq(z.A, z.C) || !parityEq(z.B, z.D) {
-		return Zomega{}, false
-	}
-	half := func(x *big.Int) *big.Int { return new(big.Int).Rsh(x, 1) }
-	return Zomega{
-		half(new(big.Int).Sub(z.B, z.D)),
-		half(new(big.Int).Add(z.C, z.A)),
-		half(new(big.Int).Add(z.B, z.D)),
-		half(new(big.Int).Sub(z.C, z.A)),
-	}, true
-}
-
 func parityEq(x, y *big.Int) bool { return x.Bit(0) == y.Bit(0) }
 
 // Norm returns the squared complex magnitude N(z) = z · z̄, which always lies
 // in Z[√2]. It panics if the internal consistency check fails (which would
-// indicate a bug in Mul or Conj).
+// indicate a bug in the conjugate product).
 func (z Zomega) Norm() Zroot2 {
-	m := z.Mul(z.Conj())
-	if m.B.Sign() != 0 || new(big.Int).Neg(m.A).Cmp(m.C) != 0 {
-		panic(fmt.Sprintf("alg: norm of %v not in Z[√2]: %v", z, m))
+	s := getScratch()
+	defer putScratch(s)
+	m := &s.w
+	mulConjInto(m, z, z, &s.t)
+	// In Z[√2] iff the ω² part vanishes and the ω³ part is −(ω part):
+	// compared by sign and magnitude, without allocating a negation.
+	if m[1].Sign() != 0 || m[0].Sign() != -m[2].Sign() || m[0].CmpAbs(&m[2]) != 0 {
+		panic(fmt.Sprintf("alg: norm of %v not in Z[√2]: %v", z, freezeZ(m)))
 	}
-	return Zroot2{U: m.D, V: m.C}
+	r := freeze(0, &m[3], &m[2])
+	return Zroot2{U: &r[0], V: &r[1]}
 }
 
 // Euclid returns the value of the Euclidean function
@@ -236,15 +165,6 @@ func (z Zomega) Norm() Zroot2 {
 // Euclidean algorithm in Z[ω] terminate.
 func (z Zomega) Euclid() *big.Int {
 	return z.Norm().FieldNormAbs()
-}
-
-// Content returns gcd(|a|, |b|, |c|, |d|) (0 for the zero element).
-func (z Zomega) Content() *big.Int {
-	g := new(big.Int).Abs(z.A)
-	g.GCD(nil, nil, g, new(big.Int).Abs(z.B))
-	g.GCD(nil, nil, g, new(big.Int).Abs(z.C))
-	g.GCD(nil, nil, g, new(big.Int).Abs(z.D))
-	return g
 }
 
 // DivExactInt divides every coefficient by n, which must divide them all.

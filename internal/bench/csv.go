@@ -70,15 +70,18 @@ func StatsSummary(r *Result) string {
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "manager counters for %s\n", r.Name)
-	fmt.Fprintf(&sb, "%-22s %10s %9s %10s %9s %8s %9s\n",
-		"run", "nodes", "uniq hit%", "ct hit%", "ct load%", "weights", "prunes")
+	fmt.Fprintf(&sb, "%-22s %10s %9s %10s %9s %12s %11s %8s %9s\n",
+		"run", "nodes", "uniq hit%", "ct hit%", "ct load%", "scalar looks", "scalar hit%",
+		"weights", "prunes")
 	for _, run := range r.Runs {
 		st := run.Stats
-		fmt.Fprintf(&sb, "%-22s %10d %8.1f%% %9.1f%% %8.1f%% %8d %9d\n",
+		fmt.Fprintf(&sb, "%-22s %10d %8.1f%% %9.1f%% %8.1f%% %12d %10.1f%% %8d %9d\n",
 			run.Label, st.UniqueNodes,
 			rate(st.UniqueHits, st.UniqueLookups),
 			rate(st.CTHits, st.CTLookups),
-			100*st.CTLoadFactor(), st.InternedWeights, st.Prunes)
+			100*st.CTLoadFactor(),
+			st.ScalarLookups, rate(st.ScalarHits, st.ScalarLookups),
+			st.InternedWeights, st.Prunes)
 	}
 	return sb.String()
 }

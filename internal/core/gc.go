@@ -8,7 +8,8 @@ package core
 // rebuilt from the weights of the surviving nodes (releasing dead WIDs),
 // every survivor gets fresh WIDs and a fresh hash, and both open-addressed
 // tables are rebuilt right-sized. The compute table is cleared, since its
-// entries may reference swept nodes and stale WIDs.
+// entries may reference swept nodes and stale WIDs, and so is the exact
+// rings' scalar-op table (scalar.go).
 //
 // Hash-consing identity is preserved for the surviving nodes — diagrams
 // reachable from the given roots keep their pointers and IDs, so O(1)
@@ -76,6 +77,11 @@ func (m *Manager[T]) Prune(roots ...Edge[T]) int {
 	// Compute-table entries may reference swept nodes or stale WIDs; drop
 	// them all.
 	m.ct.clear()
+	// The scalar table holds no node references, but clearing it keeps one
+	// job's weights from answering the next job's lookups (engine scrub).
+	if m.st != nil {
+		m.st.clear()
+	}
 	// Invalidate outstanding Samplers: their node pointers and mass memos
 	// may reference swept nodes (sampler.go returns ErrStaleSampler).
 	m.pruneGen++

@@ -175,7 +175,8 @@ func TestConcurrentShardedTables(t *testing.T) {
 }
 
 // TestConcurrentSharedManagerQ is the alg-ring variant of the stress test:
-// big.Int-backed weights exercise pointer-heavy values under -race.
+// big.Int-backed weights exercise pointer-heavy values, and the exact-only
+// scalar table its locked shards, under -race.
 func TestConcurrentSharedManagerQ(t *testing.T) {
 	const goroutines = 6
 	m := algManager(NormLeft)
@@ -196,7 +197,7 @@ func TestConcurrentSharedManagerQ(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if m.Stats().UniqueNodes == 0 {
-		t.Fatal("no nodes created")
+	if st := m.Stats(); st.UniqueNodes == 0 || st.ScalarLookups == 0 {
+		t.Fatalf("no nodes created or scalar table untouched: %+v", st)
 	}
 }

@@ -109,9 +109,11 @@ func submit(t *testing.T, url, qasmSrc string, hdr map[string]string) *http.Resp
 }
 
 // circuitQASM makes distinct small circuits so routing tests can spread keys
-// over the ring.
+// over the ring: i%6 picks the h/cx pair and i/6 appends that many x gates,
+// so every i gives a different circuit.
 func circuitQASM(i int) string {
-	return fmt.Sprintf("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\nh q[%d];\ncx q[0], q[%d];\n", i%3, 1+i%2)
+	return fmt.Sprintf("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\nh q[%d];\ncx q[0], q[%d];\n%s",
+		i%3, 1+i%2, strings.Repeat("x q[2];\n", i/6))
 }
 
 // TestRoutingDeterminismAndAffinity: the same circuit always lands on the
