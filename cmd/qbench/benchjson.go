@@ -1,17 +1,16 @@
 package main
 
 // -bench-json: single-run wall-clock benchmarks for the identity-skipping
-// local apply path and intra-operation parallelism, written as one JSON
-// report. Unlike the figure sweeps (which measure the paper's quantities),
-// this mode measures the *implementation*: for each workload it times
+// local apply path, written as one JSON report. Unlike the figure sweeps
+// (which measure the paper's quantities), this mode measures the
+// *implementation*: for each workload it times
 //
-//   - "mul"      — the classic pipeline, gates.BuildDD + Mul (the pre-local
-//                  baseline, kept in-tree as the differential-test oracle);
-//   - "local-w1" — core.ApplyLocal, sequential;
-//   - "local-wK" — core.ApplyLocal with K intra-op workers.
+//   - "mul"   — the classic pipeline, gates.BuildDD + Mul (the pre-local
+//               baseline, kept in-tree as the differential-test oracle);
+//   - "local" — core.ApplyLocal.
 //
-// All three produce byte-identical states (asserted below via RootsEqual);
-// only the time/allocation profile differs. Every variant is run repeat
+// Both produce identical states (asserted below via CrossEqual); only the
+// time/allocation profile differs. Every variant is run repeat
 // times on a fresh manager and the best (minimum) wall time is reported —
 // single-run benchmarks are noisy, the minimum is the least-noisy robust
 // statistic for "how fast can this go".
@@ -31,20 +30,16 @@ import (
 	"repro/internal/sim"
 )
 
-// benchParallelWorkers is the intra-worker count of the parallel variant.
-const benchParallelWorkers = 4
-
 // benchRepeat is the per-variant repetition count (best-of is reported).
 const benchRepeat = 3
 
 type benchVariant struct {
-	Name         string  `json:"name"`
-	IntraWorkers int     `json:"intra_workers"`
-	Seconds      float64 `json:"seconds"` // best of benchRepeat runs
-	AllocBytes   uint64  `json:"alloc_bytes"`
-	Mallocs      uint64  `json:"mallocs"`
-	PeakNodes    int     `json:"peak_nodes"`
-	FinalNodes   int     `json:"final_nodes"`
+	Name       string  `json:"name"`
+	Seconds    float64 `json:"seconds"` // best of benchRepeat runs
+	AllocBytes uint64  `json:"alloc_bytes"`
+	Mallocs    uint64  `json:"mallocs"`
+	PeakNodes  int     `json:"peak_nodes"`
+	FinalNodes int     `json:"final_nodes"`
 }
 
 type benchFigure struct {
@@ -53,12 +48,9 @@ type benchFigure struct {
 	Qubits   int            `json:"qubits"`
 	Gates    int            `json:"gates"`
 	Variants []benchVariant `json:"variants"`
-	// SpeedupLocalVsMul is mul_seconds / local-w1_seconds: the sequential
-	// win of identity-skipping application over BuildDD+Mul.
+	// SpeedupLocalVsMul is mul_seconds / local_seconds: the win of
+	// identity-skipping application over BuildDD+Mul.
 	SpeedupLocalVsMul float64 `json:"speedup_local_vs_mul"`
-	// SpeedupParallel is local-w1_seconds / local-wK_seconds: the intra-op
-	// parallel win (only meaningful with more than one CPU — see Note).
-	SpeedupParallel float64 `json:"speedup_parallel"`
 }
 
 type benchReport struct {
@@ -66,7 +58,6 @@ type benchReport struct {
 	NumCPU         int           `json:"num_cpu"`
 	GOMAXPROCS     int           `json:"gomaxprocs"`
 	Representation string        `json:"representation"`
-	Note           string        `json:"note,omitempty"`
 	Figures        []benchFigure `json:"figures"`
 }
 
@@ -90,21 +81,15 @@ func runBenchJSON(ctx context.Context, p bench.FigureParams, path string) error 
 		GOMAXPROCS:     runtime.GOMAXPROCS(0),
 		Representation: "alg/left",
 	}
-	if rep.NumCPU <= 1 {
-		rep.Note = "single-CPU host: intra-op worker goroutines cannot run " +
-			"concurrently, so speedup_parallel measures scheduling overhead, " +
-			"not the parallel win; speedup_local_vs_mul is unaffected"
-	}
 	for _, w := range workloads {
 		fig, err := benchOne(ctx, w.figure, w.name, w.c, p)
 		if err != nil {
 			return fmt.Errorf("bench-json %s/%s: %w", w.figure, w.name, err)
 		}
 		rep.Figures = append(rep.Figures, *fig)
-		fmt.Printf("bench-json %s-%s: mul %.3fs  local-w1 %.3fs  local-w%d %.3fs  (local/mul %.2fx, parallel %.2fx)\n",
-			w.figure, w.name,
-			fig.Variants[0].Seconds, fig.Variants[1].Seconds, benchParallelWorkers,
-			fig.Variants[2].Seconds, fig.SpeedupLocalVsMul, fig.SpeedupParallel)
+		fmt.Printf("bench-json %s-%s: mul %.3fs  local %.3fs  (local/mul %.2fx)\n",
+			w.figure, w.name, fig.Variants[0].Seconds, fig.Variants[1].Seconds,
+			fig.SpeedupLocalVsMul)
 	}
 	out, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -125,29 +110,26 @@ func benchOne(ctx context.Context, figure, name string, c *circuit.Circuit, p be
 
 	variants := []struct {
 		name    string
-		workers int
 		mulPath bool
 	}{
-		{"mul", 1, true},
-		{"local-w1", 1, false},
-		{fmt.Sprintf("local-w%d", benchParallelWorkers), benchParallelWorkers, false},
+		{"mul", true},
+		{"local", false},
 	}
 	// One reference manager keeps each variant's final state for the
 	// cross-check: every path must land on the same canonical diagram.
 	var refM *core.Manager[alg.Q]
 	var refState core.Edge[alg.Q]
 	for _, v := range variants {
-		best := benchVariant{Name: v.name, IntraWorkers: v.workers}
+		best := benchVariant{Name: v.name}
 		for rep := 0; rep < benchRepeat; rep++ {
 			m := core.NewManager[alg.Q](alg.Ring{}, core.NormLeft)
-			m.SetIntraWorkers(v.workers)
 			m.SetBudget(p.Budget)
 			r, err := benchRun(ctx, m, c, v.mulPath)
 			if err != nil {
 				return nil, err
 			}
 			if rep == 0 || r.Seconds < best.Seconds {
-				r.Name, r.IntraWorkers = v.name, v.workers
+				r.Name = v.name
 				best = r.benchVariant
 			}
 			if refM == nil {
@@ -160,9 +142,6 @@ func benchOne(ctx context.Context, figure, name string, c *circuit.Circuit, p be
 	}
 	if s := fig.Variants[1].Seconds; s > 0 {
 		fig.SpeedupLocalVsMul = fig.Variants[0].Seconds / s
-	}
-	if s := fig.Variants[2].Seconds; s > 0 {
-		fig.SpeedupParallel = fig.Variants[1].Seconds / s
 	}
 	return fig, nil
 }

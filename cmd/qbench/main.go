@@ -55,11 +55,10 @@ func main() {
 		width       = flag.Int("width", 60, "ASCII chart width")
 		numNorm     = flag.String("numnorm", "max", "numeric normalization: max (stabilized [29]) or left (classic)")
 		parallel    = flag.Int("parallel", 0, "worker pool for the sweep cells, each on a private manager (0 = GOMAXPROCS, 1 = sequential); output is identical for every setting")
-		intraW      = flag.Int("intra-workers", 1, "intra-operation worker goroutines inside each run's manager (1 = sequential); output is identical for every setting; ε>0 runs stay sequential")
 		cpuProf     = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf     = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 		cacheDir    = flag.String("cache", "", "benchmark the qcache disk tier instead of a figure sweep: run each workload cold (simulate + cache the final state in this directory), then warm (replay from cache), and report both wall times")
-		benchJSON   = flag.String("bench-json", "", "single-run implementation benchmark instead of a figure sweep: time each workload under BuildDD+Mul, sequential local apply, and parallel local apply, and write the JSON report to this path")
+		benchJSON   = flag.String("bench-json", "", "single-run implementation benchmark instead of a figure sweep: time each workload under BuildDD+Mul and under local apply, and write the JSON report to this path")
 		sampleBench = flag.Int("sample-bench", 0, "measurement-sampling micro-benchmark instead of a figure sweep: draw this many samples from each workload's final state, per-call (fresh mass pass per draw) vs hoisted (reusable Sampler), and report both")
 		approxBench = flag.Float64("min-fidelity", 0, "graceful-degradation benchmark instead of a figure sweep: rerun each workload under half its node demand, exact (fail-fast) vs approximated down to this fidelity floor, and report what the floor buys")
 		prefixBench = flag.Int("prefix-bench", 0, "shared-prefix batch benchmark instead of a figure sweep: submit this many Grover variants once through POST /v1/batches (prefix simulated exactly once, variants warm-started from its checkpoint) and once as independent cold jobs, assert byte-identical amplitudes in both representations, and write the JSON report")
@@ -119,7 +118,6 @@ func main() {
 	}
 	p.NumNormLeft = numNormLeft
 	p.Parallel = *parallel
-	p.IntraWorkers = *intraW
 	if *epsFlag != "" {
 		var eps []float64
 		for _, part := range strings.Split(*epsFlag, ",") {

@@ -69,7 +69,6 @@ func main() {
 		maxQubits   = flag.Int("max-qubits", 64, "circuit width cap")
 		maxShots    = flag.Int("max-shots", 0, "per-job shot-count cap for histogram jobs (0 = default 1048576); larger requests are rejected")
 		ctSize      = flag.Int("ctsize", core.DefaultCTSize, "per-manager compute-table slots")
-		intraW      = flag.Int("intra-workers", 1, "intra-operation worker goroutines per job (1 = sequential; results identical at any setting; ε>0 float jobs stay sequential)")
 		nodeCap     = flag.Int("node-cap", 0, "server-side cap on per-job MaxNodes budget (0 = none)")
 		weightCap   = flag.Int("weight-cap", 0, "server-side cap on per-job MaxWeights budget (0 = none)")
 		byteCap     = flag.Int64("byte-cap", 0, "server-side cap on per-job MaxBytes budget (0 = none)")
@@ -109,7 +108,6 @@ func main() {
 		MaxQubits:        *maxQubits,
 		MaxShots:         *maxShots,
 		CTSize:           *ctSize,
-		IntraWorkers:     *intraW,
 		NodeCap:          *nodeCap,
 		WeightCap:        *weightCap,
 		ByteCap:          *byteCap,

@@ -58,7 +58,6 @@ func main() {
 		topK      = flag.Int("top", 8, "print the K most probable outcomes")
 		stats     = flag.Bool("stats", false, "print manager statistics")
 		ctSize    = flag.Int("ctsize", core.DefaultCTSize, "compute-table slots (rounded up to a power of two)")
-		intraW    = flag.Int("intra-workers", 1, "intra-operation worker goroutines (1 = sequential; output is identical for every setting; -repr num with -eps > 0 stays sequential)")
 		prune     = flag.Int("prune", 0, "garbage-collect when the unique table exceeds this many nodes (0 = never)")
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget (0 = none); on expiry partial stats are printed, not a crash")
 		maxNodes  = flag.Int("max-nodes", 0, "budget: max live QMDD nodes (0 = unlimited)")
@@ -164,7 +163,6 @@ func main() {
 	switch *repr {
 	case "alg":
 		m := core.NewManager[alg.Q](alg.Ring{}, norm, core.WithComputeTableSize(*ctSize))
-		m.SetIntraWorkers(*intraW)
 		m.SetBudget(budget)
 		if nshots > 0 {
 			runShots(ctx, m, c, sim.ShotOptions{Shots: nshots, Seed: *seed, Strategy: *strategy, AutoPrune: *prune}, *stats)
@@ -177,7 +175,6 @@ func main() {
 		runAndReport(ctx, m, ampCirc, *topK, *stats, true, *verify, *prune, *minFid, ps, ckpt)
 	case "num":
 		m := core.NewManager[complex128](num.NewRing(*eps), norm, core.WithComputeTableSize(*ctSize))
-		m.SetIntraWorkers(*intraW)
 		m.SetBudget(budget)
 		if nshots > 0 {
 			runShots(ctx, m, c, sim.ShotOptions{Shots: nshots, Seed: *seed, Strategy: *strategy, AutoPrune: *prune}, *stats)

@@ -42,12 +42,6 @@ func (Ring) Equal(a, b Q) bool { return a.Equal(b) }
 // Key returns the canonical hash key.
 func (Ring) Key(a Q) string { return a.Key() }
 
-// ConcurrentSafe reports that the algebraic ring may be used from multiple
-// goroutines at once (coeff.ConcurrentRing): values are immutable, the fused
-// kernels take their scratch from a sync.Pool (one private scratch per
-// call), and the √2 precision cache is immutable after publication.
-func (Ring) ConcurrentSafe() bool { return true }
-
 // Exact reports that Q[ω] arithmetic is exact (coeff.ExactRing): every ring
 // operation returns the true algebraic value, so derived quantities like the
 // retained-fidelity ratio of core.Approximate can be certified.

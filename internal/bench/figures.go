@@ -39,10 +39,6 @@ type FigureParams struct {
 	// share-nothing managers (see Config.Parallel): 0 = GOMAXPROCS,
 	// 1 = sequential. Output is identical for every setting.
 	Parallel int
-	// IntraWorkers enables intra-operation parallelism inside each run's
-	// manager (see Config.IntraWorkers). Output is identical for every
-	// setting.
-	IntraWorkers int
 }
 
 // DefaultParams returns CI-scale parameters.
@@ -108,7 +104,6 @@ func FigureCtx(ctx context.Context, fig string, p FigureParams) (*Result, error)
 			Budget:       p.Budget,
 			NumNormLeft:  p.NumNormLeft,
 			Parallel:     p.Parallel,
-			IntraWorkers: p.IntraWorkers,
 		})
 	}
 	switch fig {

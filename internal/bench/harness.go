@@ -97,14 +97,6 @@ type Config struct {
 	// sequentially. The merged Result is identical (modulo timing fields)
 	// for every setting — cells are merged by index, never by completion.
 	Parallel int
-	// IntraWorkers enables intra-operation parallelism inside each run's
-	// manager (core.Manager.SetIntraWorkers): a single Add/ApplyLocal
-	// recurses into independent sub-diagrams on up to this many goroutines.
-	// Results are byte-identical at any setting; managers on rings that are
-	// not concurrency-safe (ε > 0) silently stay sequential. 0 or 1 =
-	// sequential. Composes multiplicatively with Parallel — keep the product
-	// near the core count.
-	IntraWorkers int
 }
 
 // Result bundles all runs of one experiment.
@@ -247,7 +239,6 @@ func ExecuteBatch(ctx context.Context, items []BatchItem, parallel int) ([]*Resu
 // the budget caps live nodes, auto-pruning at half the cap keeps stale
 // intermediates from tripping it before the live working set does.
 func newGovernedSim[T any](m *core.Manager[T], n int, cfg Config) *sim.Simulator[T] {
-	m.SetIntraWorkers(cfg.IntraWorkers)
 	s := sim.New(m, n)
 	if !cfg.Budget.IsZero() {
 		m.SetBudget(cfg.Budget)

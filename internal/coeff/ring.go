@@ -55,19 +55,6 @@ type Hasher[T any] interface {
 	Hash(a T) uint64
 }
 
-// ConcurrentRing is an optional marker a Ring can implement to declare
-// whether its operations are safe to call from multiple goroutines
-// simultaneously *and* yield schedule-independent canonical values. The
-// algebraic ring qualifies (stateless arithmetic); the numerical ring
-// qualifies only at ε = 0, where its tolerance table is inert — with ε > 0
-// the nearest-wins interning makes the canonical representative depend on
-// insertion order, so parallel recursion would break determinism. The QMDD
-// core refuses intra-operation parallelism unless the ring reports true
-// (core.Manager.SetIntraWorkers).
-type ConcurrentRing interface {
-	ConcurrentSafe() bool
-}
-
 // ExactRing is an optional marker a Ring can implement to declare whether
 // its arithmetic is exact: every Add/Mul/Div result is the true value, not a
 // rounded or tolerance-interned approximation. The algebraic ring qualifies;

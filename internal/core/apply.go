@@ -101,8 +101,9 @@ func (m *Manager[T]) PrepareLocal(base [2][2]T, target int, ctrls []LocalControl
 			top = c.Level
 		}
 	}
+	m.gateSeq++
 	g := &LocalGate[T]{
-		id:       m.gateSeq.Add(1),
+		id:       m.gateSeq,
 		U:        base,
 		target:   target,
 		topLevel: top,
@@ -165,24 +166,23 @@ func (m *Manager[T]) ApplyLocal(g *LocalGate[T], e Edge[T]) Edge[T] {
 	if e.Level() < g.topLevel {
 		panic("core: ApplyLocal: gate extends above the diagram's top level")
 	}
-	return m.applyEdge(g, e, m.spawn0)
+	return m.applyEdge(g, e)
 }
 
 // applyEdge applies g below an edge, exploiting linearity:
-// apply(w·sub) = w·apply(sub), so memoization is per node. spawn is the
-// intra-op fork budget (ops_parallel.go).
-func (m *Manager[T]) applyEdge(g *LocalGate[T], e Edge[T], spawn int) Edge[T] {
+// apply(w·sub) = w·apply(sub), so memoization is per node.
+func (m *Manager[T]) applyEdge(g *LocalGate[T], e Edge[T]) Edge[T] {
 	if m.IsZero(e) {
 		return m.ZeroEdge()
 	}
 	if e.N == nil {
 		panic("core: malformed diagram: nonzero terminal above the target level")
 	}
-	return m.Scale(m.applyNode(g, e.N, spawn), e.W)
+	return m.Scale(m.applyNode(g, e.N), e.W)
 }
 
 // applyNode applies g to the weight-one edge of n (n.Level ≥ g.target).
-func (m *Manager[T]) applyNode(g *LocalGate[T], n *Node[T], spawn int) Edge[T] {
+func (m *Manager[T]) applyNode(g *LocalGate[T], n *Node[T]) Edge[T] {
 	k := ctKey{op: ctApply, aID: n.ID, bID: g.id}
 	if r, ok := m.ct.get(k); ok {
 		return r
@@ -190,7 +190,6 @@ func (m *Manager[T]) applyNode(g *LocalGate[T], n *Node[T], spawn int) Edge[T] {
 	level := n.Level
 	arity := len(n.E)
 	cols := arity / 2 // 1 for vector nodes, 2 for matrix nodes
-	fork := spawn > 0 && level >= minParallelLevel
 	var es [MatrixArity]Edge[T]
 	if level > g.target {
 		// Pass-through or above-target control. The first index of a child
@@ -201,49 +200,28 @@ func (m *Manager[T]) applyNode(g *LocalGate[T], n *Node[T], spawn int) Edge[T] {
 		if level < len(g.ctrl) {
 			c = g.ctrl[level]
 		}
-		// Collect the children the gate descends into; the rest are shared.
-		var idx [MatrixArity]int
-		cnt := 0
 		for j := 0; j < cols; j++ {
 			switch c {
 			case ctrlNone:
-				idx[cnt], idx[cnt+1] = j, cols+j
-				cnt += 2
+				es[j] = m.applyEdge(g, n.E[j])
+				es[cols+j] = m.applyEdge(g, n.E[cols+j])
 			case ctrlPos:
 				es[j] = n.E[j]
-				idx[cnt] = cols + j
-				cnt++
+				es[cols+j] = m.applyEdge(g, n.E[cols+j])
 			case ctrlNeg:
+				es[j] = m.applyEdge(g, n.E[j])
 				es[cols+j] = n.E[cols+j]
-				idx[cnt] = j
-				cnt++
-			}
-		}
-		if fork && cnt > 1 {
-			m.forkJoin(spawn, cnt, func(t, spawn int) {
-				es[idx[t]] = m.applyEdge(g, n.E[idx[t]], spawn)
-			})
-		} else {
-			for t := 0; t < cnt; t++ {
-				es[idx[t]] = m.applyEdge(g, n.E[idx[t]], spawn)
 			}
 		}
 	} else {
 		// Target level: combine the two halves through the 2×2 block.
 		if !g.hasBelow {
 			// new_i = Σ_k U[i][k] · e_k
-			combine := func(t, spawn int) {
+			for t := 0; t < arity; t++ {
 				i, j := t/cols, t%cols
 				a := m.Scale(n.E[0*cols+j], g.U[i][0])
 				b := m.Scale(n.E[1*cols+j], g.U[i][1])
-				es[t] = m.addSpawn(a, b, spawn)
-			}
-			if fork {
-				m.forkJoin(spawn, arity, combine)
-			} else {
-				for t := 0; t < arity; t++ {
-					combine(t, spawn)
-				}
+				es[t] = m.Add(a, b)
 			}
 		} else {
 			// Below-target controls: split form
@@ -253,19 +231,12 @@ func (m *Manager[T]) applyNode(g *LocalGate[T], n *Node[T], spawn int) Edge[T] {
 			// never does ring arithmetic — crucially avoiding the
 			// cancellation work the delta form e_i + Σ (U−I)[i][k]·P(e_k)
 			// would spend proving e_i − P(e_i) = P̄(e_i) term by term.
-			combine := func(t, spawn int) {
+			for t := 0; t < arity; t++ {
 				i, j := t/cols, t%cols
 				a := m.Scale(m.projectEdge(g, n.E[0*cols+j]), g.U[i][0])
 				b := m.Scale(m.projectEdge(g, n.E[1*cols+j]), g.U[i][1])
 				rest := m.projectCompEdge(g, n.E[i*cols+j])
-				es[t] = m.addSpawn(m.addSpawn(a, b, spawn), rest, spawn)
-			}
-			if fork {
-				m.forkJoin(spawn, arity, combine)
-			} else {
-				for t := 0; t < arity; t++ {
-					combine(t, spawn)
-				}
+				es[t] = m.Add(m.Add(a, b), rest)
 			}
 		}
 	}

@@ -194,10 +194,12 @@ func TestApproximateShrinks(t *testing.T) {
 	}
 }
 
-// TestApproximateDeterminismAcrossWorkers: the same build sequence at
-// different intra-op worker counts allocates node IDs in different orders;
-// the approximation (ranked with DFS-order tie-breaks, never IDs) must still
-// produce the identical diagram and the identical report.
+// TestApproximateDeterminismAcrossWorkers: the same build sequence on two
+// managers with different histories — as on two engine workers, whose
+// long-lived managers have built other jobs' diagrams — allocates node IDs
+// in different orders; the approximation (ranked with DFS-order tie-breaks,
+// never IDs) must still produce the identical diagram and the identical
+// report.
 func TestApproximateDeterminismAcrossWorkers(t *testing.T) {
 	const n = 12
 	ref := algManager(NormLeft)
@@ -206,19 +208,22 @@ func TestApproximateDeterminismAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 8} {
+	for _, history := range []int64{1, 2, 3} {
 		m := algManager(NormLeft)
-		m.SetIntraWorkers(workers)
+		buildWalk(m, history) // an unrelated diagram shifts the ID order
 		st := buildWalk(m, 99)
+		if st.N.ID == refState.N.ID {
+			t.Fatalf("history %d: root node ID %d unchanged; the ID order did not move", history, st.N.ID)
+		}
 		approx, res, err := m.Approximate(st, n, 0.9)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res != refRes {
-			t.Fatalf("workers=%d: report %+v differs from sequential %+v", workers, res, refRes)
+			t.Fatalf("history %d: report %+v differs from fresh-manager %+v", history, res, refRes)
 		}
 		if !CrossEqual(ref, refApprox, m, approx) {
-			t.Fatalf("workers=%d: approximate diagram differs from sequential run", workers)
+			t.Fatalf("history %d: approximate diagram differs from fresh-manager run", history)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync/atomic"
 	"time"
 	"unsafe"
 )
@@ -127,7 +126,7 @@ const budgetCheckStride = 256
 func (m *Manager[T]) SetBudget(b Budget) {
 	m.budget = b
 	m.budgetStart = time.Now()
-	m.budgetTick.Store(0)
+	m.budgetTick = 0
 }
 
 // Budget returns the currently installed budget.
@@ -143,20 +142,10 @@ func (m *Manager[T]) SetContext(ctx context.Context) { m.ctx = ctx }
 // Peak returns the high-water marks observed so far.
 func (m *Manager[T]) Peak() PeakStats {
 	return PeakStats{
-		Nodes:       int(m.peakNodes.Load()),
-		Weights:     int(m.peakWeights.Load()),
+		Nodes:       int(m.peakNodes),
+		Weights:     int(m.peakWeights),
 		ApproxBytes: m.approxBytes(),
 		Elapsed:     time.Since(m.budgetStart),
-	}
-}
-
-// peakMax raises an atomic high-water mark to at least v.
-func peakMax(peak *atomic.Int64, v int64) {
-	for {
-		cur := peak.Load()
-		if v <= cur || peak.CompareAndSwap(cur, v) {
-			return
-		}
 	}
 }
 
@@ -168,17 +157,16 @@ func (m *Manager[T]) approxBytes() int64 {
 	var e Edge[T]
 	nodeBytes := int64(unsafe.Sizeof(n)) + MatrixArity*int64(unsafe.Sizeof(e)) + 8
 	weightBytes := int64(unsafe.Sizeof(e.W)) + 8 + 4 // weight + cached hash + slot
-	return m.peakNodes.Load()*nodeBytes + m.peakWeights.Load()*weightBytes
+	return m.peakNodes*nodeBytes + m.peakWeights*weightBytes
 }
 
 // noteNode records a new unique-table node and enforces the budget against
-// the atomic live-node counter (coherent across concurrent shard
-// insertions). Called only on the miss path of internNode, so the hot hit
-// path stays check-free.
+// the live-node counter. Called only on the miss path of internNode, so the
+// hot hit path stays check-free.
 func (m *Manager[T]) noteNode() {
-	n := m.totalNodes.Add(1)
-	peakMax(&m.peakNodes, n)
-	if b := &m.budget; b.MaxNodes > 0 && n > int64(b.MaxNodes) {
+	m.totalNodes++
+	m.peakNodes = max(m.peakNodes, m.totalNodes)
+	if b := &m.budget; b.MaxNodes > 0 && m.totalNodes > int64(b.MaxNodes) {
 		panic(&BudgetError{Limit: "nodes", Peak: m.Peak()})
 	}
 	m.checkBudgetSlow()
@@ -186,9 +174,9 @@ func (m *Manager[T]) noteNode() {
 
 // noteWeight records a new interned weight and enforces the budget.
 func (m *Manager[T]) noteWeight() {
-	n := m.totalWeights.Add(1)
-	peakMax(&m.peakWeights, n)
-	if b := &m.budget; b.MaxWeights > 0 && n > int64(b.MaxWeights) {
+	m.totalWeights++
+	m.peakWeights = max(m.peakWeights, m.totalWeights)
+	if b := &m.budget; b.MaxWeights > 0 && m.totalWeights > int64(b.MaxWeights) {
 		panic(&BudgetError{Limit: "weights", Peak: m.Peak()})
 	}
 }
@@ -196,7 +184,8 @@ func (m *Manager[T]) noteWeight() {
 // checkBudgetSlow performs the throttled checks: the byte estimate, the
 // wall-clock deadline and the registered context.
 func (m *Manager[T]) checkBudgetSlow() {
-	if m.budgetTick.Add(1)%budgetCheckStride != 0 {
+	m.budgetTick++
+	if m.budgetTick%budgetCheckStride != 0 {
 		return
 	}
 	if b := &m.budget; b.MaxBytes > 0 && m.approxBytes() > b.MaxBytes {

@@ -19,6 +19,40 @@ func numManager(eps float64) *Manager[complex128] {
 	return NewManager[complex128](num.NewRing(eps), NormLeft)
 }
 
+// localH builds an n-qubit Hadamard LocalGate at the given target level.
+func localH[T any](m *Manager[T], target int, ctrls []LocalControl) *LocalGate[T] {
+	inv, _ := m.R.FromComplex(complex(1/1.4142135623730951, 0))
+	if _, isQ := any(m.R).(alg.Ring); isQ {
+		inv = m.R.FromQ(alg.QInvSqrt2)
+	}
+	base := [2][2]T{{inv, inv}, {inv, m.R.Neg(inv)}}
+	return m.PrepareLocal(base, target, ctrls)
+}
+
+// buildWalk drives a deterministic pseudo-random sequence of Add and
+// ApplyLocal calls over a 12-qubit state and returns the final edge.
+func buildWalk[T any](m *Manager[T], seed int64) Edge[T] {
+	const n = 12
+	r := rand.New(rand.NewSource(seed))
+	state := m.BasisState(n, uint64(r.Intn(1<<n)))
+	for i := 0; i < 60; i++ {
+		target := 1 + r.Intn(n)
+		var ctrls []LocalControl
+		if r.Intn(2) == 0 {
+			c := 1 + r.Intn(n)
+			if c != target {
+				ctrls = []LocalControl{{Level: c, Neg: r.Intn(2) == 0}}
+			}
+		}
+		state = m.ApplyLocal(localH(m, target, ctrls), state)
+		if r.Intn(4) == 0 {
+			other := m.BasisState(n, uint64(r.Intn(1<<n)))
+			state = m.Add(state, other)
+		}
+	}
+	return state
+}
+
 func randQVals(r *rand.Rand, n int) []alg.Q {
 	out := make([]alg.Q, n)
 	for i := range out {

@@ -1,7 +1,5 @@
 package core
 
-import "sync"
-
 // computeTable memoizes operation results. Like classic DD packages it is a
 // fixed-size hash table with overwrite-on-collision: bounded memory, O(1)
 // access, and stale entries simply fall out. Keys are fixed-size integer
@@ -11,9 +9,10 @@ import "sync"
 // recomputation, never a wrong result.
 //
 // The table is striped like the unique and intern tables (hash.go): the top
-// hash bits pick a shard, the low bits a slot. In shared mode each get/put
-// takes the shard mutex; a lost race costs at most a recomputation because a
-// concurrent overwrite is just an early collision eviction.
+// hash bits pick a shard, the low bits a slot. The split is kept for its
+// collision pattern, which ε > 0 results depend on: which entries evict
+// which decides what gets recomputed, and a recomputation under tolerance
+// interning can land on a different representative (hash.go, DESIGN.md §5.6).
 
 // ctOp tags the operation a compute-table entry memoizes. ctFree marks an
 // empty slot, so real tags start at 1.
@@ -52,7 +51,6 @@ type ctEntry[T any] struct {
 }
 
 type ctShard[T any] struct {
-	mu      sync.Mutex
 	mask    uint64
 	entries []ctEntry[T]
 	filled  int // occupied slots (load-factor reporting)
@@ -61,7 +59,6 @@ type ctShard[T any] struct {
 }
 
 type computeTable[T any] struct {
-	shared bool
 	shards [tableShardCount]ctShard[T]
 }
 
@@ -120,10 +117,6 @@ func (t *computeTable[T]) capacity() int {
 func (t *computeTable[T]) get(k ctKey) (Edge[T], bool) {
 	h := k.hash()
 	sh := &t.shards[shardOf(h)]
-	if t.shared {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
 	sh.lookups++
 	e := &sh.entries[h&sh.mask]
 	if e.key == k {
@@ -137,10 +130,6 @@ func (t *computeTable[T]) get(k ctKey) (Edge[T], bool) {
 func (t *computeTable[T]) put(k ctKey, val Edge[T]) {
 	h := k.hash()
 	sh := &t.shards[shardOf(h)]
-	if t.shared {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
 	e := &sh.entries[h&sh.mask]
 	if e.key.op == ctFree {
 		sh.filled++

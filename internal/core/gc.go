@@ -16,8 +16,8 @@ package core
 // equality comparisons among them remain valid across a Prune.
 
 // Prune drops every node not reachable from the given roots. It returns the
-// number of nodes removed. Single-threaded: never call while an intra-op
-// worker group is running (the sim/bench layers only prune between gates).
+// number of nodes removed. Call it between operations (the sim/bench layers
+// prune between gates).
 func (m *Manager[T]) Prune(roots ...Edge[T]) int {
 	// Mark with an explicit worklist: the recursion this replaces overflowed
 	// the goroutine stack on deep (≥1e5-level) vector diagrams.
@@ -62,7 +62,7 @@ func (m *Manager[T]) Prune(roots ...Edge[T]) int {
 		}
 	})
 	m.wt.init(shardSizeFor(len(live)*MatrixArity + 1))
-	m.totalWeights.Store(1) // the reserved zero
+	m.totalWeights = 1 // the reserved zero
 	m.ut.init(shardSizeFor(len(live)))
 	for _, n := range survivors {
 		for i := range n.E {
@@ -73,7 +73,7 @@ func (m *Manager[T]) Prune(roots ...Edge[T]) int {
 		n.hash = nodeHash(n.Level, n.E, &n.wids)
 		m.ut.insert(n)
 	}
-	m.totalNodes.Store(int64(len(survivors)))
+	m.totalNodes = int64(len(survivors))
 	// Compute-table entries may reference swept nodes or stale WIDs; drop
 	// them all.
 	m.ct.clear()
@@ -109,7 +109,7 @@ func AutoPruner[T any](m *Manager[T], highWater int, live func() Edge[T]) func()
 		highWater = 1
 	}
 	return func() {
-		if int(m.totalNodes.Load()) > highWater {
+		if int(m.totalNodes) > highWater {
 			m.Prune(live())
 		}
 	}

@@ -1,7 +1,5 @@
 package core
 
-import "sync"
-
 // Hashing and open-addressed tables for the allocation-free QMDD core.
 //
 // Node uniqueness and operation memoization used to be keyed on canonical
@@ -13,17 +11,15 @@ import "sync"
 // (opTag, node IDs, WIDs). The hit paths compare machine words only — they
 // neither format nor allocate. See DESIGN.md ("Keying and interning").
 //
-// Sharding: each table is striped into tableShardCount independent
+// Striping: each table is split into tableShardCount independent
 // open-addressed shards selected by the *top* bits of the key hash (the low
 // bits index slots within a shard, so the two selections stay uncorrelated).
-// With intra-run parallelism off (the default) the per-shard mutexes are
-// never touched and the hit paths stay lock-free; Manager.SetIntraWorkers
-// flips the tables into locked mode so a bounded worker group can recurse
-// into independent sub-diagrams of one operation concurrently (DESIGN.md
-// §5.6). The shard split follows the weight-table advice of
-// arXiv:1911.12691: stripe the table, never the value space — a weight or
-// node interns to the same canonical identity whichever goroutine gets
-// there first.
+// The tables are single-threaded and take no locks. The stripes are kept
+// because the layout is observable: shard selection, slot functions and the WID
+// encoding fix the compute-table collision pattern and the node visit order
+// of forEach, and with ε > 0 the collision pattern shows in the float
+// figures' output. Flattening them is a layout change with its own
+// before/after evidence (DESIGN.md §5.6).
 
 const (
 	fnvOffset uint64 = 14695981039346656037
@@ -77,7 +73,6 @@ func shardOf(h uint64) uint64 { return h >> (64 - tableShardBits) }
 // probing over cached hashes; candidate values are compared with Ring.Equal
 // only when their hashes match (see Manager.internWeight).
 type wtShard[T any] struct {
-	mu      sync.Mutex
 	weights []T      // local index → canonical representative
 	hashes  []uint64 // local index → mixed hash, cached for growth
 	slots   []uint32 // open-addressed index; 0 = empty, else local+1
@@ -89,7 +84,6 @@ type wtShard[T any] struct {
 // no shard); every other weight encodes as (local<<tableShardBits | shard)+1,
 // so a WID resolves without consulting any other shard.
 type internTable[T any] struct {
-	shared bool // take the per-shard locks (intra-parallel mode)
 	shards [tableShardCount]wtShard[T]
 }
 
@@ -119,13 +113,9 @@ func encodeWID(shard uint64, local int) uint32 {
 
 // intern canonicalizes w (with mixed hash h, not the ring's zero class) and
 // returns its WID, the canonical representative, and whether the weight was
-// new. locked toggles the shard mutex.
+// new.
 func (t *internTable[T]) intern(w T, h uint64, equal func(a, b T) bool) (uint32, T, bool) {
 	sh := &t.shards[shardOf(h)]
-	if t.shared {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
 	i := h & sh.mask
 	for {
 		s := sh.slots[i]
@@ -150,12 +140,7 @@ func (t *internTable[T]) intern(w T, h uint64, equal func(a, b T) bool) (uint32,
 // lookup resolves a nonzero WID to its canonical representative.
 func (t *internTable[T]) lookup(wid uint32) T {
 	v := wid - 1
-	sh := &t.shards[v&(tableShardCount-1)]
-	if t.shared {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
-	return sh.weights[v>>tableShardBits]
+	return t.shards[v&(tableShardCount-1)].weights[v>>tableShardBits]
 }
 
 func (sh *wtShard[T]) grow() {
@@ -173,11 +158,8 @@ func (sh *wtShard[T]) grow() {
 
 // utShard is one stripe of the hash-consing table. Slots hold node pointers
 // directly; every node carries its own key (Level, child pointers, child
-// WIDs) plus its cached hash, so probing is pointer/ID comparisons. The
-// lookup/hit counters live with the shard so the locked path updates them
-// under the same critical section that probes the slots.
+// WIDs) plus its cached hash, so probing is pointer/ID comparisons.
 type utShard[T any] struct {
-	mu            sync.Mutex
 	slots         []*Node[T]
 	mask          uint64
 	used          int
@@ -187,7 +169,6 @@ type utShard[T any] struct {
 // uniqueTable is the sharded hash-consing table. Deletion happens only
 // wholesale, in Prune, by rebuilding every shard.
 type uniqueTable[T any] struct {
-	shared bool
 	shards [tableShardCount]utShard[T]
 }
 
@@ -200,10 +181,7 @@ func (t *uniqueTable[T]) init(sizePerShard int) {
 	}
 }
 
-// count returns the live node count across all shards. Only coherent when no
-// concurrent insertions are in flight (Stats is documented as a
-// between-operations snapshot); the budget path uses the manager's atomic
-// counter instead.
+// count returns the live node count across all shards.
 func (t *uniqueTable[T]) count() int {
 	n := 0
 	for s := range t.shards {
@@ -222,7 +200,7 @@ func (t *uniqueTable[T]) counters() (lookups, hits uint64) {
 }
 
 // insert adds a node that is known not to be present (Prune's rebuild path;
-// no counters, no locks — the caller is single-threaded).
+// no counters).
 func (t *uniqueTable[T]) insert(n *Node[T]) {
 	sh := &t.shards[shardOf(n.hash)]
 	i := n.hash & sh.mask
@@ -252,8 +230,7 @@ func (sh *utShard[T]) grow() {
 	}
 }
 
-// forEach visits every live node (single-threaded callers only: Prune,
-// tests).
+// forEach visits every live node in shard-then-slot order (Prune, tests).
 func (t *uniqueTable[T]) forEach(f func(n *Node[T])) {
 	for s := range t.shards {
 		for _, n := range t.shards[s].slots {

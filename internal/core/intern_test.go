@@ -267,6 +267,48 @@ func TestHitPathAllocationFree(t *testing.T) {
 	})
 }
 
+// TestApplyAddAllocations is the allocation gate of the sequential
+// ApplyLocal/Add recursion, with an exact ceiling (allocation counts are
+// deterministic). The sequence runs once to create its nodes; every measured
+// run then clears the compute table and recomputes the whole sequence, so
+// each recursion step runs again and every MakeNode hits the unique table.
+// The recursion itself must allocate nothing: the node array lives on the
+// stack and no closure captures it.
+func TestApplyAddAllocations(t *testing.T) {
+	const n = 10
+	m := numManager(0)
+	var gates []*LocalGate[complex128]
+	for l := 1; l <= n; l++ {
+		gates = append(gates, localH(m, l, nil))
+		if l > 1 {
+			// A below-target control takes ApplyLocal's projector split form.
+			gates = append(gates, localH(m, l, []LocalControl{{Level: l - 1}}))
+		}
+	}
+	other := m.BasisState(n, 5)
+	var last Edge[complex128]
+	run := func() {
+		m.ClearComputeTable()
+		s := m.BasisState(n, 0)
+		for i, g := range gates {
+			s = m.ApplyLocal(g, s)
+			if i%3 == 0 {
+				s = m.Add(s, other)
+			}
+		}
+		last = s
+	}
+	run()
+	nodes := m.Stats().UniqueNodes
+	if got := testing.AllocsPerRun(20, run); got > 0 {
+		t.Errorf("ApplyLocal/Add recomputation: %.0f allocations per run, ceiling 0", got)
+	}
+	if m.Stats().UniqueNodes != nodes || last.NodeCount() < n {
+		t.Fatalf("measured runs did not repeat the sequence (%d nodes, then %d; final state %d nodes)",
+			nodes, m.Stats().UniqueNodes, last.NodeCount())
+	}
+}
+
 func BenchmarkMakeNode(b *testing.B) {
 	b.Run("alg", func(b *testing.B) {
 		m := algManager(NormLeft)

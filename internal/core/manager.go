@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/coeff"
@@ -83,13 +82,12 @@ func (s Stats) CTLoadFactor() float64 {
 // policy for one family of QMDDs. All diagrams combined by manager
 // operations must come from the same manager.
 //
-// Concurrency: by default a Manager is single-threaded — run parallel
-// experiments on separate managers (as the benchmark harness does). With
-// SetIntraWorkers(k>1) the manager enters shared mode: its sharded tables
-// take per-shard locks and a single Add/ApplyLocal call may recurse into
-// independent sub-diagrams on a bounded worker group (see ops_parallel.go and
-// DESIGN.md §5.6). Even in shared mode, distinct top-level operations must
-// not be issued concurrently; the parallelism is *inside* one operation.
+// Concurrency: a Manager is single-threaded. Every call — operations,
+// Stats, Snapshot, Prune — must come from one goroutine at a time; run
+// parallel work on separate managers, as the benchmark harness (one manager
+// per sweep cell) and the engine (one set of managers per worker goroutine)
+// do. DESIGN.md §5.6 has the measurements that keep one operation on one
+// goroutine.
 type Manager[T any] struct {
 	R    coeff.Ring[T]
 	Norm NormScheme
@@ -102,25 +100,14 @@ type Manager[T any] struct {
 	ct       *computeTable[T]
 	arith    scalarArith[T]  // edge-weight Mul/Div: st for exact rings, else R
 	st       *scalarTable[T] // exact rings only (scalar.go); nil otherwise
-	nextID   atomic.Uint64
-	gateSeq  atomic.Uint64 // LocalGate registry IDs (apply.go)
-	stats    Stats         // Prune counters only; table counters live in the shards
-	pruneGen uint64        // bumped by every Prune; Samplers capture it to detect staleness
+	nextID   uint64
+	gateSeq  uint64 // LocalGate registry IDs (apply.go)
+	stats    Stats  // Prune counters only; table counters live in the shards
+	pruneGen uint64 // bumped by every Prune; Samplers capture it to detect staleness
 
-	// Intra-operation parallelism (ops_parallel.go). shared mirrors
-	// intraWorkers>1 into one branch-predictable bool consulted by the
-	// recursion; the tables carry their own copy. spawn0 is the fork budget
-	// handed to each top-level operation and sem bounds the extra worker
-	// goroutines at intraWorkers−1 tokens.
-	intraWorkers int
-	shared       bool
-	spawn0       int
-	sem          chan struct{}
-
-	// Live-population counters, atomic so concurrent shard insertions meter
-	// the budget coherently without a global lock.
-	totalNodes   atomic.Int64
-	totalWeights atomic.Int64
+	// Live-population counters the budget meters against.
+	totalNodes   int64
+	totalWeights int64
 
 	// Run governor (budget.go): optional resource budget, optional
 	// cooperative-cancellation context, and always-on peak tracking. budget,
@@ -129,9 +116,9 @@ type Manager[T any] struct {
 	budget      Budget
 	ctx         context.Context
 	budgetStart time.Time
-	budgetTick  atomic.Uint64
-	peakNodes   atomic.Int64
-	peakWeights atomic.Int64
+	budgetTick  uint64
+	peakNodes   int64
+	peakWeights int64
 }
 
 // Option configures a Manager at construction time.
@@ -163,11 +150,10 @@ func NewManager[T any](r coeff.Ring[T], norm NormScheme, opts ...Option) *Manage
 		opt(&o)
 	}
 	m := &Manager[T]{
-		R:            r,
-		Norm:         norm,
-		ct:           newComputeTable[T](o.ctSize),
-		intraWorkers: 1,
-		budgetStart:  time.Now(),
+		R:           r,
+		Norm:        norm,
+		ct:          newComputeTable[T](o.ctSize),
+		budgetStart: time.Now(),
 	}
 	h, hashed := any(r).(coeff.Hasher[T])
 	if hashed {
@@ -184,47 +170,9 @@ func NewManager[T any](r coeff.Ring[T], norm NormScheme, opts ...Option) *Manage
 	m.zeroHash = mix64(m.hashW(m.zeroW))
 	m.wt.init(1 << 4)
 	m.ut.init(1 << 4)
-	m.totalWeights.Store(1) // WID 0, pinned to the ring's zero
+	m.totalWeights = 1 // WID 0, pinned to the ring's zero
 	return m
 }
-
-// SetIntraWorkers sets the number of goroutines a single operation may
-// recurse on (ops_parallel.go). k ≤ 1 restores the default single-threaded
-// mode, in which the table shard locks are never touched. k > 1 requires a
-// coefficient ring that is safe for concurrent use (coeff.ConcurrentRing);
-// rings that are not — the ε>0 numerical ring, whose nearest-wins interning
-// is insertion-order-dependent — are silently clamped to 1 so results stay
-// deterministic. Must not be called while an operation is in flight.
-func (m *Manager[T]) SetIntraWorkers(k int) {
-	if k < 1 {
-		k = 1
-	}
-	if k > 1 {
-		cr, ok := any(m.R).(coeff.ConcurrentRing)
-		if !ok || !cr.ConcurrentSafe() {
-			k = 1
-		}
-	}
-	m.intraWorkers = k
-	shared := k > 1
-	m.shared = shared
-	m.wt.shared = shared
-	m.ut.shared = shared
-	m.ct.shared = shared
-	if m.st != nil {
-		m.st.shared = shared
-	}
-	m.spawn0 = spawnFor(k)
-	if shared {
-		m.sem = make(chan struct{}, k-1)
-	} else {
-		m.sem = nil
-	}
-}
-
-// IntraWorkers returns the effective intra-operation worker count (after the
-// concurrency-safety clamp of SetIntraWorkers).
-func (m *Manager[T]) IntraWorkers() int { return m.intraWorkers }
 
 // internWeight canonicalizes w through the per-manager intern table and
 // returns its weight ID plus the canonical representative. The hit path
@@ -258,8 +206,7 @@ func (m *Manager[T]) Weight(wid uint32) T {
 	return m.wt.lookup(wid)
 }
 
-// Stats returns a snapshot of the manager counters. Coherent only between
-// operations (shard counters are summed without a global lock).
+// Stats returns a snapshot of the manager counters.
 func (m *Manager[T]) Stats() Stats {
 	s := m.stats
 	s.UniqueNodes = m.ut.count()
@@ -344,11 +291,8 @@ func (m *Manager[T]) MakeNode(level int, es []Edge[T]) Edge[T] {
 
 // internNode hash-conses the normalized edge vector: each weight is interned
 // to its WID, the (level, child IDs, WIDs) key is hashed, and the owning
-// unique-table shard is probed. In shared mode the probe and the insert form
-// one critical section under the shard mutex, so two workers racing to
-// create the same node converge on a single canonical instance. es is
-// scratch owned by the caller — it is copied only when a new node is
-// created.
+// unique-table shard is probed. es is scratch owned by the caller — it is
+// copied only when a new node is created.
 func (m *Manager[T]) internNode(level int, es []Edge[T]) *Node[T] {
 	var wids [MatrixArity]uint32
 	for i := range es {
@@ -358,10 +302,6 @@ func (m *Manager[T]) internNode(level int, es []Edge[T]) *Node[T] {
 	}
 	h := nodeHash(level, es, &wids)
 	sh := &m.ut.shards[shardOf(h)]
-	if m.ut.shared {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
 	sh.lookups++
 	i := h & sh.mask
 	for {
@@ -377,7 +317,8 @@ func (m *Manager[T]) internNode(level int, es []Edge[T]) *Node[T] {
 	}
 	kids := make([]Edge[T], len(es))
 	copy(kids, es)
-	n := &Node[T]{ID: m.nextID.Add(1), Level: level, E: kids, wids: wids, hash: h}
+	m.nextID++
+	n := &Node[T]{ID: m.nextID, Level: level, E: kids, wids: wids, hash: h}
 	sh.slots[i] = n
 	sh.used++
 	if uint64(sh.used)*4 >= uint64(len(sh.slots))*3 {

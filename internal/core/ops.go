@@ -7,15 +7,8 @@ package core
 // integer tuples over node IDs and interned weight IDs — never strings.
 
 // Add returns the element-wise sum of two equally-shaped diagrams
-// (two vectors or two matrices over the same number of qubits). With
-// intra-op parallelism enabled the children of large nodes are summed
-// concurrently (ops_parallel.go); results are identical either way.
+// (two vectors or two matrices over the same number of qubits).
 func (m *Manager[T]) Add(x, y Edge[T]) Edge[T] {
-	return m.addSpawn(x, y, m.spawn0)
-}
-
-// addSpawn is Add carrying the fork budget down the recursion.
-func (m *Manager[T]) addSpawn(x, y Edge[T], spawn int) Edge[T] {
 	if m.IsZero(x) {
 		return y
 	}
@@ -43,14 +36,8 @@ func (m *Manager[T]) addSpawn(x, y Edge[T], spawn int) Edge[T] {
 	}
 	arity := len(x.N.E)
 	var sums [MatrixArity]Edge[T]
-	if spawn > 0 && x.N.Level >= minParallelLevel {
-		m.forkJoin(spawn, arity, func(i, spawn int) {
-			sums[i] = m.addSpawn(m.weightedChild(x, i), m.weightedChild(y, i), spawn)
-		})
-	} else {
-		for i := 0; i < arity; i++ {
-			sums[i] = m.addSpawn(m.weightedChild(x, i), m.weightedChild(y, i), spawn)
-		}
+	for i := 0; i < arity; i++ {
+		sums[i] = m.Add(m.weightedChild(x, i), m.weightedChild(y, i))
 	}
 	r := m.MakeNode(x.N.Level, sums[:arity])
 	m.ct.put(k, r)

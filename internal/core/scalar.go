@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"repro/internal/coeff"
-)
+import "repro/internal/coeff"
 
 // scalarTable memoizes nontrivial edge-weight products and quotients for
 // exact coefficient rings. Under Q[ω] a single Mul or Div costs microseconds
@@ -14,10 +10,13 @@ import (
 // never cached, which also keeps float results bit-identical.
 //
 // Like the compute table it is direct-mapped with overwrite on collision and
-// a fixed size, striped into tableShardCount shards that take their mutex
-// only in shared mode. Slots are keyed by the operation and the coeff.Hasher
-// hashes of both operands; a hit additionally checks both operands with
-// Ring.Equal, so a hash collision costs a recomputation, never a wrong value.
+// a fixed size, striped into tableShardCount shards by the same slot scheme
+// (hash.go). Its values are exact, so the layout never changes a result; it
+// does fix which operand pairs evict each other, and with that the hit
+// counts, and it lets each shard allocate its slots on first store. Slots
+// are keyed by the operation and the coeff.Hasher hashes of both operands; a
+// hit additionally checks both operands with Ring.Equal, so a hash collision
+// costs a recomputation, never a wrong value.
 // Prune clears the table, so nothing computed for one job outlives the
 // engine's scrub between jobs. See DESIGN.md §5.1.1.
 
@@ -41,7 +40,6 @@ type scalarEntry[T any] struct {
 }
 
 type scalarShard[T any] struct {
-	mu      sync.Mutex
 	entries []scalarEntry[T] // nil until the shard's first store
 
 	lookups, hits uint64
@@ -58,7 +56,6 @@ type scalarArith[T any] interface {
 type scalarTable[T any] struct {
 	r      coeff.Ring[T]
 	hash   func(T) uint64 // the manager's coeff.Hasher hash
-	shared bool
 	shards [tableShardCount]scalarShard[T]
 }
 
@@ -70,10 +67,6 @@ func scalarSlot(op scalarOp, ha, hb uint64) uint64 {
 func (t *scalarTable[T]) get(op scalarOp, ha, hb uint64, a, b T) (T, bool) {
 	h := scalarSlot(op, ha, hb)
 	sh := &t.shards[shardOf(h)]
-	if t.shared {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
 	sh.lookups++
 	if sh.entries != nil {
 		e := &sh.entries[h&uint64(len(sh.entries)-1)]
@@ -89,10 +82,6 @@ func (t *scalarTable[T]) get(op scalarOp, ha, hb uint64, a, b T) (T, bool) {
 func (t *scalarTable[T]) put(op scalarOp, ha, hb uint64, a, b, r T) {
 	h := scalarSlot(op, ha, hb)
 	sh := &t.shards[shardOf(h)]
-	if t.shared {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
 	if sh.entries == nil {
 		sh.entries = make([]scalarEntry[T], scalarTableSize/tableShardCount)
 	}

@@ -54,8 +54,8 @@ func (m *Manager[T]) Snapshot() Snapshot {
 // this between jobs so each job reports its own peaks, not the lifetime
 // maximum of the process.
 func (m *Manager[T]) ResetPeaks() {
-	m.peakNodes.Store(m.totalNodes.Load())
-	m.peakWeights.Store(m.totalWeights.Load())
+	m.peakNodes = m.totalNodes
+	m.peakWeights = m.totalWeights
 	m.budgetStart = time.Now()
-	m.budgetTick.Store(0)
+	m.budgetTick = 0
 }

@@ -54,13 +54,6 @@ type Config struct {
 	// CTSize is the per-manager compute-table slot count (default
 	// core.DefaultCTSize).
 	CTSize int
-	// IntraWorkers enables intra-operation parallelism inside each worker's
-	// managers (core.Manager.SetIntraWorkers): one job's Add/ApplyLocal
-	// recursions fan out over up to this many goroutines. Results are
-	// identical at any setting; ε>0 float managers stay sequential. Default
-	// 1 (sequential). Composes multiplicatively with Workers — keep the
-	// product near the core count.
-	IntraWorkers int
 
 	// NodeCap / WeightCap / ByteCap / TimeoutCap clamp the per-request
 	// budget: a request asking for more (or for nothing, when a cap is set)
@@ -148,9 +141,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CTSize <= 0 {
 		c.CTSize = core.DefaultCTSize
-	}
-	if c.IntraWorkers <= 0 {
-		c.IntraWorkers = 1
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 64

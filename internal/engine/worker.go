@@ -46,17 +46,16 @@ func newWorkerState() *workerState {
 	}
 }
 
-func (ws *workerState) algManager(norm core.NormScheme, ctSize, intraWorkers int) *core.Manager[alg.Q] {
+func (ws *workerState) algManager(norm core.NormScheme, ctSize int) *core.Manager[alg.Q] {
 	m, ok := ws.alg[norm]
 	if !ok {
 		m = core.NewManager[alg.Q](alg.Ring{}, norm, core.WithComputeTableSize(ctSize))
-		m.SetIntraWorkers(intraWorkers)
 		ws.alg[norm] = m
 	}
 	return m
 }
 
-func (ws *workerState) floatManager(eps float64, norm core.NormScheme, ctSize, intraWorkers int) *core.Manager[complex128] {
+func (ws *workerState) floatManager(eps float64, norm core.NormScheme, ctSize int) *core.Manager[complex128] {
 	k := floatKey{eps: eps, norm: norm}
 	m, ok := ws.flo[k]
 	if !ok {
@@ -64,7 +63,6 @@ func (ws *workerState) floatManager(eps float64, norm core.NormScheme, ctSize, i
 			ws.flo = make(map[floatKey]*core.Manager[complex128])
 		}
 		m = core.NewManager[complex128](num.NewRing(eps), norm, core.WithComputeTableSize(ctSize))
-		m.SetIntraWorkers(intraWorkers) // silently stays sequential when ε > 0
 		ws.flo[k] = m
 	}
 	return m
@@ -125,11 +123,11 @@ func (e *Engine) runJob(workerID int, ws *workerState, j *Job) {
 	)
 	switch j.req.Representation {
 	case "alg":
-		m := ws.algManager(j.norm(), e.cfg.CTSize, e.cfg.IntraWorkers)
+		m := ws.algManager(j.norm(), e.cfg.CTSize)
 		res, errBody, snap = runTyped(ctx, e, m, ddio.AlgCodec{}, j, budget)
 		scrub(m)
 	default: // "float", validated at submit
-		m := ws.floatManager(j.req.Eps, j.norm(), e.cfg.CTSize, e.cfg.IntraWorkers)
+		m := ws.floatManager(j.req.Eps, j.norm(), e.cfg.CTSize)
 		res, errBody, snap = runTyped(ctx, e, m, ddio.NumCodec{}, j, budget)
 		scrub(m)
 	}

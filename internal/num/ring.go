@@ -21,13 +21,6 @@ func NewRing(eps float64) *Ring { return &Ring{T: NewTable(eps)} }
 // Eps returns the configured tolerance.
 func (r *Ring) Eps() float64 { return r.T.Tol }
 
-// ConcurrentSafe reports whether this ring may be used from multiple
-// goroutines at once (coeff.ConcurrentRing). True only at ε ≤ 0, where
-// Table.Lookup returns its argument unchanged and never mutates the table;
-// with ε > 0 the nearest-wins interning both races and makes canonical
-// representatives insertion-order-dependent.
-func (r *Ring) ConcurrentSafe() bool { return r.T.Tol <= 0 }
-
 // Exact reports that complex128 arithmetic is not exact (coeff.ExactRing):
 // results carry float rounding, and at ε > 0 the interning tolerance folds
 // nearby values together. Fidelity figures derived in this ring are

@@ -43,9 +43,6 @@ type Config struct {
 	MaxShots int
 	// CTSize is the per-manager compute-table slot count.
 	CTSize int
-	// IntraWorkers enables intra-operation parallelism inside each worker's
-	// managers. See engine.Config.IntraWorkers.
-	IntraWorkers int
 
 	// NodeCap / WeightCap / ByteCap / TimeoutCap clamp the per-request
 	// budget. See engine.Config.
@@ -105,7 +102,6 @@ func (c Config) engineConfig() engine.Config {
 		MaxTopK:          c.MaxTopK,
 		MaxShots:         c.MaxShots,
 		CTSize:           c.CTSize,
-		IntraWorkers:     c.IntraWorkers,
 		NodeCap:          c.NodeCap,
 		WeightCap:        c.WeightCap,
 		ByteCap:          c.ByteCap,
