@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
-	"sort"
 )
 
 // Digest is a prefix-chain link / circuit fingerprint: a SHA-256 value.
@@ -32,10 +31,15 @@ type Digest = [sha256.Size]byte
 // Fingerprint. Every existing qcache identity therefore remains a chain
 // key: a full-circuit state cached under Fingerprint(c) is exactly the
 // prefix checkpoint H_len(c) for any extension of c.
+//
+// Each op's encoding is built in a reusable buffer and written to the hash
+// in one call, so absorbing an op allocates nothing once the buffers have
+// grown to the widest op.
 type PrefixHasher struct {
 	h     hasher
 	k     int
-	buf   [8]byte
+	enc   []byte // the encoding being built
+	sum   Digest // Link's output buffer
 	ctrls []Control
 }
 
@@ -50,21 +54,27 @@ type hasher interface {
 // NewPrefixHasher starts a chain for circuits over `qubits` qubits and
 // `cbits` classical bits. The returned hasher is positioned at H₀.
 func NewPrefixHasher(qubits, cbits int) *PrefixHasher {
-	p := &PrefixHasher{h: sha256.New()}
-	p.writeStr("qmdd-circuit-v3") // domain separator / schema version
-	p.writeInt(qubits)
-	p.writeInt(cbits)
+	p := &PrefixHasher{h: sha256.New(), enc: make([]byte, 0, 128), ctrls: make([]Control, 0, 4)}
+	p.putStr("qmdd-circuit-v3") // domain separator / schema version
+	p.putInt(qubits)
+	p.putInt(cbits)
+	p.flush()
 	return p
 }
 
-func (p *PrefixHasher) writeInt(v int) {
-	binary.LittleEndian.PutUint64(p.buf[:], uint64(int64(v)))
-	p.h.Write(p.buf[:])
+func (p *PrefixHasher) putU64(v uint64) { p.enc = binary.LittleEndian.AppendUint64(p.enc, v) }
+
+func (p *PrefixHasher) putInt(v int) { p.putU64(uint64(int64(v))) }
+
+func (p *PrefixHasher) putStr(s string) {
+	p.putInt(len(s))
+	p.enc = append(p.enc, s...)
 }
 
-func (p *PrefixHasher) writeStr(s string) {
-	p.writeInt(len(s))
-	p.h.Write([]byte(s))
+// flush writes the buffered encoding to the hash.
+func (p *PrefixHasher) flush() {
+	p.h.Write(p.enc)
+	p.enc = p.enc[:0]
 }
 
 // Absorb folds one op into the chain, advancing Hᵢ to Hᵢ₊₁. The encoding
@@ -75,37 +85,48 @@ func (p *PrefixHasher) writeStr(s string) {
 // collide), the measurement destination for measure ops, and the classical
 // condition if present.
 func (p *PrefixHasher) Absorb(g Gate) {
-	p.writeStr(g.Name)
-	p.writeInt(g.Target)
-	p.ctrls = append(p.ctrls[:0], g.Controls...)
-	sort.Slice(p.ctrls, func(i, j int) bool { return p.ctrls[i].Qubit < p.ctrls[j].Qubit })
-	p.writeInt(len(p.ctrls))
+	p.putStr(g.Name)
+	p.putInt(g.Target)
+	p.ctrls = sortControls(append(p.ctrls[:0], g.Controls...))
+	p.putInt(len(p.ctrls))
 	for _, ct := range p.ctrls {
-		p.writeInt(ct.Qubit)
+		p.putInt(ct.Qubit)
 		if ct.Neg {
-			p.writeInt(1)
+			p.putInt(1)
 		} else {
-			p.writeInt(0)
+			p.putInt(0)
 		}
 	}
-	p.writeInt(len(g.Params))
+	p.putInt(len(g.Params))
 	for _, prm := range g.Params {
-		binary.LittleEndian.PutUint64(p.buf[:], math.Float64bits(prm))
-		p.h.Write(p.buf[:])
+		p.putU64(math.Float64bits(prm))
 	}
 	if g.IsMeasure() {
-		p.writeInt(g.Clbit)
+		p.putInt(g.Clbit)
 	}
 	if g.Cond != nil {
-		p.writeInt(1)
-		p.writeInt(g.Cond.Offset)
-		p.writeInt(g.Cond.Width)
-		binary.LittleEndian.PutUint64(p.buf[:], g.Cond.Value)
-		p.h.Write(p.buf[:])
+		p.putInt(1)
+		p.putInt(g.Cond.Offset)
+		p.putInt(g.Cond.Width)
+		p.putU64(g.Cond.Value)
 	} else {
-		p.writeInt(0)
+		p.putInt(0)
 	}
+	p.flush()
 	p.k++
+}
+
+// sortControls orders cs by qubit in place with an insertion sort (control
+// lists are short). Distinct qubits have one sorted order; a repeated qubit
+// keeps its listing order, as under sort.Slice, which insertion-sorts lists
+// of up to 12 elements.
+func sortControls(cs []Control) []Control {
+	for i := 1; i < len(cs); i++ {
+		for j := i; j > 0 && cs[j].Qubit < cs[j-1].Qubit; j-- {
+			cs[j], cs[j-1] = cs[j-1], cs[j]
+		}
+	}
+	return cs
 }
 
 // Len returns the number of ops absorbed so far — the chain position i.
@@ -114,9 +135,8 @@ func (p *PrefixHasher) Len() int { return p.k }
 // Link returns the current chain link Hᵢ without disturbing the chain:
 // further Absorb calls continue from the same position.
 func (p *PrefixHasher) Link() Digest {
-	var out Digest
-	p.h.Sum(out[:0])
-	return out
+	p.h.Sum(p.sum[:0])
+	return p.sum
 }
 
 // Chain returns all n+1 links H₀ … Hₙ of the circuit's prefix-hash chain.

@@ -26,3 +26,48 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 		t.Error("parameter bits collided")
 	}
 }
+
+// mixedCircuit returns n ops cycling through every part of the encoding:
+// controls listed out of order, parameters, measurements and conditions.
+func mixedCircuit(n int) *Circuit {
+	c := New("mixed", 4)
+	for i := 0; c.Len() < n; i++ {
+		switch i % 5 {
+		case 0:
+			c.CCX(2, 0, 3)
+		case 1:
+			c.Rz(float64(i), 1)
+		case 2:
+			c.Append(Gate{Name: "u", Target: 0, Params: []float64{1, 2, 3},
+				Cond: &Cond{Offset: 0, Width: 2, Value: 1}})
+		case 3:
+			c.Measure(i%4, 1)
+		default:
+			c.Append(Gate{Name: "x", Target: 1, Controls: []Control{{Qubit: 3, Neg: true}, {Qubit: 0}, {Qubit: 2}}})
+		}
+	}
+	return c
+}
+
+// TestFingerprintAllocationsConstant is the hashing allocation gate: an op's
+// encoding goes through reusable buffers, so Fingerprint and Chain allocate
+// the same few objects (the hasher and its buffers and, for Chain, the link
+// slice) whatever the gate count.
+func TestFingerprintAllocationsConstant(t *testing.T) {
+	small, large := mixedCircuit(10), mixedCircuit(5000)
+	for _, tc := range []struct {
+		name    string
+		fn      func(*Circuit)
+		ceiling float64
+	}{
+		{"Fingerprint", func(c *Circuit) { Fingerprint(c) }, 4},
+		{"Chain", func(c *Circuit) { Chain(c) }, 5},
+	} {
+		s := testing.AllocsPerRun(20, func() { tc.fn(small) })
+		l := testing.AllocsPerRun(20, func() { tc.fn(large) })
+		if s != l || l > tc.ceiling {
+			t.Errorf("%s: %.0f allocations at %d gates, %.0f at %d; want equal and at most %.0f",
+				tc.name, s, small.Len(), l, large.Len(), tc.ceiling)
+		}
+	}
+}

@@ -220,3 +220,19 @@ func TestBatchValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitRepeatedOperandIsParseError: a gate applied to one qubit twice
+// is rejected as a parse error on its line, never a panic (which would make
+// the HTTP server drop the connection instead of answering 400).
+func TestSubmitRepeatedOperandIsParseError(t *testing.T) {
+	e := newTestEngine(t, Config{})
+	for _, stmt := range []string{"cx q[0],q[0];", "swap q[1],q[1];", "ccx q[0],q[0],q[1];", "cswap q[0],q[1],q[1];"} {
+		j, serr := e.Submit(JobRequest{QASM: "OPENQASM 2.0;\nqreg q[3];\n" + stmt + "\n"})
+		if serr == nil {
+			t.Fatalf("%s: accepted as job %v", stmt, j.ID())
+		}
+		if serr.Reason != RejectInvalid || serr.Body.Kind != KindParseError || serr.Body.Line != 3 {
+			t.Errorf("%s: got %+v, want a parse_error on line 3", stmt, serr)
+		}
+	}
+}

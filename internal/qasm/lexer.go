@@ -6,10 +6,7 @@
 // the circuit IR.
 package qasm
 
-import (
-	"strings"
-	"unicode"
-)
+import "unicode"
 
 type tokenKind int
 
@@ -23,19 +20,55 @@ const (
 	tokEquals // ==
 )
 
+// token is one lexeme. Its text is a substring of the source, so scanning
+// allocates nothing.
 type token struct {
 	kind tokenKind
 	text string
 	line int
 }
 
+// Byte classes of the lexer, one table entry per byte value.
+const (
+	clsIdentStart  = 1 << iota // letter or '_'
+	clsIdentChar               // letter, digit or '_'
+	clsNumberStart             // digit or '.'
+	clsNumberChar              // digit, '.', 'e' or 'E'
+	clsSymbol                  // ; , ( ) [ ] { } + - * / ^
+)
+
+// byteClass classifies every byte value. Bytes ≥ 0x80 are classified as the
+// Latin-1 code point of the same value by the unicode package, as a
+// byte-at-a-time scanner calling unicode.IsLetter(rune(c)) would.
+var byteClass = func() (t [256]uint8) {
+	for i := range t {
+		c := rune(i)
+		letter, digit := unicode.IsLetter(c), unicode.IsDigit(c)
+		if letter || c == '_' {
+			t[i] |= clsIdentStart
+		}
+		if letter || digit || c == '_' {
+			t[i] |= clsIdentChar
+		}
+		if digit || c == '.' {
+			t[i] |= clsNumberStart
+		}
+		if digit || c == '.' || c == 'e' || c == 'E' {
+			t[i] |= clsNumberChar
+		}
+	}
+	for _, c := range []byte(";,()[]{}+-*/^") {
+		t[c] |= clsSymbol
+	}
+	return t
+}()
+
+// lexer produces tokens on demand; the parser pulls one token of lookahead.
 type lexer struct {
 	src  string
 	pos  int
 	line int
 }
-
-func newLexer(src string) *lexer { return &lexer{src: src, line: 1} }
 
 func (l *lexer) errf(format string, args ...any) error {
 	return errAt(l.line, format, args...)
@@ -63,14 +96,15 @@ func (l *lexer) next() (token, error) {
 scan:
 	c := l.src[l.pos]
 	start := l.pos
+	cls := byteClass[c]
 	switch {
-	case unicode.IsLetter(rune(c)) || c == '_':
-		for l.pos < len(l.src) && (isIdentChar(l.src[l.pos])) {
+	case cls&clsIdentStart != 0:
+		for l.pos < len(l.src) && byteClass[l.src[l.pos]]&clsIdentChar != 0 {
 			l.pos++
 		}
 		return token{tokIdent, l.src[start:l.pos], l.line}, nil
-	case unicode.IsDigit(rune(c)) || c == '.':
-		for l.pos < len(l.src) && isNumberChar(l.src[l.pos]) {
+	case cls&clsNumberStart != 0:
+		for l.pos < len(l.src) && byteClass[l.src[l.pos]]&clsNumberChar != 0 {
 			prev := l.src[l.pos]
 			l.pos++
 			// Allow a sign directly after an exponent marker (1.5e-3).
@@ -95,37 +129,13 @@ scan:
 		return token{tokString, l.src[start+1 : l.pos-1], l.line}, nil
 	case c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '>':
 		l.pos += 2
-		return token{tokArrow, "->", l.line}, nil
+		return token{tokArrow, l.src[start:l.pos], l.line}, nil
 	case c == '=' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '=':
 		l.pos += 2
-		return token{tokEquals, "==", l.line}, nil
-	case strings.ContainsRune(";,()[]{}+-*/^", rune(c)):
+		return token{tokEquals, l.src[start:l.pos], l.line}, nil
+	case cls&clsSymbol != 0:
 		l.pos++
-		return token{tokSymbol, string(c), l.line}, nil
+		return token{tokSymbol, l.src[start:l.pos], l.line}, nil
 	}
 	return token{}, l.errf("unexpected character %q", c)
-}
-
-func isIdentChar(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
-}
-
-func isNumberChar(c byte) bool {
-	return c == '.' || c == 'e' || c == 'E' || unicode.IsDigit(rune(c))
-}
-
-// tokenize scans the whole input.
-func tokenize(src string) ([]token, error) {
-	l := newLexer(src)
-	var out []token
-	for {
-		t, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-		if t.kind == tokEOF {
-			return out, nil
-		}
-	}
 }

@@ -121,6 +121,13 @@ func TestParseErrors(t *testing.T) {
 		`OPENQASM 2.0; qreg q[0];`,                  // zero-size register
 		`OPENQASM 2.0; qreg q[2]; rz(pi/) q[0];`,    // bad expression
 		`OPENQASM 2.0; qreg q[2]; h q[0]`,           // missing semicolon at EOF
+		// A gate applied to one qubit twice.
+		`OPENQASM 2.0; qreg q[2]; cx q[0],q[0];`,
+		`OPENQASM 2.0; qreg q[2]; swap q[0],q[0];`,
+		`OPENQASM 2.0; qreg q[3]; ccx q[0],q[1],q[1];`,
+		`OPENQASM 2.0; qreg q[3]; ccx q[0],q[0],q[1];`,
+		`OPENQASM 2.0; qreg q[3]; cswap q[0],q[1],q[1];`,
+		`OPENQASM 2.0; qreg q[2]; gate g a,b { cx a,b; } g q[0],q[0];`,
 	}
 	for _, src := range cases {
 		if _, err := Parse(src, "bad"); err == nil {
@@ -402,6 +409,8 @@ func TestParseErrorTyped(t *testing.T) {
 		{"lowering arity", "OPENQASM 2.0;\nqreg q[2];\n\nh q[0], q[1];", 4},
 		{"unsupported gate", "OPENQASM 2.0;\nqreg q[2];\nfrobnicate q[0];", 3},
 		{"gatedef opaque", "OPENQASM 2.0;\nqreg q[1];\nopaque mystery a;\nmystery q[0];", 4},
+		{"repeated operand", "OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[0];", 3},
+		{"repeated gatedef argument", "OPENQASM 2.0;\nqreg q[2];\ngate g a,b { cx a,b; }\ng q[1],q[1];", 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -424,5 +433,27 @@ func TestParseErrorTyped(t *testing.T) {
 				t.Errorf("rendered %q lacks line prefix", err.Error())
 			}
 		})
+	}
+}
+
+// TestParsedSlicesAreCapped: gates share arena chunks for their controls
+// and parameters, so each slice must be capped at its length — an append
+// to one gate's slice must reallocate, never overwrite the next gate's.
+func TestParsedSlicesAreCapped(t *testing.T) {
+	c, err := Parse("OPENQASM 2.0;\nqreg q[3];\ncx q[0],q[1];\nccx q[0],q[1],q[2];\nrz(1) q[0];\nu2(2,3) q[1];\ncp(4) q[0],q[2];\n", "capped")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range c.Gates {
+		if cap(g.Controls) != len(g.Controls) || cap(g.Params) != len(g.Params) {
+			t.Fatalf("gate %d (%v): controls len %d cap %d, params len %d cap %d",
+				i, g, len(g.Controls), cap(g.Controls), len(g.Params), cap(g.Params))
+		}
+	}
+	if grown := append(c.Gates[0].Controls, circuit.Control{Qubit: 2}); len(grown) != 2 {
+		t.Fatalf("append gave %v", grown)
+	}
+	if got := c.Gates[1].Controls; got[0].Qubit != 0 || got[1].Qubit != 1 {
+		t.Fatalf("append to gate 0's controls changed gate 1's: %v", got)
 	}
 }
