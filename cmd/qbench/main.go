@@ -47,7 +47,6 @@ func main() {
 		netLen      = flag.Int("netlen", 0, "override synthesizer net length")
 		stride      = flag.Int("stride", 0, "override sampling stride")
 		noError     = flag.Bool("noerror", false, "skip the per-sample accuracy metric (faster)")
-		nodeCap     = flag.Int("nodecap", 0, "deprecated alias for -max-nodes")
 		maxNodes    = flag.Int("max-nodes", 0, "budget: max live QMDD nodes per run (0 = default 200000)")
 		maxMem      = flag.Int64("max-mem", 0, "budget: approximate max bytes of nodes+weights per run (0 = unlimited)")
 		timeout     = flag.Duration("timeout", 0, "wall-clock limit for the whole invocation (0 = none); partial results are printed on expiry")
@@ -58,7 +57,7 @@ func main() {
 		cpuProf     = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf     = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 		cacheDir    = flag.String("cache", "", "benchmark the qcache disk tier instead of a figure sweep: run each workload cold (simulate + cache the final state in this directory), then warm (replay from cache), and report both wall times")
-		benchJSON   = flag.String("bench-json", "", "single-run implementation benchmark instead of a figure sweep: time each workload under BuildDD+Mul and under local apply, and write the JSON report to this path")
+		benchJSON   = flag.String("bench-json", "", "single-run implementation benchmark instead of a figure sweep: time each workload under the local apply path, and write the JSON report to this path")
 		sampleBench = flag.Int("sample-bench", 0, "measurement-sampling micro-benchmark instead of a figure sweep: draw this many samples from each workload's final state, per-call (fresh mass pass per draw) vs hoisted (reusable Sampler), and report both")
 		approxBench = flag.Float64("min-fidelity", 0, "graceful-degradation benchmark instead of a figure sweep: rerun each workload under half its node demand, exact (fail-fast) vs approximated down to this fidelity floor, and report what the floor buys")
 		prefixBench = flag.Int("prefix-bench", 0, "shared-prefix batch benchmark instead of a figure sweep: submit this many Grover variants once through POST /v1/batches (prefix simulated exactly once, variants warm-started from its checkpoint) and once as independent cold jobs, assert byte-identical amplitudes in both representations, and write the JSON report")
@@ -103,9 +102,6 @@ func main() {
 	}
 	if *noError {
 		p.MeasureError = false
-	}
-	if *nodeCap > 0 {
-		p.Budget.MaxNodes = *nodeCap
 	}
 	if *maxNodes > 0 {
 		p.Budget.MaxNodes = *maxNodes

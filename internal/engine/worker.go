@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/alg"
-	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/ddio"
 	"repro/internal/num"
@@ -229,42 +228,14 @@ func runTyped[T any](ctx context.Context, e *Engine, m *core.Manager[T], codec d
 	// run so future extensions warm-start too. Warm and cold runs produce
 	// byte-identical results — a checkpoint is the exact state, decoded into
 	// canonical diagrams.
-	from := 0
-	var hook func(i int, g circuit.Gate) bool
-	if ps := prefixStore(e, codec, j); ps != nil {
-		plan := prefix.PlanOf(j.circ)
-		if k, st, ok := ps.Probe(m, plan, j.circ.N); ok {
-			simr.State = st
-			from = k
-			e.met.prefixHits.Add(1)
-			e.met.prefixGatesSkipped.Add(uint64(k))
-		}
-		// The unique-table occupancy stands in for the state's node count in
-		// the high-water rule: it is O(1) to read where an exact count walks
-		// the state, and within one run it over-approximates only by
-		// garbage — at worst a few extra snapshots, never a missed boundary.
-		tracker := prefix.Policy{
-			EveryK:   e.cfg.CheckpointEvery,
-			MaxBytes: e.cfg.CheckpointBytes,
-		}.NewTracker(m.Stats().UniqueNodes)
-		hook = func(i int, g circuit.Gate) bool {
-			k := i + 1 // the hook fires after gate i: the state is H_{i+1}'s
-			nodes := m.Stats().UniqueNodes
-			if !tracker.Should(k, plan.Boundary, nodes) {
-				return true
-			}
-			if simr.Approximation().Events > 0 {
-				// Past the first shed the state is no longer the exact
-				// function of its prefix key; stop checkpointing this run.
-				return true
-			}
-			if n, err := ps.Store(m, simr.State, plan.Links[k], j.circ.N, e.cfg.CheckpointBytes); err == nil && n > 0 {
-				tracker.Stored(nodes)
-				e.met.checkpointsStored.Add(1)
-				e.met.checkpointBytes.Add(uint64(n))
-			}
-			return true
-		}
+	pol := prefix.Policy{EveryK: e.cfg.CheckpointEvery, MaxBytes: e.cfg.CheckpointBytes}
+	from, hook := prefix.Resume(prefixStore(e, codec, j), simr, j.circ, pol, func(n int) {
+		e.met.checkpointsStored.Add(1)
+		e.met.checkpointBytes.Add(uint64(n))
+	})
+	if from > 0 {
+		e.met.prefixHits.Add(1)
+		e.met.prefixGatesSkipped.Add(uint64(from))
 	}
 
 	start := time.Now()

@@ -34,6 +34,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ddio"
 	"repro/internal/qcache"
+	"repro/internal/sim"
 )
 
 // Plan is the checkpointable view of one circuit: its full prefix-hash
@@ -237,5 +238,42 @@ func (t *Tracker) Should(k, boundary, nodes int) bool {
 func (t *Tracker) Stored(nodes int) {
 	if nodes > t.lastNodes {
 		t.lastNodes = nodes
+	}
+}
+
+// Resume is the warm-start and checkpoint loop of one run. It probes ps
+// for the longest cached prefix of c and installs the restored state in s,
+// and returns the gate index the run resumes from (0 = cold start) and the
+// per-gate hook for sim.RunFromCtx that stores the prefixes pol selects.
+// stored is told each stored checkpoint's size. Checkpointing
+// stops at the run's first approximation event: an approximate state is not
+// the exact function of its prefix key. A nil ps returns (0, nil).
+func Resume[T any](ps *Store[T], s *sim.Simulator[T], c *circuit.Circuit, pol Policy, stored func(bytes int)) (int, func(int, circuit.Gate) bool) {
+	if ps == nil {
+		return 0, nil
+	}
+	m := s.M
+	plan := PlanOf(c)
+	from := 0
+	if k, e, ok := ps.Probe(m, plan, c.N); ok {
+		s.State = e
+		from = k
+	}
+	// The unique-table occupancy stands in for the state's node count in
+	// the high-water rule: it is O(1) to read where an exact count walks
+	// the state, and within one run it over-approximates only by garbage —
+	// at worst a few extra snapshots, never a missed boundary.
+	tracker := pol.NewTracker(m.Stats().UniqueNodes)
+	return from, func(i int, _ circuit.Gate) bool {
+		k := i + 1 // the hook fires after gate i: the state is H_{i+1}'s
+		nodes := m.Stats().UniqueNodes
+		if !tracker.Should(k, plan.Boundary, nodes) || s.Approximation().Events > 0 {
+			return true
+		}
+		if n, err := ps.Store(m, s.State, plan.Links[k], c.N, pol.MaxBytes); err == nil && n > 0 {
+			tracker.Stored(nodes)
+			stored(n)
+		}
+		return true
 	}
 }

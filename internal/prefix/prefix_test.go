@@ -1,6 +1,7 @@
 package prefix
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/alg"
@@ -243,5 +244,45 @@ func TestTrackerRules(t *testing.T) {
 	}
 	if !tr2.Should(10, 10, 1) {
 		t.Error("boundary did not fire with EveryK = 0")
+	}
+}
+
+// TestResumeStoresThenWarmStarts: a cold run through Resume checkpoints
+// the cadence positions and the boundary and reports each stored size; a
+// second run resumes from the final state, skipping every gate, with the
+// cold run's amplitudes. A nil store means a cold run with no hook.
+func TestResumeStoresThenWarmStarts(t *testing.T) {
+	c := testCircuit()
+	st := newStore(t, memCache(t))
+	pol := Policy{EveryK: 2}
+
+	cold := sim.New(newManager(), c.N)
+	var stored, bytes int
+	from, hook := Resume(st, cold, c, pol, func(n int) { stored++; bytes += n })
+	if from != 0 || hook == nil {
+		t.Fatalf("cold: from = %d, hook nil = %v", from, hook == nil)
+	}
+	if err := cold.RunFromCtx(context.Background(), c, from, hook); err != nil {
+		t.Fatal(err)
+	}
+	// Positions 2 and 4 by cadence, 5 as the boundary.
+	if stored != 3 || bytes == 0 {
+		t.Fatalf("stored %d checkpoints (%d bytes), want 3", stored, bytes)
+	}
+
+	warm := sim.New(newManager(), c.N)
+	from, _ = Resume(st, warm, c, pol, func(int) {})
+	if from != c.Len() {
+		t.Fatalf("warm: resumed at gate %d, want %d", from, c.Len())
+	}
+	want, got := amplitudes(cold.M, cold.State, c.N), amplitudes(warm.M, warm.State, c.N)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("amplitude %d: warm %v, cold %v", i, got[i], want[i])
+		}
+	}
+
+	if from, hook := Resume[alg.Q](nil, sim.New(newManager(), c.N), c, pol, nil); from != 0 || hook != nil {
+		t.Fatalf("nil store: from = %d, hook nil = %v", from, hook == nil)
 	}
 }

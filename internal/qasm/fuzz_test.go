@@ -51,7 +51,8 @@ func checkAgainstReference(t *testing.T, src string) {
 			t.Fatalf("Parse returned an untyped error %v (%T)", err, err)
 		}
 		if msg := err.Error(); strings.Contains(msg, "program lowers to more than") ||
-			strings.Contains(msg, "program expansion takes more than") {
+			strings.Contains(msg, "program expansion takes more than") ||
+			strings.Contains(msg, "levels deep") {
 			return // over a budget: the reference has no verdict to compare
 		}
 	}

@@ -156,6 +156,9 @@ func (p *parser) expandDef(def *gateDef, params []float64, args []int, line int,
 	if def.expanding {
 		return errAt(line, "gate %s is defined in terms of itself", def.name)
 	}
+	if len(p.frames) == maxGateDepth {
+		return errAt(line, "gate definitions nest more than %d levels deep", maxGateDepth)
+	}
 	if err := p.spend(line, len(def.body)); err != nil {
 		return err
 	}

@@ -161,3 +161,52 @@ func TestFirstErrorInSourceOrder(t *testing.T) {
 		})
 	}
 }
+
+// TestGateNestingDepthCapped: applying a chain of definitions, each calling
+// the previous one, recurses once per level. A 1 MiB chain has about 38,000
+// levels and, uncapped, grew the parsing goroutine's stack to 34 MB. Parse
+// must reject it at maxGateDepth with a ParseError while the stack stays
+// under 1 MB.
+func TestGateNestingDepthCapped(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("OPENQASM 2.0;\nqreg q[1];\ngate g0 a { x a; }\n")
+	levels := 0
+	for sb.Len() < 1<<20 {
+		levels++
+		fmt.Fprintf(&sb, "gate g%d a { g%d a; }\n", levels, levels-1)
+	}
+	fmt.Fprintf(&sb, "g%d q[0];\n", levels)
+	var (
+		err   error
+		stack int64
+	)
+	done := make(chan struct{})
+	go func() { // a fresh goroutine starts with a minimal stack
+		defer close(done)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = Parse(sb.String(), "chain")
+		runtime.ReadMemStats(&after)
+		stack = int64(after.StackInuse) - int64(before.StackInuse)
+	}()
+	<-done
+	pe, ok := err.(*ParseError)
+	if !ok || !strings.Contains(pe.Msg, fmt.Sprintf("more than %d levels deep", maxGateDepth)) {
+		t.Fatalf("%d levels: err = %v, want the nesting-depth ParseError", levels, err)
+	}
+	t.Logf("%d levels: stack grew by %d KB", levels, stack>>10)
+	if stack > 1<<20 {
+		t.Errorf("parsing a %d-level chain grew the stack by %.1f MB", levels, float64(stack)/1e6)
+	}
+
+	// A chain exactly maxGateDepth deep still parses.
+	sb.Reset()
+	sb.WriteString("OPENQASM 2.0;\nqreg q[1];\ngate g0 a { x a; }\n")
+	for i := 1; i < maxGateDepth; i++ {
+		fmt.Fprintf(&sb, "gate g%d a { g%d a; }\n", i, i-1)
+	}
+	fmt.Fprintf(&sb, "g%d q[0];\n", maxGateDepth-1)
+	if c, err := Parse(sb.String(), "deepest"); err != nil || c.Len() != 1 {
+		t.Fatalf("a %d-level chain: err = %v", maxGateDepth, err)
+	}
+}

@@ -32,6 +32,15 @@ var maxOps = 1 << 18
 // and are bounded too.
 const workPerOp = 16
 
+// maxGateDepth caps how deeply gate definitions may call one another. Each
+// level of an expansion recurses in the parser, under 1 KB of goroutine
+// stack, so without a cap a 1 MiB chain `gate g_i a { g_{i-1} a; }` of
+// 38,241 levels grew the stack by 34 MB. The deepest nesting in the
+// testdata and the tests is 2 and the benchmark workloads use no
+// definitions at all; 64 also keeps the 40-level doubling chain that
+// exercises the work cap below the cap.
+const maxGateDepth = 64
+
 // presizeCap bounds the gate list and control chunk pre-sized from the
 // statement count, so a body of bare ';' allocates at most a few MB
 // before its first error. Larger programs grow by append.

@@ -36,19 +36,26 @@ func (e *EntryError) Error() string { return "qcache: entry: " + e.Reason }
 
 // EncodeEntry renders payload as a stamped envelope (header line + payload).
 func EncodeEntry(payload []byte, st Stamp) []byte {
-	sum := sha256.Sum256(payload)
-	header := fmt.Sprintf("qcache %s repr=%s norm=%s eps=%s len=%d sha256=%s\n",
-		entryVersion, st.Repr, st.Norm,
-		strconv.FormatFloat(st.Eps, 'x', -1, 64), len(payload), hex.EncodeToString(sum[:]))
+	header := entryHeader(st, len(payload), sha256.Sum256(payload))
 	out := make([]byte, 0, len(header)+len(payload))
 	out = append(out, header...)
 	out = append(out, payload...)
 	return out
 }
 
+// entryHeader is the envelope's header line for an n-byte payload with
+// SHA-256 sum, stamped st.
+func entryHeader(st Stamp, n int, sum [sha256.Size]byte) string {
+	return fmt.Sprintf("qcache %s repr=%s norm=%s eps=%s len=%d sha256=%s\n",
+		entryVersion, st.Repr, st.Norm,
+		strconv.FormatFloat(st.Eps, 'x', -1, 64), n, hex.EncodeToString(sum[:]))
+}
+
 // DecodeEntry parses and validates a stamped envelope, returning the payload.
 // Every failure — bad magic, unknown version, provenance mismatch against
-// want, length or checksum disagreement — is an *EntryError.
+// want, length or checksum disagreement, a header EncodeEntry would not
+// have written — is an *EntryError. An accepted envelope is byte for byte
+// EncodeEntry(payload, want).
 func DecodeEntry(raw []byte, want Stamp) ([]byte, error) {
 	fail := func(format string, args ...any) ([]byte, error) {
 		return nil, &EntryError{Reason: fmt.Sprintf(format, args...)}
@@ -106,6 +113,11 @@ func DecodeEntry(raw []byte, want Stamp) ([]byte, error) {
 	sum := sha256.Sum256(payload)
 	if hex.EncodeToString(sum[:]) != wantSum {
 		return fail("checksum mismatch")
+	}
+	if entryHeader(want, len(payload), sum) != string(raw[:nl+1]) {
+		// Reordered, repeated or unknown fields, other spellings of the
+		// same numbers: the entry was not written by EncodeEntry.
+		return fail("non-canonical header %q", string(raw[:nl]))
 	}
 	return payload, nil
 }

@@ -87,3 +87,33 @@ func TestGetRawServesVerbatimEnvelope(t *testing.T) {
 		t.Fatal("nil cache served a raw envelope")
 	}
 }
+
+// FuzzDecodeEntry: DecodeEntry reads untrusted bytes from disk and from
+// peers. It must never panic, every rejection must be an *EntryError, and
+// an accepted envelope must be exactly what EncodeEntry writes for the
+// payload it returned.
+func FuzzDecodeEntry(f *testing.F) {
+	for _, st := range []Stamp{{Repr: "alg", Norm: "left"}, {Repr: "float", Norm: "max", Eps: 1e-10}} {
+		good := EncodeEntry([]byte("the payload"), st)
+		f.Add(good, st.Repr, st.Norm, st.Eps)
+		f.Add(EncodeEntry(nil, st), st.Repr, st.Norm, st.Eps)
+		f.Add(good[:len(good)-3], st.Repr, st.Norm, st.Eps)
+		f.Add(bytes.Replace(good, []byte("repr="), []byte("repr= "), 1), st.Repr, st.Norm, st.Eps)
+	}
+	f.Add([]byte("qcache v1 norm=left repr=alg eps=0x0p+00 len=0 sha256=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855\n"), "alg", "left", 0.0)
+	f.Add([]byte("qcache v1 repr=alg norm=left eps=-0 len=+0 sha256=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855\n"), "alg", "left", 0.0)
+	f.Fuzz(func(t *testing.T, raw []byte, repr, norm string, eps float64) {
+		want := Stamp{Repr: repr, Norm: norm, Eps: eps}
+		payload, err := DecodeEntry(raw, want)
+		if err != nil {
+			var ee *EntryError
+			if !errors.As(err, &ee) {
+				t.Fatalf("untyped error %v (%T)", err, err)
+			}
+			return
+		}
+		if again := EncodeEntry(payload, want); !bytes.Equal(again, raw) {
+			t.Fatalf("accepted envelope does not re-encode to itself:\n got %q\nwant %q", raw, again)
+		}
+	})
+}

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -210,34 +211,36 @@ func TestNoPanicEscapesExportedAPIs(t *testing.T) {
 // full table after every gate while reclaiming almost nothing. The guard
 // raises the watermark to twice the live size whenever a sweep reclaims
 // under 10%, so the number of prunes stays far below the gate count. The
-// near-useless-sweep regime needs a table dominated by pinned roots, so the
-// gate diagrams are cached up front (the local apply path alone leaves too
-// little pinned for sweeps to be useless).
+// near-useless-sweep regime needs a table dominated by live nodes: a wide
+// random state is built first, and then gates on qubit 0 (the top level)
+// each replace only the root node.
 func TestAutoPruneThrashGuard(t *testing.T) {
-	const n = 16
-	c := circuit.New("ghz", n)
-	c.H(0)
-	for q := 1; q < n; q++ {
-		c.CX(q-1, q)
-	}
+	const n = 12
 	m := numM(0)
 	s := New(m, n)
-	s.EnableAutoPrune(4) // far below the live working set from the start
-	for _, g := range c.Gates {
-		if _, err := s.GateDD(g); err != nil {
-			t.Fatal(err)
-		}
+	if err := s.Run(randomCliffordT(rand.New(rand.NewSource(5)), n, 300), nil); err != nil {
+		t.Fatal(err)
 	}
+	m.Prune(s.State)
+	if live := m.Stats().UniqueNodes; live < 100 {
+		t.Fatalf("precondition: the live state has only %d nodes", live)
+	}
+	c := circuit.New("flips", n)
+	for i := 0; i < 16; i++ {
+		c.X(0)
+	}
+	s.EnableAutoPrune(4) // far below the live working set from the start
+	before := m.Stats().Prunes
 	if err := s.Run(c, nil); err != nil {
 		t.Fatal(err)
 	}
-	prunes := m.Stats().Prunes
+	prunes := m.Stats().Prunes - before
 	if prunes == 0 {
 		t.Fatal("auto-prune never ran; watermark not exercised")
 	}
-	// Without the guard every one of the n gates past the watermark sweeps
-	// the table (≈ n prunes). With it the watermark doubles after each
-	// near-useless sweep, so the count is logarithmic in the final size.
+	// Without the guard every one of the gates past the watermark sweeps
+	// the table (one prune per gate). With it the watermark doubles after
+	// each near-useless sweep, so the count is logarithmic in the final size.
 	if int(prunes) > 6 {
 		t.Fatalf("thrash guard ineffective: %d prunes over %d gates", prunes, c.Len())
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // TestApplyMatchesMulOracle: the simulator's local-apply fast path lands on
-// the same canonical state as the classic GateDD+Mul pipeline, gate by gate,
+// the same canonical state as the classic BuildDD+Mul pipeline (mulOracle),
 // on random Clifford+T circuits. The core-level differential tests
 // (core/apply_test.go) cover ApplyLocal against BuildDD+Mul per gate; this
 // one covers the sim wiring — LocalGate caching, identity skipping, the
@@ -25,17 +25,14 @@ func TestApplyMatchesMulOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		oracle := New(algM(core.NormLeft), n)
-		for i, g := range c.Gates {
-			dd, err := oracle.GateDD(g)
-			if err != nil {
-				t.Fatalf("trial %d gate %d: %v", trial, i, err)
-			}
-			oracle.State = oracle.M.Mul(dd, oracle.State)
+		mo := algM(core.NormLeft)
+		want, err := newMulOracle(mo, n).run(c)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 
-		if !core.CrossEqual(fast.M, fast.State, oracle.M, oracle.State) {
-			t.Fatalf("trial %d: local apply diverged from GateDD+Mul oracle", trial)
+		if !core.CrossEqual(fast.M, fast.State, mo, want) {
+			t.Fatalf("trial %d: local apply diverged from the BuildDD+Mul oracle", trial)
 		}
 	}
 }
@@ -53,10 +50,10 @@ func TestBuildUnitaryMatchesMulOracle(t *testing.T) {
 	}
 
 	mo := algM(core.NormLeft)
-	s := New(mo, c.N)
+	o := newMulOracle(mo, c.N)
 	want := mo.Identity(c.N)
 	for i, g := range c.Gates {
-		dd, err := s.GateDD(g)
+		dd, err := o.gateDD(g)
 		if err != nil {
 			t.Fatalf("gate %d: %v", i, err)
 		}

@@ -59,47 +59,6 @@ func TestResetRestoresAutoPruneWatermark(t *testing.T) {
 	}
 }
 
-// TestResetUnpinsGateCache is the regression test for the pinned-gate-cache
-// bug: cached gate diagrams are auto-prune roots, so a Reset that kept the
-// cache retained every dead gate DD of the previous circuit forever across
-// cross-circuit reuse. Reset must drop the cache, and a subsequent prune
-// must reclaim the orphaned diagrams down to the live state. (Apply itself
-// no longer builds gate diagrams — the local path has no edges to pin — so
-// the cache is populated explicitly through GateDD, its remaining entry
-// point.)
-func TestResetUnpinsGateCache(t *testing.T) {
-	const n = 8
-	c := algorithms.Grover(n, 13, 1)
-	m := numM(0)
-	s := New(m, n)
-	if err := s.Run(c, nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range c.Gates {
-		if _, err := s.GateDD(g); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(s.gateCache) == 0 {
-		t.Fatal("precondition: no gate diagrams were cached")
-	}
-
-	s.Reset()
-	if got := len(s.gateCache); got != 0 {
-		t.Fatalf("Reset kept %d cached gate diagrams pinned", got)
-	}
-
-	// With the cache unpinned, pruning against the live state alone must
-	// sweep the old circuit's gate diagrams: only the basis state survives.
-	removed := m.Prune(s.State)
-	if removed == 0 {
-		t.Fatal("prune after Reset reclaimed nothing")
-	}
-	if live, state := m.Stats().UniqueNodes, s.State.NodeCount(); live != state {
-		t.Fatalf("table holds %d nodes after Reset+Prune, want the %d live state nodes", live, state)
-	}
-}
-
 // countingCtx wraps a cancellable context and counts Err() polls, proving
 // the context is actually consulted (not just carried around).
 type countingCtx struct {

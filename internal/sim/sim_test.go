@@ -215,20 +215,19 @@ func TestBuildUnitaryAndEquivalence(t *testing.T) {
 	}
 }
 
-// TestGateCache: repeated application of the same gate reuses the cached DD.
+// TestGateCache: the oracle builds each distinct gate's diagram once.
 func TestGateCache(t *testing.T) {
-	m := algM(core.NormLeft)
-	s := New(m, 4)
+	o := newMulOracle(algM(core.NormLeft), 4)
 	g := circuit.Gate{Name: "h", Target: 2}
-	d1, err := s.GateDD(g)
+	d1, err := o.gateDD(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := s.GateDD(g)
+	d2, err := o.gateDD(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d1.N != d2.N {
+	if d1.N != d2.N || len(o.cache) != 1 {
 		t.Fatal("gate DD not cached")
 	}
 }
