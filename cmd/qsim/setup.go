@@ -32,7 +32,7 @@ func (w *workload) register(fs *flag.FlagSet, d workload) {
 	fs.StringVar(&w.alg, "alg", d.alg, "built-in workload: grover, bwt, gse, ghz, bell, dj, bv")
 	fs.StringVar(&w.file, "file", "", "OpenQASM 2.0 circuit file (alternative to -alg)")
 	fs.IntVar(&w.n, "n", d.n, "grover/dj/bv: data qubits; ghz: qubits")
-	fs.Uint64Var(&w.marked, "marked", 0, "grover: marked element; dj/bv: oracle mask (default 2^n−2)")
+	fs.Uint64Var(&w.marked, "marked", 0, "grover: marked element (default 2^n−2)")
 	fs.IntVar(&w.depth, "depth", d.depth, "bwt: welded tree depth")
 	fs.IntVar(&w.steps, "steps", d.steps, "bwt: walk steps")
 	fs.IntVar(&w.phaseBits, "phasebits", 3, "gse: phase register size")
@@ -47,13 +47,14 @@ func (w *workload) build(note io.Writer) (*circuit.Circuit, error) {
 	if w.file != "" {
 		return readQASM(w.file)
 	}
-	mask := w.marked
-	if mask == 0 {
-		mask = uint64(1)<<uint(w.n) - 2
-	}
+	mask := uint64(1)<<uint(w.n) - 2
 	switch w.alg {
 	case "grover":
-		return algorithms.Grover(w.n, mask, 0), nil
+		marked := mask
+		if w.marked != 0 {
+			marked = w.marked
+		}
+		return algorithms.Grover(w.n, marked, 0), nil
 	case "bwt":
 		return algorithms.BWT(w.depth, w.steps), nil
 	case "gse":

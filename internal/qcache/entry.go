@@ -71,53 +71,13 @@ func DecodeEntry(raw []byte, want Stamp) ([]byte, error) {
 	if fields[1] != entryVersion {
 		return fail("format version %q, want %q", fields[1], entryVersion)
 	}
-	var (
-		st      Stamp
-		wantLen = -1
-		wantSum string
-	)
-	for _, kv := range fields[2:] {
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok {
-			return fail("bad header field %q", kv)
-		}
-		switch key {
-		case "repr":
-			st.Repr = val
-		case "norm":
-			st.Norm = val
-		case "eps":
-			eps, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return fail("bad eps %q", val)
-			}
-			st.Eps = eps
-		case "len":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 0 {
-				return fail("bad len %q", val)
-			}
-			wantLen = n
-		case "sha256":
-			wantSum = val
-		}
-	}
-	if st != want {
-		return fail("stamped for repr=%s norm=%s eps=%g, want repr=%s norm=%s eps=%g",
-			st.Repr, st.Norm, st.Eps, want.Repr, want.Norm, want.Eps)
-	}
 	payload := raw[nl+1:]
-	if wantLen < 0 || wantLen != len(payload) {
-		return fail("payload is %d bytes, header says %d", len(payload), wantLen)
-	}
-	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != wantSum {
-		return fail("checksum mismatch")
-	}
-	if entryHeader(want, len(payload), sum) != string(raw[:nl+1]) {
-		// Reordered, repeated or unknown fields, other spellings of the
-		// same numbers: the entry was not written by EncodeEntry.
-		return fail("non-canonical header %q", string(raw[:nl]))
+	header := entryHeader(want, len(payload), sha256.Sum256(payload))
+	if header != string(raw[:nl+1]) {
+		// A different stamp, length or checksum, or a header EncodeEntry
+		// would not have written (reordered, repeated or unknown fields,
+		// other spellings of the same numbers).
+		return fail("header %q, want %q", string(raw[:nl]), header[:len(header)-1])
 	}
 	return payload, nil
 }
