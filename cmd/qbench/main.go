@@ -25,14 +25,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/alg"
 	"repro/internal/bench"
 	"repro/internal/buildinfo"
-	"repro/internal/circuit"
-	"repro/internal/core"
-	"repro/internal/ddio"
-	"repro/internal/qcache"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -56,10 +50,7 @@ func main() {
 		parallel    = flag.Int("parallel", 0, "worker pool for the sweep cells, each on a private manager (0 = GOMAXPROCS, 1 = sequential); output is identical for every setting")
 		cpuProf     = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf     = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-		cacheDir    = flag.String("cache", "", "benchmark the qcache disk tier instead of a figure sweep: run each workload cold (simulate + cache the final state in this directory), then warm (replay from cache), and report both wall times")
 		benchJSON   = flag.String("bench-json", "", "single-run implementation benchmark instead of a figure sweep: time each workload under the local apply path, and write the JSON report to this path")
-		sampleBench = flag.Int("sample-bench", 0, "measurement-sampling micro-benchmark instead of a figure sweep: draw this many samples from each workload's final state, per-call (fresh mass pass per draw) vs hoisted (reusable Sampler), and report both")
-		approxBench = flag.Float64("min-fidelity", 0, "graceful-degradation benchmark instead of a figure sweep: rerun each workload under half its node demand, exact (fail-fast) vs approximated down to this fidelity floor, and report what the floor buys")
 		prefixBench = flag.Int("prefix-bench", 0, "shared-prefix batch benchmark instead of a figure sweep: submit this many Grover variants once through POST /v1/batches (prefix simulated exactly once, variants warm-started from its checkpoint) and once as independent cold jobs, assert byte-identical amplitudes in both representations, and write the JSON report")
 		prefixJSON  = flag.String("prefix-json", "BENCH_prefix.json", "report path for -prefix-bench")
 	)
@@ -155,14 +146,8 @@ func main() {
 	switch {
 	case *prefixBench > 0:
 		runErr = runPrefixBench(ctx, p, *prefixBench, *prefixJSON)
-	case *approxBench > 0:
-		runErr = runApproxBench(ctx, p, *approxBench)
-	case *sampleBench > 0:
-		runErr = runSampleBench(ctx, p, *sampleBench)
 	case *benchJSON != "":
 		runErr = runBenchJSON(ctx, p, *benchJSON)
-	case *cacheDir != "":
-		runErr = runCacheBench(ctx, p, *cacheDir)
 	default:
 		for _, f := range figs {
 			if runErr = runOne(ctx, f, p, *outDir, *width); runErr != nil {
@@ -190,74 +175,6 @@ func main() {
 	}
 }
 
-// runCacheBench measures what the disk tier buys: each paper workload is
-// simulated cold (and its exact final state cached), then replayed warm from
-// the cache, and both wall times are reported. Keys match qsim's -cache-dir,
-// so a directory warmed here also warm-starts the CLI.
-func runCacheBench(ctx context.Context, p bench.FigureParams, dir string) error {
-	disk, err := qcache.OpenDisk(dir)
-	if err != nil {
-		return err
-	}
-	gse, err := bench.GSECircuit(p)
-	if err != nil {
-		return err
-	}
-	workloads := []struct {
-		name string
-		c    *circuit.Circuit
-	}{
-		{"grover", bench.GroverCircuit(p)},
-		{"bwt", bench.BWTCircuit(p)},
-		{"gse", gse},
-	}
-	fmt.Printf("qcache disk tier (%s), cold vs. warm, alg representation:\n", dir)
-	for _, w := range workloads {
-		cold, coldWarmed, nodes, err := cachedRun(ctx, disk, w.c, p)
-		if err != nil {
-			return fmt.Errorf("%s cold run: %w", w.name, err)
-		}
-		warm, warmed, _, err := cachedRun(ctx, disk, w.c, p)
-		if err != nil {
-			return fmt.Errorf("%s warm run: %w", w.name, err)
-		}
-		if !warmed {
-			return fmt.Errorf("%s: second run did not hit the cache", w.name)
-		}
-		label := "cold"
-		if coldWarmed {
-			label = "warm" // pre-warmed directory: both runs replay
-		}
-		fmt.Printf("  %-6s %2dq %5d gates  %s %12v   warm %12v   %6.0f× faster, %d state nodes\n",
-			w.name, w.c.N, w.c.Len(), label, cold.Round(time.Microsecond),
-			warm.Round(time.Microsecond), float64(cold)/float64(warm), nodes)
-	}
-	return nil
-}
-
-// cachedRun executes one workload through the state cache: a hit replays the
-// final state, a miss simulates and stores it. Returns the wall time, hit
-// flag, and state size.
-func cachedRun(ctx context.Context, disk *qcache.Disk, c *circuit.Circuit, p bench.FigureParams) (time.Duration, bool, int, error) {
-	m := core.NewManager[alg.Q](alg.Ring{}, core.NormLeft)
-	m.SetBudget(p.Budget)
-	sc := qcache.NewStateCache(disk, c, "alg", 0, core.NormLeft, ddio.Codec[alg.Q](ddio.AlgCodec{}))
-	s := sim.New(m, c.N)
-	start := time.Now()
-	if e, ok := sc.Load(m, c.N); ok {
-		s.State = e
-		return time.Since(start), true, s.State.NodeCount(), nil
-	}
-	if err := s.RunCtx(ctx, c, nil); err != nil {
-		return 0, false, 0, err
-	}
-	elapsed := time.Since(start)
-	if err := sc.Store(m, s.State, c.N); err != nil {
-		return 0, false, 0, err
-	}
-	return elapsed, false, s.State.NodeCount(), nil
-}
-
 func writeHeapProfile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -274,9 +191,9 @@ func runOne(ctx context.Context, fig string, p bench.FigureParams, outDir string
 		err error
 	)
 	if fig == "norms" {
-		res, err = bench.NormSchemeComparisonCtx(ctx, bench.BWTCircuit(p), p.Stride, p.Parallel)
+		res, err = bench.NormSchemeComparison(ctx, bench.BWTCircuit(p), p.Stride, p.Parallel)
 	} else {
-		res, err = bench.FigureCtx(ctx, fig, p)
+		res, err = bench.Figure(ctx, fig, p)
 	}
 	if err != nil && !(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 		return err
@@ -285,11 +202,6 @@ func runOne(ctx context.Context, fig string, p bench.FigureParams, outDir string
 		return err
 	}
 	cancelErr := err
-	// Per-worker pool stats go to stderr: stdout (summaries, series, CSV)
-	// must stay byte-identical across -parallel settings.
-	if len(res.Workers) > 0 {
-		fmt.Fprint(os.Stderr, bench.WorkerReport(res.Workers))
-	}
 	fmt.Println(bench.Summary(res))
 	fmt.Println(bench.StatsSummary(res))
 	fmt.Println(bench.Series(res, "nodes", width))

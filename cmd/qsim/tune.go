@@ -53,17 +53,12 @@ func cmdTune(args []string) {
 	// tune runs one pass; false means the governor stopped it and the
 	// partial trials are already printed.
 	tune := func(maxNodes int) (*bench.TuneResult, bool) {
-		res, err := bench.TuneWith(ctx, c, bench.TuneParams{
+		res, err := bench.Tune(ctx, c, bench.TuneParams{
 			Candidates: candidates,
 			MaxNodes:   maxNodes,
 			MaxError:   *maxErr,
 			Parallel:   *parallel,
 		})
-		// Per-worker pool stats go to stderr so the trial report on stdout
-		// stays byte-identical across -parallel settings.
-		if res != nil && len(res.Workers) > 0 {
-			fmt.Fprint(os.Stderr, bench.WorkerReport(res.Workers))
-		}
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			fmt.Printf("qsim: tuning stopped early (%v); partial trials below\n", err)
 			fmt.Print(res.Report())

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/bench"
@@ -18,7 +19,7 @@ func main() {
 	p.EpsList = []float64{0, 1e-20, 1e-15, 1e-10, 1e-5, 1e-3}
 
 	fmt.Println("simulating 8-qubit Grover under every tolerance setting …")
-	res, err := bench.Figure("3", p)
+	res, err := bench.Figure(context.Background(), "3", p)
 	if err != nil {
 		panic(err)
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -24,7 +25,7 @@ func smallParams() FigureParams {
 // cannot exploit redundancies (node blowup), a moderate ε matches the
 // algebraic size with small error, and ε = 10⁻³ corrupts the state.
 func TestFig3ShapesGrover(t *testing.T) {
-	res, err := Figure("3", smallParams())
+	res, err := Figure(context.Background(), "3", smallParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestFig3ShapesGrover(t *testing.T) {
 // TestFig4ShapesBWT: same harness on the welded-tree walk; the algebraic
 // diagram must stay compact relative to the ε = 0 numeric run.
 func TestFig4ShapesBWT(t *testing.T) {
-	res, err := Figure("4", smallParams())
+	res, err := Figure(context.Background(), "4", smallParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestFig4ShapesBWT(t *testing.T) {
 // Grover-like workloads.
 func TestFig2And5GSE(t *testing.T) {
 	p := smallParams()
-	res, err := Figure("5", p)
+	res, err := Figure(context.Background(), "5", p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestFig2And5GSE(t *testing.T) {
 		t.Fatalf("GSE bit widths suspiciously small: %d", maxBits)
 	}
 	// Figure "2" variant (sizes only) also runs.
-	res2, err := Figure("2", p)
+	res2, err := Figure(context.Background(), "2", p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestFig2And5GSE(t *testing.T) {
 // keeps at least half of the edge weights trivial.
 func TestNormSchemeComparison(t *testing.T) {
 	p := smallParams()
-	res, err := NormSchemeComparison(BWTCircuit(p), 16)
+	res, err := NormSchemeComparison(context.Background(), BWTCircuit(p), 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestCSVAndSummaryOutput(t *testing.T) {
 	p := smallParams()
 	p.EpsList = []float64{1e-10}
 	p.MeasureError = false
-	res, err := Figure("4", p)
+	res, err := Figure(context.Background(), "4", p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestCSVAndSummaryOutput(t *testing.T) {
 // them as the paper's "infeasible run time" regime.
 func TestNodeCapAbortsRun(t *testing.T) {
 	p := smallParams()
-	res, err := Execute("cap", Config{
+	res, err := Execute(context.Background(), "cap", Config{
 		Circuit: GroverCircuit(p),
 		EpsList: []float64{0},
 		Stride:  8,
@@ -190,7 +191,7 @@ func TestNodeCapAbortsRun(t *testing.T) {
 }
 
 func TestExecuteRejectsNothing(t *testing.T) {
-	if _, err := Figure("9", smallParams()); err == nil {
+	if _, err := Figure(context.Background(), "9", smallParams()); err == nil {
 		t.Fatal("unknown figure accepted")
 	}
 }
@@ -207,7 +208,7 @@ func TestInvalidStateFailure(t *testing.T) {
 	// into the zero vector. (At 7 qubits the nearest-representative interning
 	// rule keeps the state merely inaccurate, norm ≈ 0.9, not invalid.)
 	p.GroverQubits = 8
-	res, err := Execute("collapse", Config{
+	res, err := Execute(context.Background(), "collapse", Config{
 		Circuit:     GroverCircuit(p),
 		EpsList:     []float64{1e-3},
 		Stride:      16,
@@ -230,7 +231,7 @@ func TestInvalidStateFailure(t *testing.T) {
 // rejects the too-coarse one, and reports the exact reference.
 func TestTuneFindsWorkableEpsilon(t *testing.T) {
 	c := GroverCircuit(smallParams())
-	res, err := Tune(c, []float64{1e-3, 1e-10}, 100, 1e-10)
+	res, err := Tune(context.Background(), c, TuneParams{Candidates: []float64{1e-3, 1e-10}, MaxNodes: 100, MaxError: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,15 +86,11 @@ func GSECircuit(p FigureParams) (*circuit.Circuit, error) {
 
 // Figure runs one of the paper's experiments by figure number:
 // "2" (GSE size-vs-ε), "3" (Grover), "4" (BWT), "5" (GSE, full panels).
-func Figure(fig string, p FigureParams) (*Result, error) {
-	return FigureCtx(context.Background(), fig, p)
-}
-
-// FigureCtx is Figure under a context; on cancellation the partial Result
-// is returned alongside the context error.
-func FigureCtx(ctx context.Context, fig string, p FigureParams) (*Result, error) {
+// On cancellation the partial Result is returned alongside the context
+// error.
+func Figure(ctx context.Context, fig string, p FigureParams) (*Result, error) {
 	mk := func(name string, c *circuit.Circuit, measureErr bool) (*Result, error) {
-		return ExecuteCtx(ctx, name, Config{
+		return Execute(ctx, name, Config{
 			Circuit:      c,
 			EpsList:      p.EpsList,
 			Algebraic:    true,
@@ -131,38 +127,29 @@ func FigureCtx(ctx context.Context, fig string, p FigureParams) (*Result, error)
 // NormSchemeComparison runs the same circuit under the two algebraic
 // normalization schemes of Section IV-B (Q[ω] inverses vs D[ω] GCDs) plus
 // the max-magnitude variant, reproducing the paper's Section V-B
-// observation that the GCD scheme never wins.
-func NormSchemeComparison(c *circuit.Circuit, stride int) (*Result, error) {
-	return NormSchemeComparisonCtx(context.Background(), c, stride, 1)
-}
-
-// NormSchemeComparisonCtx is NormSchemeComparison under a context, with the
-// three scheme runs fanned out as an ExecuteBatch over share-nothing
-// managers (parallel: 0 = GOMAXPROCS, 1 = sequential). The merged runs are
-// always in scheme order — left, max, gcd — whatever the worker count.
-func NormSchemeComparisonCtx(ctx context.Context, c *circuit.Circuit, stride, parallel int) (*Result, error) {
+// observation that the GCD scheme never wins. The three scheme runs are
+// pool cells on share-nothing managers (parallel: 0 = GOMAXPROCS,
+// 1 = sequential); the merged runs are always in scheme order — left, max,
+// gcd — whatever the worker count.
+func NormSchemeComparison(ctx context.Context, c *circuit.Circuit, stride, parallel int) (*Result, error) {
 	schemes := []core.NormScheme{core.NormLeft, core.NormMax, core.NormGCD}
-	items := make([]BatchItem, len(schemes))
-	for i, norm := range schemes {
-		items[i] = BatchItem{
-			Name: fmt.Sprintf("norm-%s", norm),
-			Config: Config{
-				Circuit:   c,
-				Algebraic: true,
-				AlgNorm:   norm,
-				Stride:    stride,
-			},
-		}
-	}
-	results, stats, err := ExecuteBatch(ctx, items, parallel)
-	res := &Result{Name: "norm-schemes", N: c.N}
-	for _, r := range results {
+	runs := make([][]*Run, len(schemes))
+	pool := Pool{Workers: parallel}
+	err := pool.Run(ctx, len(schemes), func(ctx context.Context, i int) error {
+		r, err := Execute(ctx, "norm-schemes", Config{
+			Circuit:   c,
+			Algebraic: true,
+			AlgNorm:   schemes[i],
+			Stride:    stride,
+		})
 		if r != nil {
-			res.Runs = append(res.Runs, r.Runs...)
+			runs[i] = r.Runs // sole writer of this slot
 		}
-	}
-	if len(stats) > 1 {
-		res.Workers = stats
+		return err
+	})
+	res := &Result{Name: "norm-schemes", N: c.N}
+	for _, r := range runs {
+		res.Runs = append(res.Runs, r...)
 	}
 	return res, err
 }

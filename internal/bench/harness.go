@@ -10,7 +10,7 @@
 // Every run is governed: the Config's core.Budget is installed into each
 // run's manager, so a run that would blow up (ε = 0 on GSE, say) is refused
 // with partial samples and a failure note instead of exhausting memory, and
-// the context passed to ExecuteCtx cancels runs cooperatively — between
+// the context passed to Execute cancels runs cooperatively — between
 // gates and inside individual diagram operations — returning whatever was
 // measured up to that point.
 package bench
@@ -104,18 +104,9 @@ type Result struct {
 	Name string
 	N    int
 	Runs []*Run
-	// Workers holds the pool's per-worker utilization when the ε cells ran
-	// on more than one worker. Diagnostics only: not part of the CSV or
-	// figure output, which stays independent of the worker count.
-	Workers []WorkerStat
 }
 
-// Execute runs the experiment.
-func Execute(name string, cfg Config) (*Result, error) {
-	return ExecuteCtx(context.Background(), name, cfg)
-}
-
-// ExecuteCtx runs the experiment under a context. On cancellation the
+// Execute runs the experiment under a context. On cancellation the
 // partially-measured Result is returned alongside the context error, so
 // callers can report whatever completed.
 //
@@ -125,7 +116,7 @@ func Execute(name string, cfg Config) (*Result, error) {
 // sequential sweep up to the timing fields. The algebraic run always goes
 // first and alone: it produces the exact reference amplitudes every numeric
 // cell reads (immutably) for the error metric.
-func ExecuteCtx(ctx context.Context, name string, cfg Config) (*Result, error) {
+func Execute(ctx context.Context, name string, cfg Config) (*Result, error) {
 	if cfg.Stride < 1 {
 		cfg.Stride = 1
 	}
@@ -172,13 +163,10 @@ func ExecuteCtx(ctx context.Context, name string, cfg Config) (*Result, error) {
 
 	runs := make([]*Run, len(cfg.EpsList))
 	pool := Pool{Workers: cfg.Parallel}
-	stats, err := pool.Run(ctx, len(cfg.EpsList), func(ctx context.Context, i int) (int, error) {
+	err := pool.Run(ctx, len(cfg.EpsList), func(ctx context.Context, i int) error {
 		run, err := executeNumeric(ctx, c, cfg.EpsList[i], cfg, algAmps)
 		runs[i] = run // sole writer of this slot
-		if run != nil {
-			return run.PeakNodes, err
-		}
-		return 0, err
+		return err
 	})
 	// Merge in ε-list order, independent of completion order. Under
 	// cancellation, cells that never started leave nil slots.
@@ -187,9 +175,6 @@ func ExecuteCtx(ctx context.Context, name string, cfg Config) (*Result, error) {
 			res.Runs = append(res.Runs, run)
 		}
 	}
-	if len(stats) > 1 {
-		res.Workers = stats
-	}
 	if err != nil {
 		if isCtxErr(err) {
 			return res, ctx.Err()
@@ -197,42 +182,6 @@ func ExecuteCtx(ctx context.Context, name string, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-// BatchItem names one experiment of an ExecuteBatch run list.
-type BatchItem struct {
-	Name   string
-	Config Config
-}
-
-// ExecuteBatch fans an arbitrary list of experiments out to a share-nothing
-// worker pool — the batching entry point for run lists that are not a
-// single ε sweep (mixed circuits, mixed normalization schemes, service
-// queues). Each item runs as one pool cell with its own managers (the
-// item's internal ε cells stay sequential: the pool parallelizes across
-// items). Results come back indexed like items; under cancellation,
-// entries whose item never started are nil and the context error is
-// returned alongside the partial slice. A non-governor error aborts the
-// batch and reports the smallest-index failure.
-func ExecuteBatch(ctx context.Context, items []BatchItem, parallel int) ([]*Result, []WorkerStat, error) {
-	results := make([]*Result, len(items))
-	pool := Pool{Workers: parallel}
-	stats, err := pool.Run(ctx, len(items), func(ctx context.Context, i int) (int, error) {
-		cfg := items[i].Config
-		cfg.Parallel = 1 // one pool: no nested fan-out inside a cell
-		res, err := ExecuteCtx(ctx, items[i].Name, cfg)
-		results[i] = res // sole writer of this slot
-		peak := 0
-		if res != nil {
-			for _, run := range res.Runs {
-				if run.PeakNodes > peak {
-					peak = run.PeakNodes
-				}
-			}
-		}
-		return peak, err
-	})
-	return results, stats, err
 }
 
 // newGovernedSim builds a simulator with the config's budget installed; when

@@ -3,12 +3,9 @@ package bench
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Pool fans independent sweep cells out to share-nothing workers. The
@@ -20,7 +17,7 @@ import (
 //
 // Determinism: cells are dispatched in index order from an atomic counter
 // and every cell writes only its own result slot, so callers that merge by
-// cell index (as ExecuteCtx, TuneWith and ExecuteBatch do) produce output
+// cell index (as Execute, Tune and NormSchemeComparison do) produce output
 // identical to the sequential path regardless of completion order or worker
 // count. Timing fields naturally differ; everything derived from diagram
 // arithmetic is byte-identical.
@@ -34,17 +31,6 @@ type Pool struct {
 	// runtime.GOMAXPROCS(0); 1 runs the cells sequentially on the calling
 	// goroutine's schedule but through the same code path.
 	Workers int
-}
-
-// WorkerStat is the per-worker utilization record a pool run reports back:
-// how many cells the worker ran, its cumulative busy wall-time, and the
-// largest per-run peak node count it observed. These are diagnostics for
-// the CLI (-parallel) report and are deliberately not part of any CSV or
-// figure output, which must stay independent of the worker count.
-type WorkerStat struct {
-	Cells     int           // cells this worker completed
-	Busy      time.Duration // cumulative wall-time inside cells
-	PeakNodes int           // max per-cell peak node count observed
 }
 
 // resolveWorkers returns the effective worker count for n cells.
@@ -64,8 +50,7 @@ func (p *Pool) resolveWorkers(n int) int {
 
 // Run executes cells 0..n−1, each at most once, on the pool's workers. The
 // cell callback must confine all mutable state to the cell (private
-// managers) except its own result slot; it returns the cell's peak node
-// count (for WorkerStat) and an error.
+// managers) except its own result slot.
 //
 // Error contract, matching the sequential sweep semantics:
 //   - a cell error that is the context's cancellation (context.Canceled /
@@ -76,12 +61,11 @@ func (p *Pool) resolveWorkers(n int) int {
 //     is returned (the one the sequential path would have hit first);
 //   - when ctx is cancelled, Run drains the in-flight cells and returns
 //     ctx.Err().
-func (p *Pool) Run(ctx context.Context, n int, cell func(ctx context.Context, i int) (peakNodes int, err error)) ([]WorkerStat, error) {
+func (p *Pool) Run(ctx context.Context, n int, cell func(ctx context.Context, i int) error) error {
 	if n <= 0 {
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 	workers := p.resolveWorkers(n)
-	stats := make([]WorkerStat, workers)
 
 	// Fatal cell errors cancel the remaining work through a derived context;
 	// the cells they interrupt come back with induced context errors, which
@@ -98,7 +82,7 @@ func (p *Pool) Run(ctx context.Context, n int, cell func(ctx context.Context, i 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(st *WorkerStat) {
+		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
@@ -112,14 +96,7 @@ func (p *Pool) Run(ctx context.Context, n int, cell func(ctx context.Context, i 
 				if i > 0 && workCtx.Err() != nil {
 					return
 				}
-				start := time.Now()
-				peak, err := cell(workCtx, i)
-				st.Busy += time.Since(start)
-				st.Cells++
-				if peak > st.PeakNodes {
-					st.PeakNodes = peak
-				}
-				if err != nil && !isCtxErr(err) {
+				if err := cell(workCtx, i); err != nil && !isCtxErr(err) {
 					mu.Lock()
 					if fatalIdx == -1 || i < fatalIdx {
 						fatalIdx, fatalErr = i, err
@@ -129,36 +106,17 @@ func (p *Pool) Run(ctx context.Context, n int, cell func(ctx context.Context, i 
 					return
 				}
 			}
-		}(&stats[w])
+		}()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return stats, err
+		return err
 	}
-	if fatalErr != nil {
-		return stats, fatalErr
-	}
-	return stats, nil
+	return fatalErr
 }
 
 // isCtxErr reports whether err is a context outcome (cancellation or
 // deadline), whichever layer wrapped it.
 func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// WorkerReport renders per-worker pool utilization as a small table — the
-// -parallel diagnostics the CLIs print to stderr (stderr so that stdout
-// stays byte-identical across worker counts).
-func WorkerReport(stats []WorkerStat) string {
-	if len(stats) == 0 {
-		return ""
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "pool: %d worker(s)\n", len(stats))
-	for i, st := range stats {
-		fmt.Fprintf(&sb, "  worker %d: %2d cell(s), %8v busy, peak %d nodes\n",
-			i, st.Cells, st.Busy.Round(time.Millisecond), st.PeakNodes)
-	}
-	return sb.String()
 }

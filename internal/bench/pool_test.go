@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,15 +11,14 @@ import (
 	"repro/internal/core"
 )
 
-// TestPoolRunsEveryCellOnce: every cell index is executed exactly once and
-// the worker stats account for all of them.
+// TestPoolRunsEveryCellOnce: every cell index is executed exactly once.
 func TestPoolRunsEveryCellOnce(t *testing.T) {
 	const n = 64
 	var ran [n]atomic.Int32
 	p := Pool{Workers: 4}
-	stats, err := p.Run(context.Background(), n, func(ctx context.Context, i int) (int, error) {
+	err := p.Run(context.Background(), n, func(ctx context.Context, i int) error {
 		ran[i].Add(1)
-		return i + 1, nil
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -29,19 +27,6 @@ func TestPoolRunsEveryCellOnce(t *testing.T) {
 		if got := ran[i].Load(); got != 1 {
 			t.Fatalf("cell %d ran %d times", i, got)
 		}
-	}
-	cells, peak := 0, 0
-	for _, st := range stats {
-		cells += st.Cells
-		if st.PeakNodes > peak {
-			peak = st.PeakNodes
-		}
-	}
-	if cells != n {
-		t.Fatalf("worker stats account for %d cells, want %d", cells, n)
-	}
-	if peak != n {
-		t.Fatalf("peak across workers %d, want %d (cell n−1 reported n)", peak, n)
 	}
 }
 
@@ -54,18 +39,18 @@ func TestPoolFatalErrorSmallestIndex(t *testing.T) {
 	errHigh := errors.New("high")
 	var started atomic.Int32
 	p := Pool{Workers: 4}
-	_, err := p.Run(context.Background(), n, func(ctx context.Context, i int) (int, error) {
+	err := p.Run(context.Background(), n, func(ctx context.Context, i int) error {
 		started.Add(1)
 		switch i {
 		case 9:
 			// Fail late so the higher-index failure is recorded first.
 			time.Sleep(20 * time.Millisecond)
-			return 0, errLow
+			return errLow
 		case 10:
-			return 0, errHigh
+			return errHigh
 		default:
 			time.Sleep(time.Millisecond)
-			return 0, nil
+			return nil
 		}
 	})
 	if !errors.Is(err, errLow) {
@@ -83,12 +68,12 @@ func TestPoolCtxErrorsAreNotFatal(t *testing.T) {
 	const n = 16
 	var ran atomic.Int32
 	p := Pool{Workers: 4}
-	_, err := p.Run(context.Background(), n, func(ctx context.Context, i int) (int, error) {
+	err := p.Run(context.Background(), n, func(ctx context.Context, i int) error {
 		ran.Add(1)
 		if i == 3 {
-			return 0, fmt.Errorf("cell: %w", context.Canceled)
+			return fmt.Errorf("cell: %w", context.Canceled)
 		}
-		return 0, nil
+		return nil
 	})
 	if err != nil {
 		t.Fatalf("ctx-shaped cell error escalated to fatal: %v", err)
@@ -105,14 +90,14 @@ func TestPoolCancellationDrains(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var started, unwound atomic.Int32
 	p := Pool{Workers: 4}
-	stats, err := p.Run(ctx, n, func(ctx context.Context, i int) (int, error) {
+	err := p.Run(ctx, n, func(ctx context.Context, i int) error {
 		started.Add(1)
 		defer unwound.Add(1)
 		if i == 2 {
 			cancel()
 		}
 		<-ctx.Done() // every in-flight cell sees the cancellation
-		return 0, ctx.Err()
+		return ctx.Err()
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -122,9 +107,6 @@ func TestPoolCancellationDrains(t *testing.T) {
 	}
 	if started.Load() == n {
 		t.Fatal("cancellation did not stop dispatch")
-	}
-	if len(stats) == 0 {
-		t.Fatal("stats missing on cancelled run")
 	}
 }
 
@@ -178,51 +160,16 @@ func TestExecuteParallelDeterminism(t *testing.T) {
 		MeasureError: true,
 	}
 	cfg.Parallel = 1
-	seq, err := Execute("det", cfg)
+	seq, err := Execute(context.Background(), "det", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Parallel = 4
-	par, err := Execute("det", cfg)
+	par, err := Execute(context.Background(), "det", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameRuns(t, seq.Runs, par.Runs)
-	if len(seq.Workers) != 0 {
-		t.Fatal("sequential run reported pool worker stats")
-	}
-	if len(par.Workers) == 0 {
-		t.Fatal("parallel run reported no worker stats")
-	}
-}
-
-// TestExecuteBatch: a mixed run list comes back indexed like its items, with
-// worker stats, and parallel results equal to sequential ones.
-func TestExecuteBatch(t *testing.T) {
-	p := smallParams()
-	p.GroverQubits = 5
-	items := []BatchItem{
-		{Name: "a", Config: Config{Circuit: GroverCircuit(p), EpsList: []float64{1e-10}, Stride: 8}},
-		{Name: "b", Config: Config{Circuit: GroverCircuit(p), EpsList: []float64{0}, Stride: 8}},
-		{Name: "c", Config: Config{Circuit: GroverCircuit(p), Algebraic: true, AlgNorm: core.NormLeft, Stride: 8}},
-	}
-	seq, _, err := ExecuteBatch(context.Background(), items, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, stats, err := ExecuteBatch(context.Background(), items, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par) != len(items) || len(stats) != 3 {
-		t.Fatalf("batch shape: %d results, %d workers", len(par), len(stats))
-	}
-	for i := range items {
-		if par[i] == nil || par[i].Name != items[i].Name {
-			t.Fatalf("result %d is not item %q", i, items[i].Name)
-		}
-		sameRuns(t, seq[i].Runs, par[i].Runs)
-	}
 }
 
 // TestTuneWithParallelDeterminism: the tuner's verdicts and chosen ε are
@@ -230,12 +177,12 @@ func TestExecuteBatch(t *testing.T) {
 func TestTuneWithParallelDeterminism(t *testing.T) {
 	c := GroverCircuit(smallParams())
 	params := TuneParams{Candidates: []float64{1e-3, 1e-10}, MaxNodes: 100, MaxError: 1e-10}
-	seq, err := TuneWith(context.Background(), c, params)
+	seq, err := Tune(context.Background(), c, params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	params.Parallel = 2
-	par, err := TuneWith(context.Background(), c, params)
+	par, err := Tune(context.Background(), c, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,21 +198,5 @@ func TestTuneWithParallelDeterminism(t *testing.T) {
 			a.Error != b.Error || a.FailNote != b.FailNote {
 			t.Fatalf("trial %d differs:\nseq: %+v\npar: %+v", i, a, b)
 		}
-	}
-	if len(par.Workers) == 0 {
-		t.Fatal("parallel tune reported no worker stats")
-	}
-}
-
-func TestWorkerReport(t *testing.T) {
-	out := WorkerReport([]WorkerStat{
-		{Cells: 2, Busy: 1500 * time.Millisecond, PeakNodes: 99},
-		{Cells: 1, Busy: 300 * time.Millisecond, PeakNodes: 7},
-	})
-	if !strings.Contains(out, "pool: 2 worker(s)") || !strings.Contains(out, "peak 99 nodes") {
-		t.Fatalf("malformed report:\n%s", out)
-	}
-	if WorkerReport(nil) != "" {
-		t.Fatal("empty stats should render nothing")
 	}
 }

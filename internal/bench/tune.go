@@ -50,9 +50,6 @@ type TuneResult struct {
 	// TotalTuningTime is the wall-clock cost of the whole search
 	// (reference + every trial).
 	TotalTuningTime time.Duration
-	// Workers holds the pool's per-worker utilization when the candidate
-	// trials ran on more than one worker (diagnostics only).
-	Workers []WorkerStat
 }
 
 // TuneParams parameterizes a tuning session.
@@ -73,24 +70,13 @@ type TuneParams struct {
 
 // Tune searches the candidate tolerances (typically descending from large
 // to small) for the largest ε whose run keeps the peak diagram size within
-// maxNodes and the final state error within maxError.
-func Tune(c *circuit.Circuit, candidates []float64, maxNodes int, maxError float64) (*TuneResult, error) {
-	return TuneCtx(context.Background(), c, candidates, maxNodes, maxError)
-}
-
-// TuneCtx is Tune under a context (sequential trials, for compatibility).
-// On cancellation the trials completed so far are returned alongside the
-// context error, so a caller can still report the partial search.
-func TuneCtx(ctx context.Context, c *circuit.Circuit, candidates []float64, maxNodes int, maxError float64) (*TuneResult, error) {
-	return TuneWith(ctx, c, TuneParams{Candidates: candidates, MaxNodes: maxNodes, MaxError: maxError, Parallel: 1})
-}
-
-// TuneWith is the pool-aware tuner: the exact reference run goes first
-// (it anchors the node budget), then every candidate trial runs as one
-// pool cell with private managers. Trials are merged in candidate order
-// and Best is chosen after the merge, so the session is deterministic for
-// any worker count.
-func TuneWith(ctx context.Context, c *circuit.Circuit, p TuneParams) (*TuneResult, error) {
+// p.MaxNodes and the final state error within p.MaxError. The exact
+// reference run goes first (it anchors the node budget), then every
+// candidate trial runs as one pool cell with private managers. Trials are
+// merged in candidate order and Best is chosen after the merge, so the
+// session is deterministic for any worker count. On cancellation the
+// trials completed so far are returned alongside the context error.
+func Tune(ctx context.Context, c *circuit.Circuit, p TuneParams) (*TuneResult, error) {
 	start := time.Now()
 	res := &TuneResult{Best: math.NaN()}
 	defer func() { res.TotalTuningTime = time.Since(start) }()
@@ -118,9 +104,9 @@ func TuneWith(ctx context.Context, c *circuit.Circuit, p TuneParams) (*TuneResul
 
 	trials := make([]*TuneTrial, len(candidates))
 	pool := Pool{Workers: p.Parallel}
-	stats, perr := pool.Run(ctx, len(candidates), func(ctx context.Context, i int) (int, error) {
+	perr := pool.Run(ctx, len(candidates), func(ctx context.Context, i int) error {
 		eps := candidates[i]
-		r, err := ExecuteCtx(ctx, fmt.Sprintf("tune-%g", eps), Config{
+		r, err := Execute(ctx, fmt.Sprintf("tune-%g", eps), Config{
 			Circuit:      c,
 			EpsList:      []float64{eps},
 			Algebraic:    true, // reference for the error metric
@@ -132,9 +118,8 @@ func TuneWith(ctx context.Context, c *circuit.Circuit, p TuneParams) (*TuneResul
 		})
 		cancelled := err != nil && isCtxErr(err)
 		if err != nil && !cancelled {
-			return 0, err
+			return err
 		}
-		peak := 0
 		if r != nil && len(r.Runs) > 0 {
 			run := r.Runs[len(r.Runs)-1] // the numeric run (or partial reference)
 			if run.Eps >= 0 {            // only record actual numeric trials
@@ -147,13 +132,12 @@ func TuneWith(ctx context.Context, c *circuit.Circuit, p TuneParams) (*TuneResul
 				}
 				trial.Accepted = !trial.Failed && trial.PeakNodes <= maxNodes && trial.Error <= maxError
 				trials[i] = trial // sole writer of this slot
-				peak = run.PeakNodes
 			}
 		}
 		if cancelled {
-			return peak, ctx.Err()
+			return ctx.Err()
 		}
-		return peak, nil
+		return nil
 	})
 	// Merge in candidate order; Best falls out deterministically.
 	for _, trial := range trials {
@@ -164,9 +148,6 @@ func TuneWith(ctx context.Context, c *circuit.Circuit, p TuneParams) (*TuneResul
 		if trial.Accepted && (math.IsNaN(res.Best) || trial.Eps > res.Best) {
 			res.Best = trial.Eps
 		}
-	}
-	if len(stats) > 1 {
-		res.Workers = stats
 	}
 	if perr != nil {
 		if isCtxErr(perr) {

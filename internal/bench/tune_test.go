@@ -68,7 +68,7 @@ func TestTuneExactPeakRegression(t *testing.T) {
 	}
 
 	// Budget between the two: the strided view fits, the real run does not.
-	res, err := Tune(c, []float64{1e-12}, stridedPeak, 1e-6)
+	res, err := Tune(context.Background(), c, TuneParams{Candidates: []float64{1e-12}, MaxNodes: stridedPeak, MaxError: 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestTuneExactPeakRegression(t *testing.T) {
 func TestExecuteCtxCancelledReturnsPartial(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := ExecuteCtx(ctx, "cancelled", Config{
+	res, err := Execute(ctx, "cancelled", Config{
 		Circuit: peakCircuit(),
 		EpsList: []float64{1e-10},
 		Stride:  4,
@@ -115,7 +115,7 @@ func TestExecuteCtxCancelledReturnsPartial(t *testing.T) {
 func TestTuneCtxCancelledReturnsPartial(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := TuneCtx(ctx, peakCircuit(), []float64{1e-3, 1e-10}, 1000, 1e-6)
+	res, err := Tune(ctx, peakCircuit(), TuneParams{Candidates: []float64{1e-3, 1e-10}, MaxNodes: 1000, MaxError: 1e-6})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

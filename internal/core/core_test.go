@@ -409,10 +409,14 @@ func TestSampleDistribution(t *testing.T) {
 	s := complex(1/math.Sqrt2, 0)
 	// |ψ⟩ = (|00⟩ + |11⟩)/√2 — a Bell state.
 	v := m.FromVector([]complex128{s, 0, 0, s})
+	smp, err := m.NewSampler(v, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(60))
 	counts := map[uint64]int{}
 	for i := 0; i < 2000; i++ {
-		idx, err := m.Sample(v, 2, rng)
+		idx, err := smp.Draw(rng)
 		if err != nil {
 			t.Fatalf("sampling failed: %v", err)
 		}

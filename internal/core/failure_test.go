@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 
 	"repro/internal/alg"
@@ -68,17 +67,16 @@ func TestProjectValidation(t *testing.T) {
 
 func TestSampleValidation(t *testing.T) {
 	m := algManager(NormLeft)
-	rng := rand.New(rand.NewSource(1))
-	if _, err := m.Sample(m.ZeroEdge(), 2, rng); !errors.Is(err, ErrZeroVector) {
-		t.Errorf("Sample of zero vector: err = %v, want ErrZeroVector", err)
+	if _, err := m.NewSampler(m.ZeroEdge(), 2); !errors.Is(err, ErrZeroVector) {
+		t.Errorf("NewSampler of zero vector: err = %v, want ErrZeroVector", err)
 	}
-	if _, err := m.Sample(m.Identity(2), 2, rng); !errors.Is(err, ErrMalformedDiagram) {
-		t.Errorf("Sample of matrix diagram: err = %v, want ErrMalformedDiagram", err)
+	if _, err := m.NewSampler(m.Identity(2), 2); !errors.Is(err, ErrMalformedDiagram) {
+		t.Errorf("NewSampler of matrix diagram: err = %v, want ErrMalformedDiagram", err)
 	}
 	// Claiming more qubits than the diagram has levels must error, not walk
 	// off the terminal.
-	if _, err := m.Sample(m.BasisState(1, 0), 3, rng); !errors.Is(err, ErrMalformedDiagram) {
-		t.Errorf("Sample of shallow diagram: err = %v, want ErrMalformedDiagram", err)
+	if _, err := m.NewSampler(m.BasisState(1, 0), 3); !errors.Is(err, ErrMalformedDiagram) {
+		t.Errorf("NewSampler of shallow diagram: err = %v, want ErrMalformedDiagram", err)
 	}
 	if _, err := m.NewSampler(m.BasisState(2, 0), 0); err == nil {
 		t.Error("NewSampler with zero qubits did not error")

@@ -37,19 +37,3 @@ func (m *Manager[T]) Norm2(v Edge[T]) float64 {
 func (m *Manager[T]) Probability(v Edge[T], n int, idx uint64) float64 {
 	return m.R.Abs2(m.Amplitude(v, n, idx))
 }
-
-// Sample draws one basis-state outcome from the distribution induced by the
-// vector diagram, using the standard top-down QMDD sampling procedure.
-// The diagram need not be exactly normalized: probabilities are renormalized
-// level by level. Sampling a zero vector returns ErrZeroVector; structurally
-// invalid diagrams return an ErrMalformedDiagram-wrapped error.
-//
-// Each call rebuilds the node-mass memo (O(nodes)); for repeated draws from
-// one state build a Sampler once and call Draw (O(n) per draw).
-func (m *Manager[T]) Sample(v Edge[T], n int, rng Rand01) (uint64, error) {
-	s, err := m.NewSampler(v, n)
-	if err != nil {
-		return 0, err
-	}
-	return s.Draw(rng)
-}

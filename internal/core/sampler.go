@@ -29,9 +29,9 @@ var ErrStaleSampler = errors.New("core: sampler invalidated by a Prune; rebuild 
 // Sampler draws basis-state outcomes from the distribution induced by one
 // vector diagram. Construction runs a single validating mass pass over the
 // diagram's nodes (O(nodes)); every Draw afterwards walks one root-to-
-// terminal path (O(n), allocation-free). This is the hoisted form of Sample
-// — use it whenever more than one draw is taken from the same state, where
-// the per-call memo of Sample would cost O(draws × nodes).
+// terminal path (O(n), allocation-free), so many draws from one state cost
+// one mass pass, not one per draw. The diagram need not be exactly
+// normalized: probabilities are renormalized level by level.
 //
 // A Sampler holds node pointers into its manager; it is invalidated by
 // Prune (it captures the manager's prune generation at construction, and

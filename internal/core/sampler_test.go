@@ -20,33 +20,6 @@ func randomState(m *Manager[complex128], n int, seed int64) Edge[complex128] {
 	return m.FromVector(amps)
 }
 
-func TestSamplerMatchesSample(t *testing.T) {
-	// With identical RNG streams, the hoisted sampler and the per-call
-	// Sample must walk identical paths: same renormalization, same branch
-	// rule, one uniform per level.
-	m := numManager(0)
-	v := randomState(m, 6, 11)
-	s, err := m.NewSampler(v, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1 := rand.New(rand.NewSource(42))
-	r2 := rand.New(rand.NewSource(42))
-	for i := 0; i < 500; i++ {
-		a, err := m.Sample(v, 6, r1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := s.Draw(r2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Fatalf("draw %d: Sample %d ≠ Sampler %d", i, a, b)
-		}
-	}
-}
-
 func TestSamplerDistribution(t *testing.T) {
 	m := numManager(0)
 	// Unbalanced two-qubit state: P(00)=0.64, P(11)=0.36.
@@ -130,8 +103,7 @@ func TestSamplerStaleAfterPrune(t *testing.T) {
 	}
 }
 
-// benchState builds a dense-ish 12-qubit state with many live nodes so the
-// per-call mass pass has real work to redo.
+// benchState builds a dense-ish 12-qubit state with many live nodes.
 func benchState(b *testing.B) (*Manager[complex128], Edge[complex128], int) {
 	b.Helper()
 	const n = 12
@@ -141,19 +113,6 @@ func benchState(b *testing.B) (*Manager[complex128], Edge[complex128], int) {
 		b.Fatal("bench state collapsed")
 	}
 	return m, v, n
-}
-
-// BenchmarkSamplePerDraw is the pre-Sampler behavior: every draw rebuilds
-// the node-mass memo, O(draws × nodes) overall.
-func BenchmarkSamplePerDraw(b *testing.B) {
-	m, v, n := benchState(b)
-	rng := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Sample(v, n, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkSamplerDraw hoists the mass pass: one validating traversal at

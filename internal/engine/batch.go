@@ -389,8 +389,8 @@ func (e *Engine) batchCircuits(template *JobRequest, req BatchRequest) ([]*circu
 }
 
 // prefixCacheKey is the cache key the shared prefix's checkpoint lands
-// under: the chain link H_k of the first k gates, in the same identity
-// family the checkpoint store and StateCache use. The router uses the same
+// under: the chain link H_k of the first k gates, in the identity family
+// the checkpoint store uses. The router uses the same
 // construction to co-locate a batch with the solo jobs of its prefix.
 func prefixCacheKey(template *JobRequest, v *circuit.Circuit, k int) qcache.Key {
 	h := circuit.NewPrefixHasher(v.N, v.Cbits)

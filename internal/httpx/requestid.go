@@ -120,8 +120,10 @@ func WithRequestID(logw io.Writer, next http.Handler) http.Handler {
 		if status == 0 {
 			status = http.StatusOK
 		}
+		// The escaped path: a decoded one could carry a newline and forge
+		// a second log line.
 		line := fmt.Sprintf("time=%s request_id=%s method=%s path=%s status=%d bytes=%d duration_ms=%.3f\n",
-			start.UTC().Format(time.RFC3339Nano), id, r.Method, r.URL.Path, status, sr.bytes,
+			start.UTC().Format(time.RFC3339Nano), id, r.Method, r.URL.EscapedPath(), status, sr.bytes,
 			float64(time.Since(start))/float64(time.Millisecond))
 		accessLogMu.Lock()
 		_, _ = io.WriteString(logw, line)

@@ -14,12 +14,10 @@
 // fresh manager reproduces the cold run byte for byte in both the exact
 // algebraic and the float representation.
 //
-// Checkpoints use Output "state" in the identity — the SAME key family
-// qcache.StateCache has always used for whole-circuit final states.
-// Because Fingerprint(c) is definitionally the final chain link of c,
-// every pre-existing final-state entry is already a valid prefix
-// checkpoint for any extension of its circuit; the subsystem generalizes
-// the key space rather than forking it.
+// Checkpoints use Output "state" in the identity, and Store is the only
+// writer of that key family. Because Fingerprint(c) is definitionally the
+// final chain link of c, the checkpoint of a whole circuit is also a valid
+// prefix checkpoint for any extension of it.
 //
 // Only unitary prefixes are ever stored or probed: a state captured past a
 // measure, reset or classically conditioned op depends on random outcomes,
@@ -54,9 +52,8 @@ func PlanOf(c *circuit.Circuit) Plan {
 
 // Store persists prefix-state checkpoints for one representation
 // configuration in a two-tier qcache.Cache. The checkpoint payload is a
-// ddio v2 state blob, so the blob a checkpoint writes is bit-compatible
-// with what qcache.StateCache writes and with what /v1/cache/{key} peers
-// serve. A nil *Store is a valid disabled store.
+// ddio v2 state blob, so the blob a checkpoint writes is what
+// /v1/cache/{key} peers serve. A nil *Store is a valid disabled store.
 type Store[T any] struct {
 	cache *qcache.Cache
 	repr  string
@@ -87,9 +84,8 @@ func NewStore[T any](cache *qcache.Cache, repr string, eps float64, norm core.No
 	}
 }
 
-// identity builds the cache identity of the checkpoint under link. It is
-// the StateCache identity with the chain link in the circuit slot — for a
-// full circuit the two coincide, which is the back-compat guarantee.
+// identity builds the cache identity of the checkpoint under link: the
+// chain link in the circuit slot, Output pinned to "state".
 func (s *Store[T]) identity(link circuit.Digest) qcache.Identity {
 	return qcache.Identity{
 		Circuit: link,

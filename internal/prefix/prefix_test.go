@@ -8,6 +8,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/ddio"
+	"repro/internal/qasm"
 	"repro/internal/qcache"
 	"repro/internal/sim"
 )
@@ -136,6 +137,88 @@ func TestProbeRespectsBoundary(t *testing.T) {
 	clamped := Plan{Links: plan.Links, Boundary: 2}
 	if k, _, ok := st.Probe(newManager(), clamped, c.N); ok {
 		t.Fatalf("Probe resumed k=%d past the boundary", k)
+	}
+}
+
+// TestDynamicCircuitsClampAtFirstDynamicOp is the teleportation regression:
+// a state reached past a measure, reset or classically conditioned op
+// depends on random outcomes, so it is not a function of its chain link.
+// PlanOf must put the boundary at the first dynamic op, and a run through
+// Resume — checkpointing at every position it is offered — must store
+// nothing past it.
+func TestDynamicCircuitsClampAtFirstDynamicOp(t *testing.T) {
+	// Measurement-based teleportation: mid-circuit measures feed classically
+	// controlled corrections, so the final state of q[2] is only defined
+	// relative to the random outcomes.
+	teleport, err := qasm.Parse(`OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[3];
+creg c[2];
+h q[1];
+cx q[1],q[2];
+cx q[0],q[1];
+h q[0];
+measure q[0] -> c[0];
+measure q[1] -> c[1];
+if(c==2) x q[2];
+if(c==1) z q[2];
+if(c==3) x q[2];
+`, "teleport")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name     string
+		c        *circuit.Circuit
+		boundary int
+	}{
+		{"teleport", teleport, 4},
+		{"measure", circuit.New("m", 2).H(0).Measure(0, 0).CX(0, 1), 1},
+		{"reset", circuit.New("r", 2).H(0).Reset(0).H(1), 1},
+		{"conditioned", circuit.New("c", 2).H(0).Measure(0, 0).Append(circuit.Gate{
+			Name: "x", Target: 1, Cond: &circuit.Cond{Offset: 0, Width: 1, Value: 1},
+		}), 1},
+	}
+	for _, tc := range cases {
+		plan := PlanOf(tc.c)
+		if plan.Boundary != tc.boundary {
+			t.Errorf("%s: boundary = %d, want %d", tc.name, plan.Boundary, tc.boundary)
+			continue
+		}
+		st := newStore(t, memCache(t))
+		s := sim.New(newManager(), tc.c.N)
+		stored := 0
+		from, hook := Resume(st, s, tc.c, Policy{EveryK: 1}, func(int) { stored++ })
+		if from != 0 {
+			t.Fatalf("%s: empty store resumed at gate %d", tc.name, from)
+		}
+		// Simulate the unitary prefix through the hook, then offer the hook
+		// every later position too, as a per-shot run would reach them.
+		unitary := &circuit.Circuit{N: tc.c.N, Gates: tc.c.Gates[:plan.Boundary]}
+		if err := s.RunFromCtx(context.Background(), unitary, 0, hook); err != nil {
+			t.Fatal(err)
+		}
+		for i := plan.Boundary; i < tc.c.Len(); i++ {
+			hook(i, tc.c.Gates[i])
+		}
+		if stored != plan.Boundary {
+			t.Errorf("%s: stored %d checkpoints, want one per unitary position (%d)", tc.name, stored, plan.Boundary)
+		}
+		for k := plan.Boundary + 1; k < len(plan.Links); k++ {
+			if _, ok := st.Load(newManager(), plan.Links[k], tc.c.N); ok {
+				t.Errorf("%s: a checkpoint was stored after gate %d, past the boundary %d", tc.name, k, plan.Boundary)
+			}
+		}
+		if k, _, ok := st.Probe(newManager(), plan, tc.c.N); !ok || k != plan.Boundary {
+			t.Errorf("%s: Probe = (%d, %t), want (%d, true)", tc.name, k, ok, plan.Boundary)
+		}
+	}
+
+	// The read-out-stripped twin of a dynamic circuit is unitary end to end:
+	// every position is a checkpoint position.
+	stripped := circuit.New("bell", 2).H(0).CX(0, 1).Measure(0, 0).Measure(1, 1).StripReadout()
+	if plan := PlanOf(stripped); plan.Boundary != stripped.Len() {
+		t.Errorf("stripped twin: boundary = %d, want %d", plan.Boundary, stripped.Len())
 	}
 }
 

@@ -35,7 +35,7 @@ func NewBounded(memBytes int64, dir string, diskMaxBytes int64) (*Cache, error) 
 		c.mem = NewMemory(memBytes)
 	}
 	if dir != "" {
-		d, err := OpenDiskBounded(dir, diskMaxBytes)
+		d, err := OpenDisk(dir, diskMaxBytes)
 		if err != nil {
 			return nil, err
 		}

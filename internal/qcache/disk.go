@@ -43,24 +43,15 @@ func (e *DiskEntryError) Error() string {
 	return fmt.Sprintf("qcache: disk entry %s: %s", e.Path, e.Reason)
 }
 
-// OpenDisk opens (creating if needed) a disk tier rooted at dir.
-func OpenDisk(dir string) (*Disk, error) {
+// OpenDisk opens (creating if needed) a disk tier rooted at dir. When
+// maxBytes is positive the .qc entries are LRU-bounded: after a Put that
+// pushes them over the cap, the least-recently-accessed entries are
+// removed until the tier fits. maxBytes <= 0 means unbounded.
+func OpenDisk(dir string, maxBytes int64) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("qcache: opening cache dir: %w", err)
 	}
-	return &Disk{dir: dir}, nil
-}
-
-// OpenDiskBounded is OpenDisk with an LRU byte cap: when the .qc entries
-// exceed maxBytes after a Put, the least-recently-accessed entries are
-// removed until the tier fits. maxBytes <= 0 means unbounded.
-func OpenDiskBounded(dir string, maxBytes int64) (*Disk, error) {
-	d, err := OpenDisk(dir)
-	if err != nil {
-		return nil, err
-	}
-	d.maxBytes = maxBytes
-	return d, nil
+	return &Disk{dir: dir, maxBytes: maxBytes}, nil
 }
 
 // Dir returns the cache directory.

@@ -10,7 +10,7 @@ import (
 
 func TestDiskRoundTripAndRestart(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDisk(dir)
+	d, err := OpenDisk(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestDiskRoundTripAndRestart(t *testing.T) {
 	}
 
 	// "Restart": a fresh Disk over the same directory still serves the entry.
-	d2, err := OpenDisk(dir)
+	d2, err := OpenDisk(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestDiskRoundTripAndRestart(t *testing.T) {
 }
 
 func TestDiskStampValidation(t *testing.T) {
-	d, err := OpenDisk(t.TempDir())
+	d, err := OpenDisk(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestDiskStampValidation(t *testing.T) {
 
 func TestDiskCorruptionRefused(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDisk(dir)
+	d, err := OpenDisk(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

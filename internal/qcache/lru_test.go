@@ -13,7 +13,7 @@ import (
 // oldest first, until the tier fits again.
 func TestDiskLRUEviction(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDisk(dir)
+	d, err := OpenDisk(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestDiskLRUEviction(t *testing.T) {
 
 // TestDiskUnboundedNeverEvicts: without a cap the tier grows monotonically.
 func TestDiskUnboundedNeverEvicts(t *testing.T) {
-	d, err := OpenDisk(t.TempDir())
+	d, err := OpenDisk(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,12 @@
 # Bench smoke: the sweep pool must be a pure performance knob, and the qsim
 # subcommands must keep their contracts.
 #
-# 1. Figure determinism: Fig-3 and Fig-4 CSVs must be identical at
-#    -parallel 1 and 2 once the timing column (cum_seconds, col 5) is
-#    stripped — each sweep cell runs on a private manager and cells are
-#    merged by index, so the diagrams, node counts, errors and bit widths
-#    are byte-for-byte the same.
+# 1. Figure determinism: Fig-3, Fig-4 and normalization-scheme CSVs must be
+#    identical at -parallel 1 and 2 once the timing column (cum_seconds,
+#    col 5) is stripped — each sweep cell runs on a private manager and
+#    cells are merged by index, so the diagrams, node counts, errors and bit
+#    widths are byte-for-byte the same. The norms stdout must match too,
+#    with the summary's time column (field 4 of a run row) cut.
 # 2. Single-run benchmark: qbench -bench-json runs and writes its report.
 #    (Local apply is checked against the BuildDD+Mul oracle on the same
 #    figure circuits by internal/sim's TestLocalApplyMatchesMulOracleOnFigures.)
@@ -20,13 +21,22 @@ outroot=$(mktemp -d)
 trap 'rm -rf "$outroot"' EXIT
 
 notime() { cut -d, -f1-4,6- "$1"; }
+# Blank the time column of the summary table's run rows; drop the CSV path.
+notime_stdout() {
+  awk '/^run +peak nodes/ { t = 1; print; next }
+       /^$/ { t = 0 }
+       /^wrote / { print "wrote"; next }
+       t { $4 = "-" } { print }' "$1"
+}
 
+qbench="$outroot/qbench"
+go build -o "$qbench" ./cmd/qbench
 for p in 1 2; do
   mkdir -p "$outroot/p$p"
   for fig in 3 4; do
-    go run ./cmd/qbench -fig "$fig" -noerror -parallel "$p" \
-      -out "$outroot/p$p" >/dev/null
+    "$qbench" -fig "$fig" -noerror -parallel "$p" -out "$outroot/p$p" >/dev/null
   done
+  "$qbench" -fig norms -parallel "$p" -out "$outroot/p$p" >"$outroot/p$p/norms.txt"
 done
 
 status=0
@@ -37,9 +47,13 @@ for f in "$outroot"/p1/*.csv; do
     status=1
   fi
 done
-[ "$status" -eq 0 ] && echo "bench smoke: figure CSVs identical across sweep pool sizes"
+if ! diff <(notime_stdout "$outroot/p1/norms.txt") <(notime_stdout "$outroot/p2/norms.txt") >&2; then
+  echo "bench smoke: -fig norms stdout differs between -parallel 1 and 2" >&2
+  status=1
+fi
+[ "$status" -eq 0 ] && echo "bench smoke: figure CSVs and norms stdout identical across sweep pool sizes"
 
-go run ./cmd/qbench -bench-json "$outroot/bench.json"
+"$qbench" -bench-json "$outroot/bench.json"
 
 fail() { echo "bench smoke: $*" >&2; status=1; }
 qsim="$outroot/qsim"
