@@ -319,7 +319,8 @@ func (c *Circuit) firstMeasure() int {
 
 // UnitaryPrefix returns the circuit with any trailing measurement suffix
 // stripped: the original circuit when there is none, otherwise a shallow
-// copy sharing the prefix gate slice. It does not remove mid-circuit
+// copy sharing the prefix gate slice (capped at its length, so an append
+// to the copy never writes into c's gates). It does not remove mid-circuit
 // measurements — callers that need a purely unitary circuit should check
 // Dynamic()/IsUnitary() first.
 func (c *Circuit) UnitaryPrefix() *Circuit {
@@ -327,7 +328,7 @@ func (c *Circuit) UnitaryPrefix() *Circuit {
 	if t == len(c.Gates) {
 		return c
 	}
-	return &Circuit{Name: c.Name, N: c.N, Cbits: c.Cbits, Gates: c.Gates[:t]}
+	return &Circuit{Name: c.Name, N: c.N, Cbits: c.Cbits, Gates: c.Gates[:t:t]}
 }
 
 // StripReadout returns the measure-free twin an amplitude-mode run

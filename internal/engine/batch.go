@@ -3,14 +3,13 @@ package engine
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/qasm"
+	"repro/internal/parsememo"
 	"repro/internal/qcache"
 )
 
@@ -232,43 +231,7 @@ func (e *Engine) Batch(id string) *Batch { return e.batches.get(id) }
 // the fan-out. On acceptance the returned Batch is live: wait on Done, then
 // View(true) for the per-variant results.
 func (e *Engine) SubmitBatch(req BatchRequest, rid string) (*Batch, *SubmitError) {
-	invalid := func(format string, args ...any) *SubmitError {
-		return &SubmitError{Reason: RejectInvalid, Body: ErrorBody{
-			Kind: KindInvalidRequest, Message: fmt.Sprintf(format, args...),
-		}}
-	}
-	hasBase := strings.TrimSpace(req.Base) != ""
-	switch {
-	case hasBase && len(req.Variants) > 0:
-		return nil, invalid("use base+suffixes or variants, not both")
-	case hasBase && len(req.Suffixes) == 0:
-		return nil, invalid("base requires at least one suffix")
-	case !hasBase && len(req.Suffixes) > 0:
-		return nil, invalid("suffixes require a base circuit")
-	case !hasBase && len(req.Variants) == 0:
-		return nil, invalid("a batch needs base+suffixes or variants")
-	}
-	if n := len(req.Suffixes) + len(req.Variants); n > e.cfg.MaxBatchVariants {
-		return nil, invalid("batch has %d variants, server cap is %d", n, e.cfg.MaxBatchVariants)
-	}
-
-	template := JobRequest{
-		Representation: req.Representation,
-		Eps:            req.Eps,
-		Norm:           req.Norm,
-		MaxNodes:       req.MaxNodes,
-		MaxWeights:     req.MaxWeights,
-		MaxBytes:       req.MaxBytes,
-		TimeoutMS:      req.TimeoutMS,
-		MinFidelity:    req.MinFidelity,
-		Output:         req.Output,
-		TopK:           req.TopK,
-	}
-	if errBody := e.normalizeRequest(&template); errBody != nil {
-		return nil, &SubmitError{Reason: RejectInvalid, Body: *errBody}
-	}
-
-	variants, prefixLen, serr := e.batchCircuits(&template, req)
+	template, variants, prefixLen, serr := e.validateBatch(req)
 	if serr != nil {
 		return nil, serr
 	}
@@ -295,7 +258,7 @@ func (e *Engine) SubmitBatch(req BatchRequest, rid string) (*Batch, *SubmitError
 		b.children[i].requestID = fmt.Sprintf("%s-/v%d", stem, i)
 	}
 	if prefixLen > 0 {
-		b.prefixKey = prefixCacheKey(&template, variants[0], prefixLen)
+		b.prefixKey = prefixCacheKey(&template, variants[0].circ, prefixLen)
 	}
 	if !e.batches.add(b) {
 		return nil, &SubmitError{Reason: RejectBusy, Body: ErrorBody{
@@ -309,83 +272,130 @@ func (e *Engine) SubmitBatch(req BatchRequest, rid string) (*Batch, *SubmitError
 	return b, nil
 }
 
-// batchCircuits parses and checks the batch's circuits, returning the
-// per-variant circuits (validated, read-out stripped — what each child job
-// runs) and the shared prefix length in gates.
-func (e *Engine) batchCircuits(template *JobRequest, req BatchRequest) ([]*circuit.Circuit, int, *SubmitError) {
+// validateBatch is SubmitBatch's validation: the form and size checks, the
+// normalized job template every child runs under, the per-variant circuits
+// and the shared prefix length in gates.
+func (e *Engine) validateBatch(req BatchRequest) (JobRequest, []jobCircuit, int, *SubmitError) {
 	invalid := func(format string, args ...any) *SubmitError {
 		return &SubmitError{Reason: RejectInvalid, Body: ErrorBody{
 			Kind: KindInvalidRequest, Message: fmt.Sprintf(format, args...),
 		}}
 	}
-	parse := func(src, name string) (*circuit.Circuit, *SubmitError) {
-		c, err := qasm.Parse(src, name)
-		if err != nil {
-			body := ErrorBody{Kind: KindParseError, Message: err.Error()}
-			var pe *qasm.ParseError
-			if errors.As(err, &pe) {
-				body.Line = pe.Line
-			}
-			return nil, &SubmitError{Reason: RejectInvalid, Body: body}
-		}
-		return c, nil
+	hasBase := strings.TrimSpace(req.Base) != ""
+	switch {
+	case hasBase && len(req.Variants) > 0:
+		return JobRequest{}, nil, 0, invalid("use base+suffixes or variants, not both")
+	case hasBase && len(req.Suffixes) == 0:
+		return JobRequest{}, nil, 0, invalid("base requires at least one suffix")
+	case !hasBase && len(req.Suffixes) > 0:
+		return JobRequest{}, nil, 0, invalid("suffixes require a base circuit")
+	case !hasBase && len(req.Variants) == 0:
+		return JobRequest{}, nil, 0, invalid("a batch needs base+suffixes or variants")
 	}
-	check := func(c *circuit.Circuit, i int) (*circuit.Circuit, *SubmitError) {
-		c, errBody := e.checkCircuit(template, c)
+	if n := len(req.Suffixes) + len(req.Variants); n > e.cfg.MaxBatchVariants {
+		return JobRequest{}, nil, 0, invalid("batch has %d variants, server cap is %d", n, e.cfg.MaxBatchVariants)
+	}
+
+	template := JobRequest{
+		Representation: req.Representation,
+		Eps:            req.Eps,
+		Norm:           req.Norm,
+		MaxNodes:       req.MaxNodes,
+		MaxWeights:     req.MaxWeights,
+		MaxBytes:       req.MaxBytes,
+		TimeoutMS:      req.TimeoutMS,
+		MinFidelity:    req.MinFidelity,
+		Output:         req.Output,
+		TopK:           req.TopK,
+	}
+	if errBody := e.normalizeRequest(&template); errBody != nil {
+		return JobRequest{}, nil, 0, &SubmitError{Reason: RejectInvalid, Body: *errBody}
+	}
+	variants, prefixLen, serr := e.batchCircuits(&template, req)
+	if serr != nil {
+		return JobRequest{}, nil, 0, serr
+	}
+	return template, variants, prefixLen, nil
+}
+
+// batchCircuits parses and checks the batch's circuits, returning the
+// per-variant circuits (validated, read-out stripped — what each child job
+// runs) and the shared prefix length in gates. Every source goes through
+// the parse memo; a base+suffix variant is a new circuit whose gates are
+// copied out of the memoized ones.
+func (e *Engine) batchCircuits(template *JobRequest, req BatchRequest) ([]jobCircuit, int, *SubmitError) {
+	invalid := func(format string, args ...any) *SubmitError {
+		return &SubmitError{Reason: RejectInvalid, Body: ErrorBody{
+			Kind: KindInvalidRequest, Message: fmt.Sprintf(format, args...),
+		}}
+	}
+	parse := func(src, name string) (*parsememo.Parsed, *SubmitError) {
+		p, errBody := e.parse(src, name)
 		if errBody != nil {
-			errBody.Message = fmt.Sprintf("variant %d: %s", i, errBody.Message)
 			return nil, &SubmitError{Reason: RejectInvalid, Body: *errBody}
 		}
-		return c, nil
+		return p, nil
+	}
+	check := func(c *circuit.Circuit, i int) *SubmitError {
+		if errBody := e.checkCircuit(template, c); errBody != nil {
+			errBody.Message = fmt.Sprintf("variant %d: %s", i, errBody.Message)
+			return &SubmitError{Reason: RejectInvalid, Body: *errBody}
+		}
+		return nil
 	}
 
 	if strings.TrimSpace(req.Base) != "" {
-		base, serr := parse(req.Base, "base")
+		bp, serr := parse(req.Base, "base")
 		if serr != nil {
 			return nil, 0, serr
 		}
+		base := bp.Circuit()
 		if base.Cbits != 0 || !base.IsUnitary() {
 			return nil, 0, invalid("the base circuit is the shared prefix and must be purely unitary (no measure, reset or classical control)")
 		}
-		variants := make([]*circuit.Circuit, len(req.Suffixes))
+		variants := make([]jobCircuit, len(req.Suffixes))
 		for i, src := range req.Suffixes {
-			sc, serr := parse(src, fmt.Sprintf("suffix %d", i))
+			sp, serr := parse(src, fmt.Sprintf("suffix %d", i))
 			if serr != nil {
 				return nil, 0, serr
 			}
+			sc := sp.Circuit()
 			if sc.N != base.N {
 				return nil, 0, invalid("suffix %d has %d qubits, base has %d", i, sc.N, base.N)
 			}
 			gates := make([]circuit.Gate, 0, len(base.Gates)+len(sc.Gates))
 			gates = append(append(gates, base.Gates...), sc.Gates...)
-			v, serr := check(&circuit.Circuit{
+			v := &circuit.Circuit{
 				Name:  fmt.Sprintf("variant %d", i),
 				N:     base.N,
 				Cbits: sc.Cbits,
 				Gates: gates,
-			}, i)
-			if serr != nil {
+			}
+			if serr := check(v, i); serr != nil {
 				return nil, 0, serr
 			}
-			variants[i] = v
+			variants[i] = fingerprinted(v.StripReadout())
 		}
 		return variants, len(base.Gates), nil
 	}
 
-	variants := make([]*circuit.Circuit, len(req.Variants))
+	variants := make([]jobCircuit, len(req.Variants))
+	circs := make([]*circuit.Circuit, len(req.Variants))
 	for i, src := range req.Variants {
-		c, serr := parse(src, fmt.Sprintf("variant %d", i))
+		p, serr := parse(src, fmt.Sprintf("variant %d", i))
 		if serr != nil {
 			return nil, 0, serr
 		}
-		if c, serr = check(c, i); serr != nil {
+		if serr := check(p.Circuit(), i); serr != nil {
 			return nil, 0, serr
 		}
-		variants[i] = c
+		c, fp := p.Stripped()
+		variants[i] = jobCircuit{circ: c, fp: fp}
+		circs[i] = c
 	}
 	// The checked circuits are read-out stripped, hence fully unitary — the
 	// discovered shared prefix is automatically a sound checkpoint position.
-	return variants, circuit.SharedPrefixLen(variants...), nil
+	return variants, circuit.SharedPrefixLen(circs...), nil
 }
 
 // prefixCacheKey is the cache key the shared prefix's checkpoint lands
@@ -416,15 +426,16 @@ func prefixCacheKey(template *JobRequest, v *circuit.Circuit, k int) qcache.Key 
 // variant jobs out (each warm-starts from the checkpoint the prefix run
 // stored at its unitary boundary) and close the batch when every child is
 // terminal.
-func (e *Engine) runBatch(b *Batch, template JobRequest, stem string, variants []*circuit.Circuit) {
+func (e *Engine) runBatch(b *Batch, template JobRequest, stem string, variants []jobCircuit) {
 	defer e.wg.Done()
 	if b.prefixLen > 0 {
 		preq := template
 		preq.Output = "stats"
 		preq.TopK = 0
 		preq.Wait = false
-		pc := &circuit.Circuit{Name: "prefix", N: variants[0].N, Gates: variants[0].Gates[:b.prefixLen]}
-		if pj, serr := e.submit(preq, pc, stem+"-/prefix"); serr == nil {
+		v := variants[0].circ
+		pc := &circuit.Circuit{Name: "prefix", N: v.N, Gates: v.Gates[:b.prefixLen:b.prefixLen]}
+		if pj, serr := e.submit(preq, fingerprinted(pc), stem+"-/prefix"); serr == nil {
 			b.setPrefix(pj)
 			if hook := e.cfg.HookBatchChild; hook != nil {
 				hook(b, -1, pj)

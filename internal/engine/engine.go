@@ -16,6 +16,7 @@ package engine
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -27,6 +28,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/parsememo"
 	"repro/internal/qasm"
 	"repro/internal/qcache"
 )
@@ -186,6 +188,7 @@ type Engine struct {
 	cache   *qcache.Cache // nil when both tiers are disabled (nil-safe API)
 	flight  *qcache.Flight[flightOutcome]
 	batches *batchStore
+	memo    *parsememo.Memo // request source → parse and fingerprints
 
 	mu     sync.Mutex // guards closed + queue sends vs. close(queue)
 	closed bool
@@ -213,6 +216,7 @@ func New(cfg Config) (*Engine, error) {
 		cache:   cache,
 		flight:  qcache.NewFlight[flightOutcome](),
 		batches: newBatchStore(256),
+		memo:    parsememo.New(),
 	}
 	e.runCtx, e.cancelRun = context.WithCancel(context.Background())
 	var started sync.WaitGroup
@@ -297,23 +301,30 @@ func (e *Engine) CacheStats() qcache.Stats { return e.cache.Stats() }
 // cache or peer hit returns a Job born finished with Cached set in its view.
 // A refusal returns a *SubmitError with the transport-mappable reason.
 func (e *Engine) Submit(req JobRequest) (*Job, *SubmitError) {
-	return e.submit(req, nil, "")
+	jc, errBody := e.validate(&req)
+	if errBody != nil {
+		return nil, &SubmitError{Reason: RejectInvalid, Body: *errBody}
+	}
+	return e.submit(req, jc, "")
 }
 
-// submit is Submit with the internal hooks the batch scheduler needs: a
-// pre-validated circuit (pre non-nil skips parsing — the caller has already
-// run normalizeRequest and checkCircuit) and a request id recorded on the
-// job so access logs can attribute batch children.
-func (e *Engine) submit(req JobRequest, pre *circuit.Circuit, rid string) (*Job, *SubmitError) {
-	circ := pre
-	if circ == nil {
-		var errBody *ErrorBody
-		circ, errBody = e.validate(&req)
-		if errBody != nil {
-			return nil, &SubmitError{Reason: RejectInvalid, Body: *errBody}
-		}
-	}
+// jobCircuit is the circuit a job runs and its fingerprint, the circuit
+// component of the job's cache key.
+type jobCircuit struct {
+	circ *circuit.Circuit
+	fp   [sha256.Size]byte
+}
 
+// fingerprinted pairs a circuit built outside the parse memo with its
+// fingerprint.
+func fingerprinted(c *circuit.Circuit) jobCircuit {
+	return jobCircuit{circ: c, fp: circuit.Fingerprint(c)}
+}
+
+// submit is Submit past validation, with the hook the batch scheduler
+// needs: a request id recorded on the job so access logs can attribute
+// batch children. req must already be normalized and jc checked.
+func (e *Engine) submit(req JobRequest, jc jobCircuit, rid string) (*Job, *SubmitError) {
 	// A seeded shots job is a pure function of its request, so it caches
 	// like any other. An unseeded one is sampled fresh every time: the
 	// engine draws the seed (echoed in the result for reproduction), and
@@ -323,20 +334,7 @@ func (e *Engine) submit(req JobRequest, pre *circuit.Circuit, rid string) (*Job,
 		req.Seed = randomSeed()
 	}
 
-	// Content address of the job: the circuit fingerprint (comment-,
-	// whitespace- and register-name-insensitive) plus everything else that
-	// shapes the result envelope. Budgets are deliberately excluded — a
-	// success computed under any budget is valid under every budget.
-	ident := qcache.Identity{
-		Circuit: circuit.Fingerprint(circ),
-		Repr:    req.Representation,
-		Norm:    req.Norm,
-		Eps:     req.Eps,
-		Output:  req.Output,
-		TopK:    req.TopK,
-		Shots:   req.Shots,
-		Seed:    req.Seed,
-	}
+	ident := identity(&req, jc.fp)
 	cacheKey := ident.Key()
 	stamp := ident.Stamp()
 
@@ -409,7 +407,7 @@ func (e *Engine) submit(req JobRequest, pre *circuit.Circuit, rid string) (*Job,
 	j := &Job{
 		id:        newJobID(),
 		req:       req,
-		circ:      circ,
+		circ:      jc.circ,
 		requestID: rid,
 		done:      make(chan struct{}),
 		store:     e.store,
@@ -465,6 +463,24 @@ func (e *Engine) submit(req JobRequest, pre *circuit.Circuit, rid string) (*Job,
 		}
 	}
 	return j, nil
+}
+
+// identity is the content address of a normalized job: the circuit
+// fingerprint (comment-, whitespace- and register-name-insensitive) plus
+// everything else that shapes the result envelope. Budgets are deliberately
+// excluded — a success computed under any budget is valid under every
+// budget.
+func identity(req *JobRequest, fp [sha256.Size]byte) qcache.Identity {
+	return qcache.Identity{
+		Circuit: fp,
+		Repr:    req.Representation,
+		Norm:    req.Norm,
+		Eps:     req.Eps,
+		Output:  req.Output,
+		TopK:    req.TopK,
+		Shots:   req.Shots,
+		Seed:    req.Seed,
+	}
 }
 
 // decodeResult rebuilds a result envelope from its canonical JSON payload —
@@ -526,15 +542,36 @@ func (e *Engine) mirror(j *Job, call *qcache.Call[flightOutcome]) {
 	e.store.finish(j, out.status, nil, out.errBody)
 }
 
-// validate normalizes and checks a request, returning the parsed circuit.
-func (e *Engine) validate(req *JobRequest) (*circuit.Circuit, *ErrorBody) {
+// validate normalizes and checks a request, returning the circuit the job
+// runs. The parse and the fingerprints come from the memo, so a repeated
+// source is neither parsed nor fingerprinted again.
+func (e *Engine) validate(req *JobRequest) (jobCircuit, *ErrorBody) {
 	if strings.TrimSpace(req.QASM) == "" {
-		return nil, &ErrorBody{Kind: KindInvalidRequest, Message: "qasm is required"}
+		return jobCircuit{}, &ErrorBody{Kind: KindInvalidRequest, Message: "qasm is required"}
 	}
 	if errBody := e.normalizeRequest(req); errBody != nil {
-		return nil, errBody
+		return jobCircuit{}, errBody
 	}
-	circ, err := qasm.Parse(req.QASM, "request")
+	p, errBody := e.parse(req.QASM, "request")
+	if errBody != nil {
+		return jobCircuit{}, errBody
+	}
+	if errBody := e.checkCircuit(req, p.Circuit()); errBody != nil {
+		return jobCircuit{}, errBody
+	}
+	if req.Shots == 0 {
+		// Amplitude/stats/ddio outputs describe the pre-measurement state:
+		// the job runs the measure-free twin and shares its cache key.
+		c, fp := p.Stripped()
+		return jobCircuit{circ: c, fp: fp}, nil
+	}
+	return jobCircuit{circ: p.Circuit(), fp: p.Fingerprint()}, nil
+}
+
+// parse looks src up in the parse memo, parsing it under name on a miss.
+// A parse failure becomes a parse_error body carrying the offending line.
+func (e *Engine) parse(src, name string) (*parsememo.Parsed, *ErrorBody) {
+	p, err := e.memo.Parse(src, name)
 	if err != nil {
 		body := &ErrorBody{Kind: KindParseError, Message: err.Error()}
 		var pe *qasm.ParseError
@@ -543,7 +580,7 @@ func (e *Engine) validate(req *JobRequest) (*circuit.Circuit, *ErrorBody) {
 		}
 		return nil, body
 	}
-	return e.checkCircuit(req, circ)
+	return p, nil
 }
 
 // normalizeRequest is the parse-free half of validation: representation,
@@ -640,27 +677,24 @@ func (e *Engine) normalizeRequest(req *JobRequest) *ErrorBody {
 
 // checkCircuit applies the engine's circuit-level checks to an
 // already-normalized request: the width cap, the static-circuit requirement
-// of amplitude mode, and the read-out strip that keys the job by its
-// measure-free twin. The returned circuit is the one the job runs.
-func (e *Engine) checkCircuit(req *JobRequest, circ *circuit.Circuit) (*circuit.Circuit, *ErrorBody) {
+// of amplitude mode, and the classical-bit cap of a histogram key. An
+// amplitude-mode job then runs the circuit's StripReadout form, so it
+// shares a cache key with its measure-free twin.
+func (e *Engine) checkCircuit(req *JobRequest, circ *circuit.Circuit) *ErrorBody {
 	invalid := func(format string, args ...any) *ErrorBody {
 		return &ErrorBody{Kind: KindInvalidRequest, Message: fmt.Sprintf(format, args...)}
 	}
 	if circ.N > e.cfg.MaxQubits {
-		return nil, invalid("circuit has %d qubits, server cap is %d", circ.N, e.cfg.MaxQubits)
+		return invalid("circuit has %d qubits, server cap is %d", circ.N, e.cfg.MaxQubits)
 	}
 	if req.Shots == 0 {
 		if circ.Dynamic() {
-			return nil, invalid("circuit contains mid-circuit measurement, reset or classical control; submit with shots > 0 to run it")
+			return invalid("circuit contains mid-circuit measurement, reset or classical control; submit with shots > 0 to run it")
 		}
-		// Amplitude/stats/ddio outputs describe the pre-measurement state:
-		// strip the trailing read-out block and the classical register so
-		// the job shares a cache key with its measure-free twin.
-		circ = circ.StripReadout()
 	} else if circ.Cbits > 64 {
-		return nil, invalid("circuit uses %d classical bits; the histogram key is capped at 64", circ.Cbits)
+		return invalid("circuit uses %d classical bits; the histogram key is capped at 64", circ.Cbits)
 	}
-	return circ, nil
+	return nil
 }
 
 // clampInt applies a server cap to a request value: 0 (unset) takes the cap,

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/parsememo"
 	"repro/internal/qcache"
 )
 
@@ -176,11 +177,11 @@ func (e *Engine) CheckpointBytesStored() uint64 { return e.met.checkpointBytes.L
 // transport may append its own families (peer-client errors, HTTP-level
 // counters) after this call — text format concatenates cleanly.
 func (e *Engine) RenderMetrics(w io.Writer) {
-	e.met.render(w, len(e.queue), e.cfg.QueueSize, e.cache.Stats())
+	e.met.render(w, len(e.queue), e.cfg.QueueSize, e.cache.Stats(), e.memo.Stats())
 }
 
 // render writes the Prometheus text exposition.
-func (m *metrics) render(w io.Writer, queueDepth, queueCap int, cs qcache.Stats) {
+func (m *metrics) render(w io.Writer, queueDepth, queueCap int, cs qcache.Stats, ms parsememo.Stats) {
 	counter := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
@@ -211,6 +212,10 @@ func (m *metrics) render(w io.Writer, queueDepth, queueCap int, cs qcache.Stats)
 	counter("qmddd_cache_peer_hits_total", "Local cache misses answered by a ring peer's cache.", m.peerHits.Load())
 	gauge("qmddd_cache_bytes", "Bytes held by the in-memory cache tier (payload + overhead).", cs.Bytes)
 	gauge("qmddd_cache_entries", "Entries in the in-memory cache tier.", int64(cs.Entries))
+	counter("qmddd_parse_memo_hits_total", "Submitted sources found in the parse memo (no parse, no fingerprint).", ms.Hits)
+	counter("qmddd_parse_memo_misses_total", "Submitted sources parsed because the parse memo did not hold them.", ms.Misses)
+	gauge("qmddd_parse_memo_entries", "Parsed sources held by the parse memo.", int64(ms.Entries))
+	gauge("qmddd_parse_memo_bytes", "Bytes accounted to the parse memo (bounded at parsememo.MaxBytes).", ms.Bytes)
 	fmt.Fprintf(w, "# HELP qmddd_queue_depth Jobs waiting in the bounded queue.\n# TYPE qmddd_queue_depth gauge\nqmddd_queue_depth %d\n", queueDepth)
 	fmt.Fprintf(w, "# HELP qmddd_queue_capacity Bounded queue capacity.\n# TYPE qmddd_queue_capacity gauge\nqmddd_queue_capacity %d\n", queueCap)
 	m.queueLatency.render(w, "qmddd_queue_latency_seconds", "Time from submission to worker pickup.")

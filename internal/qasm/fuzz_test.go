@@ -4,28 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/qasm/qasmtest"
 )
-
-// repeatedOperandPrograms apply a gate to one qubit twice. The reference
-// parser panics on most of them and accepts the rest; Parse must reject
-// each.
-var repeatedOperandPrograms = []string{
-	"OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[0];\n",
-	"OPENQASM 2.0;\nqreg q[2];\nswap q[0],q[0];\n",
-	"OPENQASM 2.0;\nqreg q[3];\nccx q[0],q[1],q[1];\n",
-	"OPENQASM 2.0;\nqreg q[3];\nccx q[0],q[0],q[1];\n",
-	"OPENQASM 2.0;\nqreg q[3];\ncswap q[0],q[1],q[1];\n",
-	"OPENQASM 2.0;\nqreg q[2];\ngate g a,b { cx a,b; }\ng q[0],q[0];\n",
-	"OPENQASM 2.0;\nqreg q[2];\ngate g a,b { h a; h b; }\ng q[1],q[1];\n",
-	"OPENQASM 2.0;\nqreg q[2];\ncz q,q;\n",
-}
 
 // referenceParse runs the reference parser, turning a panic into an error.
 func referenceParse(src string) (c *circuit.Circuit, err error) {
@@ -135,34 +120,9 @@ func checkWriteRoundTrip(t *testing.T, c *circuit.Circuit) {
 	}
 }
 
-// parseSeeds is the differential corpus: the testdata programs, every
-// program the other tests in this package parse, and the repeated-operand
-// programs.
-func parseSeeds(t testing.TB) []string {
-	files, err := filepath.Glob("testdata/*.qasm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seeds []string
-	for _, f := range files {
-		raw, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seeds = append(seeds, string(raw))
-	}
-	seeds = append(seeds, bellSrc, gateDefSrc,
-		"OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nh q[0];\nmeasure q[0] -> c[0];\nif(c==1) x q[1];\nreset q[0];\n",
-		"OPENQASM 2.0;\nqreg q[3];\nu2(0,pi) q;\ncp(pi^2/4) q[0],q[2];\ncswap q[2],q[0],q[1];\nbarrier q;\n",
-		"OPENQASM 2.0;\nqreg q[1];\ngate g a { g a; }\ng q[0];\n",
-		"OPENQASM 2.0;\nqreg q[2];\ngate r(t,t) a,a { rz(t) a; }\nr(1,2) q[0],q[1];\n",
-	)
-	return append(seeds, repeatedOperandPrograms...)
-}
-
 // TestParseMatchesReference runs the differential oracle over the seeds.
 func TestParseMatchesReference(t *testing.T) {
-	for i, src := range parseSeeds(t) {
+	for i, src := range qasmtest.Corpus(t) {
 		t.Run(fmt.Sprint(i), func(t *testing.T) { checkAgainstReference(t, src) })
 	}
 }
@@ -171,7 +131,7 @@ func TestParseMatchesReference(t *testing.T) {
 // round trip. The op budget is lowered so no input can expand to a large
 // circuit.
 func FuzzParse(f *testing.F) {
-	for _, src := range parseSeeds(f) {
+	for _, src := range qasmtest.Corpus(f) {
 		f.Add(src)
 	}
 	saved := maxOps

@@ -7,7 +7,7 @@ import "sync/atomic"
 // *Cache is a valid always-miss cache, so callers can wire it
 // unconditionally.
 type Cache struct {
-	mem  *Memory
+	mem  *Memory[[]byte]
 	disk *Disk
 
 	hits     atomic.Uint64 // served from any tier
@@ -32,7 +32,7 @@ func NewBounded(memBytes int64, dir string, diskMaxBytes int64) (*Cache, error) 
 	}
 	c := &Cache{}
 	if memBytes > 0 {
-		c.mem = NewMemory(memBytes)
+		c.mem = NewMemory(memBytes, payloadSize)
 	}
 	if dir != "" {
 		d, err := OpenDisk(dir, diskMaxBytes)

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestFlightSingleLeader(t *testing.T) {
@@ -14,15 +13,21 @@ func TestFlightSingleLeader(t *testing.T) {
 	const waiters = 32
 	var leaders atomic.Int32
 	var wg sync.WaitGroup
+	// joined counts the goroutines back from Join. The leader completes only
+	// once all of them are, so nobody can join after the flight has closed
+	// and become a second leader.
+	var joined sync.WaitGroup
+	joined.Add(waiters)
 	results := make([]string, waiters)
 	for i := 0; i < waiters; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			c, leader := f.Join(key(1))
+			joined.Done()
 			if leader {
 				leaders.Add(1)
-				time.Sleep(time.Millisecond) // let followers pile up
+				joined.Wait()
 				c.Complete("the-result", true)
 			}
 			v, ok, err := c.Wait(context.Background())

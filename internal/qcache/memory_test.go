@@ -12,7 +12,7 @@ func key(b byte) Key {
 }
 
 func TestMemoryPutGet(t *testing.T) {
-	c := NewMemory(1 << 20)
+	c := NewMemory(1<<20, payloadSize)
 	if _, ok := c.Get(key(1)); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -33,7 +33,7 @@ func TestMemoryPutGet(t *testing.T) {
 
 func TestMemoryLRUEviction(t *testing.T) {
 	// Cap fits exactly two entries of 100 payload bytes.
-	c := NewMemory(2 * (100 + memOverhead))
+	c := NewMemory(2*(100+memOverhead), payloadSize)
 	pay := func(b byte) []byte { return bytes.Repeat([]byte{b}, 100) }
 	c.Put(key(1), pay(1))
 	c.Put(key(2), pay(2))
@@ -59,7 +59,7 @@ func TestMemoryLRUEviction(t *testing.T) {
 }
 
 func TestMemoryOversizedEntryRejected(t *testing.T) {
-	c := NewMemory(256)
+	c := NewMemory(256, payloadSize)
 	c.Put(key(1), bytes.Repeat([]byte{1}, 64))
 	c.Put(key(2), bytes.Repeat([]byte{2}, 10_000)) // larger than the whole cap
 	if _, ok := c.Get(key(2)); ok {

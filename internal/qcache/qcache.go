@@ -12,7 +12,8 @@
 // exact; float entries carry their ε in the key because a different
 // tolerance is a different (approximate) semantics.
 //
-// Tier 1 (Memory) is an in-process LRU with byte accounting. Tier 2 (Disk)
+// Tier 1 (Memory) is an in-process LRU with byte accounting, generic over
+// its value so the parse memo (internal/parsememo) reuses it. Tier 2 (Disk)
 // persists entries across process restarts with atomic rename writes and a
 // stamped header validated on load, so a rebooted daemon serves yesterday's
 // hot circuits without re-simulating them. Cache combines the tiers:

@@ -8,10 +8,14 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/parsememo"
 	"repro/internal/qasm"
 )
 
 const routeBase = "OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n"
+
+// memoRouter is the part of a Router the ring-key functions use.
+func memoRouter() *Router { return &Router{memo: parsememo.New()} }
 
 func marshalBody(t *testing.T, v any) []byte {
 	t.Helper()
@@ -26,12 +30,13 @@ func marshalBody(t *testing.T, v any) []byte {
 // ring key as a solo submission of the base circuit, so the batch lands on
 // the worker whose cache already holds (or will hold) the prefix state.
 func TestBatchRouteKeyColocatesWithPrefix(t *testing.T) {
+	rt := memoRouter()
 	batch := marshalBody(t, map[string]any{
 		"base":     routeBase,
 		"suffixes": []string{"OPENQASM 2.0;\nqreg q[2];\nt q[0];\n"},
 	})
 	solo := marshalBody(t, map[string]any{"qasm": routeBase})
-	if !bytes.Equal(batchRouteKey(batch), routeKey(solo)) {
+	if !bytes.Equal(rt.batchRouteKey(batch), rt.routeKey(solo)) {
 		t.Error("base-form batch does not co-locate with a solo job of its base circuit")
 	}
 
@@ -42,7 +47,7 @@ func TestBatchRouteKeyColocatesWithPrefix(t *testing.T) {
 		"base":     measured,
 		"suffixes": []string{"OPENQASM 2.0;\nqreg q[2];\nt q[0];\n"},
 	})
-	if !bytes.Equal(batchRouteKey(batchMeasured), routeKey(solo)) {
+	if !bytes.Equal(rt.batchRouteKey(batchMeasured), rt.routeKey(solo)) {
 		t.Error("read-out on the base changed the batch's ring key")
 	}
 }
@@ -50,6 +55,7 @@ func TestBatchRouteKeyColocatesWithPrefix(t *testing.T) {
 // TestBatchRouteKeyVariantsForm: the variants form keys by the chain link of
 // the discovered shared prefix, invariant under textual variation.
 func TestBatchRouteKeyVariantsForm(t *testing.T) {
+	rt := memoRouter()
 	renamed := strings.ReplaceAll(routeBase, "q[", "data[")
 	body := marshalBody(t, map[string]any{"variants": []string{
 		routeBase + "t q[0];\n",
@@ -61,7 +67,7 @@ func TestBatchRouteKeyVariantsForm(t *testing.T) {
 		t.Fatal(err)
 	}
 	link := circuit.Chain(bc)[bc.Len()]
-	if !bytes.Equal(batchRouteKey(body), link[:]) {
+	if !bytes.Equal(rt.batchRouteKey(body), link[:]) {
 		t.Error("variants-form key is not the shared prefix's chain link")
 	}
 
@@ -70,14 +76,14 @@ func TestBatchRouteKeyVariantsForm(t *testing.T) {
 		renamed + "t data[0];\n",
 		routeBase + "s q[0];\n",
 	}})
-	if !bytes.Equal(batchRouteKey(body), batchRouteKey(reordered)) {
+	if !bytes.Equal(rt.batchRouteKey(body), rt.batchRouteKey(reordered)) {
 		t.Error("textual variants of the same prefix derived different ring keys")
 	}
 	other := marshalBody(t, map[string]any{"variants": []string{
 		"OPENQASM 2.0;\nqreg q[2];\nx q[0];\nt q[0];\n",
 		"OPENQASM 2.0;\nqreg q[2];\nx q[0];\ns q[0];\n",
 	}})
-	if bytes.Equal(batchRouteKey(body), batchRouteKey(other)) {
+	if bytes.Equal(rt.batchRouteKey(body), rt.batchRouteKey(other)) {
 		t.Error("different prefixes derived the same ring key")
 	}
 }
@@ -85,6 +91,7 @@ func TestBatchRouteKeyVariantsForm(t *testing.T) {
 // TestBatchRouteKeyFallback: bodies the router cannot interpret hash
 // verbatim — deterministic, but carrying no affinity claim.
 func TestBatchRouteKeyFallback(t *testing.T) {
+	rt := memoRouter()
 	for name, body := range map[string][]byte{
 		"garbage":            []byte("not json"),
 		"unparsable base":    marshalBody(t, map[string]any{"base": "OPENQASM 2.0;\nqreg q[", "suffixes": []string{"x"}}),
@@ -92,7 +99,7 @@ func TestBatchRouteKeyFallback(t *testing.T) {
 		"empty":              marshalBody(t, map[string]any{}),
 	} {
 		want := sha256.Sum256(body)
-		if got := batchRouteKey(body); !bytes.Equal(got, want[:]) {
+		if got := rt.batchRouteKey(body); !bytes.Equal(got, want[:]) {
 			t.Errorf("%s: fallback key is not the body hash", name)
 		}
 	}

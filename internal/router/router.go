@@ -30,7 +30,7 @@ import (
 	"repro/internal/buildinfo"
 	"repro/internal/circuit"
 	"repro/internal/httpx"
-	"repro/internal/qasm"
+	"repro/internal/parsememo"
 	"repro/internal/ring"
 )
 
@@ -141,6 +141,7 @@ type Router struct {
 	cfg  Config
 	ring *ring.Ring
 	mux  *http.ServeMux
+	memo *parsememo.Memo // source → parse, so a repeated body is not parsed again
 
 	probe   *http.Client
 	forward *http.Client
@@ -184,6 +185,7 @@ func New(cfg Config) (*Router, error) {
 		forward: &http.Client{Timeout: cfg.ForwardTimeout},
 		health:  make(map[string]WorkerHealth, len(members)),
 		buckets: make(map[string]*bucket),
+		memo:    parsememo.New(),
 		stop:    make(chan struct{}),
 	}
 	rt.mux.HandleFunc("POST /v1/jobs", rt.handleSubmit)
@@ -335,13 +337,14 @@ func retryAfter(w http.ResponseWriter, wait time.Duration) {
 // variants of one circuit all route to the same worker — the one whose
 // cache has it), otherwise a hash of the raw body (the worker will refuse
 // it with a real parse error, which the client deserves to see verbatim).
-func routeKey(body []byte) []byte {
+// The parse and the fingerprint come from the memo after the first time.
+func (rt *Router) routeKey(body []byte) []byte {
 	var req struct {
 		QASM string `json:"qasm"`
 	}
 	if err := json.Unmarshal(body, &req); err == nil && strings.TrimSpace(req.QASM) != "" {
-		if circ, err := qasm.Parse(req.QASM, "route"); err == nil {
-			fp := circuit.Fingerprint(circ)
+		if p, err := rt.memo.Parse(req.QASM, "route"); err == nil {
+			fp := p.Fingerprint()
 			return fp[:]
 		}
 	}
@@ -354,7 +357,7 @@ func routeKey(body []byte) []byte {
 // whose cache holds (or will hold) the prefix checkpoint — and every other
 // batch or solo job extending the same prefix lands there too. Bodies that
 // don't parse hash verbatim, like routeKey.
-func batchRouteKey(body []byte) []byte {
+func (rt *Router) batchRouteKey(body []byte) []byte {
 	var req struct {
 		Base     string   `json:"base"`
 		Variants []string `json:"variants"`
@@ -364,20 +367,20 @@ func batchRouteKey(body []byte) []byte {
 			// Base form: the whole base is the shared prefix; its final chain
 			// link is Fingerprint(base), so a solo submission of the base
 			// circuit routes to the same owner.
-			if c, perr := qasm.Parse(req.Base, "route"); perr == nil {
-				c = c.StripReadout()
-				link := circuit.Fingerprint(c)
+			if p, perr := rt.memo.Parse(req.Base, "route"); perr == nil {
+				_, link := p.Stripped()
 				return link[:]
 			}
 		} else if len(req.Variants) > 0 {
 			circs := make([]*circuit.Circuit, 0, len(req.Variants))
 			for _, src := range req.Variants {
-				c, perr := qasm.Parse(src, "route")
+				p, perr := rt.memo.Parse(src, "route")
 				if perr != nil {
 					circs = nil
 					break
 				}
-				circs = append(circs, c.StripReadout())
+				c, _ := p.Stripped()
+				circs = append(circs, c)
 			}
 			if len(circs) > 0 {
 				if k := circuit.SharedPrefixLen(circs...); k > 0 {
@@ -393,13 +396,13 @@ func batchRouteKey(body []byte) []byte {
 
 // handleSubmit is the routed job-submission path.
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	rt.routePost(w, r, "/v1/jobs", routeKey)
+	rt.routePost(w, r, "/v1/jobs", rt.routeKey)
 }
 
 // handleBatchSubmit routes a batch to the prefix-key ring owner; everything
 // past key derivation is the job-submission path.
 func (rt *Router) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
-	rt.routePost(w, r, "/v1/batches", batchRouteKey)
+	rt.routePost(w, r, "/v1/batches", rt.batchRouteKey)
 }
 
 // routePost is the shared routed-POST path: admission control, ring-ordered
@@ -615,6 +618,9 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
+	gauge := func(name, help string, v int64) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
+	}
 	counter("qrouter_requests_total", "Job submissions received.", rt.met.requests.Load())
 	counter("qrouter_routed_total", "Submissions proxied to a worker.", rt.met.routed.Load())
 	counter("qrouter_rerouted_total", "Submissions that skipped at least one failed or draining worker.", rt.met.rerouted.Load())
@@ -622,6 +628,11 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("qrouter_shed_latency_total", "Submissions refused by queue-latency shedding.", rt.met.shedLatency.Load())
 	counter("qrouter_no_worker_total", "Submissions refused with no usable worker.", rt.met.noWorker.Load())
 	counter("qrouter_proxy_errors_total", "Individual forward attempts that failed.", rt.met.proxyErrors.Load())
+	ms := rt.memo.Stats()
+	counter("qrouter_parse_memo_hits_total", "Submitted sources found in the parse memo (no parse, no fingerprint).", ms.Hits)
+	counter("qrouter_parse_memo_misses_total", "Submitted sources parsed because the parse memo did not hold them.", ms.Misses)
+	gauge("qrouter_parse_memo_entries", "Parsed sources held by the parse memo.", int64(ms.Entries))
+	gauge("qrouter_parse_memo_bytes", "Bytes accounted to the parse memo (bounded at parsememo.MaxBytes).", ms.Bytes)
 	fmt.Fprintf(w, "# HELP qrouter_worker_ready Worker readiness at last probe.\n# TYPE qrouter_worker_ready gauge\n")
 	for _, h := range rt.Healths() {
 		ready := 0
@@ -645,5 +656,5 @@ func (rt *Router) OwnerOf(qasmSrc string) string {
 	body, _ := json.Marshal(struct {
 		QASM string `json:"qasm"`
 	}{qasmSrc})
-	return rt.ring.Owner(routeKey(body))
+	return rt.ring.Owner(rt.routeKey(body))
 }

@@ -7,7 +7,8 @@
 #      byte-identical amplitudes to a direct worker submission, with the
 #      X-Request-Id echoed through the proxy hop;
 #   2. the replay through the router is a cache hit — the cluster simulates
-#      the circuit exactly once (sum of qmddd_jobs_started_total is 1);
+#      the circuit exactly once (sum of qmddd_jobs_started_total is 1) —
+#      and a router parse-memo hit;
 #   3. the same job sent directly to the NON-owning worker is served through
 #      cache peering (peer-hit counter, still no second simulation) and the
 #      envelope is adopted;
@@ -97,6 +98,9 @@ direct=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$payload" "$o
 replay=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$payload" "$router/v1/jobs")
 echo "$replay" | grep >/dev/null '"cached": true' || { echo "routed replay was not cached: $replay"; exit 1; }
 [ "$(started_total "$w1" "$w2")" = 1 ] || { echo "replay re-simulated"; exit 1; }
+# The router found the replayed source in its parse memo.
+[ "$(metric_sum qrouter_parse_memo_hits_total "$router")" -ge 1 ] \
+    || { echo "router parsed the replayed source again:"; curl -fsS "$router/metrics"; exit 1; }
 
 # 3. Direct to the non-owner: served through cache peering, never simulated.
 peered=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$payload" "$peer/v1/jobs")

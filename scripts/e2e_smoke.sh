@@ -2,9 +2,10 @@
 # End-to-end smoke test for the qmddd daemon: build the binary, boot it on a
 # random port with the result cache on, run a 2-qubit Grover circuit (the
 # final state is exactly |11⟩, so the assertion is sharp), resubmit it and
-# require a cache hit, scrape /metrics, run a seeded teleportation shots job
-# (dynamic circuit: mid-circuit measurement + classical feedback) and require
-# a deterministic, representation-independent histogram plus a cache hit on
+# require a cache hit and a parse-memo hit, scrape /metrics, run a seeded
+# teleportation shots job (dynamic circuit: mid-circuit measurement +
+# classical feedback) and require a deterministic,
+# representation-independent histogram plus a cache hit on
 # resubmission, then SIGTERM and require a clean drain and exit 0 — and
 # finally reboot over the same cache directory and require the disk tier
 # (including the shots entry) to survive the restart. A final boot on a
@@ -58,6 +59,9 @@ metrics=$(curl -fsS "$base/metrics")
 echo "$metrics" | grep >/dev/null '^qmddd_jobs_completed_total 1$' || { echo "bad metrics:"; echo "$metrics"; exit 1; }
 echo "$metrics" | grep >/dev/null '^qmddd_cache_hits_total 1$'     || { echo "cache hit not counted:"; echo "$metrics"; exit 1; }
 echo "$metrics" | grep >/dev/null '^qmddd_cache_stores_total 1$'   || { echo "cache store not counted:"; echo "$metrics"; exit 1; }
+# The replay's source was found in the parse memo: not parsed again.
+echo "$metrics" | grep >/dev/null '^qmddd_parse_memo_hits_total 1$'   || { echo "replay was parsed again:"; echo "$metrics"; exit 1; }
+echo "$metrics" | grep >/dev/null '^qmddd_parse_memo_misses_total 1$' || { echo "parse memo misses not counted:"; echo "$metrics"; exit 1; }
 echo "$metrics" | grep >/dev/null '^qmddd_queue_latency_seconds_count 1$' || { echo "queue latency not observed:"; echo "$metrics"; exit 1; }
 
 # Seeded shots job on a dynamic teleportation circuit: mid-circuit Bell
