@@ -47,8 +47,6 @@ func main() {
 		out      = flag.String("out", "BENCH_serve.json", "report path (\"-\" = stdout)")
 		scale    = flag.String("scale", "ci", "workload circuit scale: ci (seconds) or paper (hours)")
 		grover   = flag.Int("grover-qubits", 0, "override the Grover workload width (0 = scale default)")
-		batch    = flag.Int("batch", 0, "one-shot batch mode instead of the open-loop run: submit this many Grover variants as one POST /v1/batches, poll GET /v1/batches/{id} until done, and report")
-		repr     = flag.String("repr", "alg", "batch mode: representation to request (alg or float)")
 	)
 	flag.Parse()
 	log.SetPrefix("qload: ")
@@ -64,11 +62,6 @@ func main() {
 	}
 	if *grover > 0 {
 		p.GroverQubits = *grover
-	}
-
-	if *batch > 0 {
-		runBatch(p, *batch, *target, *repr, *topk, *timeout, *tenant, *out)
-		return
 	}
 
 	log.Printf("building workload catalog (%s scale)…", *scale)
@@ -121,44 +114,5 @@ func main() {
 	}
 	if rep.SLO.Verdict == "fail" {
 		os.Exit(2)
-	}
-}
-
-// runBatch is the -batch mode: one shared-prefix variant sweep submitted as
-// a batch, polled to completion, and reported. Exit 1 on harness errors,
-// 3 when any variant failed.
-func runBatch(p bench.FigureParams, variants int, target, repr string, topk int, timeout time.Duration, tenant, out string) {
-	log.Printf("batch mode: %d Grover variants to %s (%s)", variants, target, repr)
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
-	defer stop()
-	rep, err := load.RunBatch(ctx, load.BatchOptions{
-		Target:   target,
-		Variants: variants,
-		Repr:     repr,
-		TopK:     topk,
-		Timeout:  timeout,
-		Tenant:   tenant,
-		Params:   p,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc = append(enc, '\n')
-	if out == "-" {
-		os.Stdout.Write(enc)
-	} else {
-		if err := os.WriteFile(out, enc, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("report written to %s", out)
-	}
-	log.Printf("batch=%s status=%s prefix_gates=%d ok=%d failed=%d cached=%d elapsed=%.2fs polls=%d",
-		rep.BatchID, rep.Status, rep.PrefixGates, rep.OK, rep.Failed, rep.Cached, rep.ElapsedSec, rep.Polls)
-	if rep.Failed > 0 {
-		os.Exit(3)
 	}
 }

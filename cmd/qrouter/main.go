@@ -52,7 +52,6 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8090", "listen address")
 		workers     = flag.String("workers", "", "comma-separated base URLs of the qmddd workers (required)")
-		vnodes      = flag.Int("vnodes", 0, "virtual nodes per worker on the hash ring (0 = 128)")
 		probeEvery  = flag.Duration("probe-interval", time.Second, "worker readiness poll period")
 		probeTO     = flag.Duration("probe-timeout", 2*time.Second, "per-probe deadline")
 		shedLatency = flag.Duration("shed-latency", 0, "refuse jobs with 429 when the target worker's estimated queue wait exceeds this (0 = off)")
@@ -74,7 +73,6 @@ func main() {
 	}
 	rt, err := router.New(router.Config{
 		Workers:       splitCSV(*workers),
-		VNodes:        *vnodes,
 		ProbeInterval: *probeEvery,
 		ProbeTimeout:  *probeTO,
 		ShedLatency:   *shedLatency,

@@ -30,6 +30,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ddio"
 	"repro/internal/dense"
+	"repro/internal/load"
 	"repro/internal/num"
 	"repro/internal/prefix"
 	"repro/internal/qasm"
@@ -76,8 +77,7 @@ func cmdSimulate(args []string) {
 		prune     = fs.Int("prune", 0, "garbage-collect when the unique table exceeds this many nodes (0 = never)")
 		minFid    = fs.Float64("min-fidelity", 0, "degrade gracefully under budget pressure: approximate the state (shedding lowest-contribution amplitudes) as long as retained fidelity stays above this floor (0 = fail fast, exact only)")
 		verify    = fs.Bool("verify", false, "cross-check against the dense array simulator (n ≤ 16)")
-		expand    = fs.Bool("expand", false, "expand multi-controlled gates over ancillas before simulating")
-		writeQASM = fs.String("writeqasm", "", "write the (possibly expanded) circuit to this OpenQASM file")
+		writeQASM = fs.String("writeqasm", "", "write the circuit to this OpenQASM 2.0 file, lowered exactly over appended ancillas where it uses more controls than OpenQASM can spell")
 		cacheDir  = fs.String("cache-dir", "", "warm-start directory: prefix checkpoints and the final state are cached here, keyed by the circuit's prefix-hash chain and representation, so a repeat — or extended — invocation resumes from the longest cached prefix")
 		cacheMax  = fs.Int64("cache-max-bytes", 0, "evict least-recently-used -cache-dir entries when the tier exceeds this many bytes (0 = unbounded)")
 		ckptEvery = fs.Int("checkpoint-every", 64, "with -cache-dir: checkpoint the state every K gates and at node-count doublings (<= 0 disables checkpointing and warm start)")
@@ -89,26 +89,11 @@ func cmdSimulate(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	if *expand {
-		c, err = circuit.ExpandMultiControls(c)
-		if err != nil {
-			fatal(err)
-		}
-	}
 	fmt.Printf("circuit %s: %d qubits, %d gates %v\n", c.Name, c.N, c.Len(), c.CountByName())
 	if *writeQASM != "" {
-		f, err := os.Create(*writeQASM)
-		if err != nil {
+		if err := writeLowered(*writeQASM, c); err != nil {
 			fatal(err)
 		}
-		if err := qasm.Write(f, c); err != nil {
-			f.Close()
-			fatal(fmt.Errorf("%w (hint: -expand rewrites multi-controlled gates into QASM-expressible form)", err))
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *writeQASM)
 	}
 
 	if *minFid < 0 || *minFid > 1 {
@@ -332,6 +317,34 @@ func printHistogram(counts map[string]int) {
 		}
 		fmt.Printf("  |%s⟩  %d\n", o.key, o.c)
 	}
+}
+
+// writeLowered writes load.Lower(c) to path. A circuit OpenQASM 2.0 can
+// already spell is written as is; otherwise the file holds the exact
+// lowering over appended ancillas, whose amplitude at index i·2^a equals
+// the original's at i.
+func writeLowered(path string, c *circuit.Circuit) error {
+	low, err := load.Lower(c)
+	if err != nil {
+		return err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := qasm.Write(f, low); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if low == c {
+		fmt.Printf("wrote %s\n", path)
+	} else {
+		fmt.Printf("wrote %s (lowered: %d qubits incl. %d ancillas, %d gates)\n", path, low.N, low.N-c.N, low.Len())
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -60,9 +60,6 @@ func DFromInt(n int64) D { return CanonD(NewZomega(0, 0, 0, n), 0) }
 // DOmegaPow returns ω^r (r taken mod 8).
 func DOmegaPow(r int) D { return CanonD(ZomegaOne.MulOmegaPow(r), 0) }
 
-// DInvSqrt2Pow returns (1/√2)^k for any k (negative k gives powers of √2).
-func DInvSqrt2Pow(k int) D { return CanonD(ZomegaOne, k) }
-
 // IsZero reports whether d == 0.
 func (d D) IsZero() bool { return d.W.IsZero() }
 

@@ -405,3 +405,45 @@ func (c *Circuit) IsCliffordT() bool {
 	}
 	return true
 }
+
+// Validate checks structural invariants of a circuit (duplicate controls,
+// ranges); the builder enforces these, but circuits assembled from raw Gate
+// values (parsers, synthesizers) can use it as a safety net.
+func (c *Circuit) Validate() error {
+	for i, g := range c.Gates {
+		if g.Target < 0 || g.Target >= c.N {
+			return fmt.Errorf("circuit: gate %d target %d out of range", i, g.Target)
+		}
+		seen := map[int]bool{g.Target: true}
+		for _, ct := range g.Controls {
+			if ct.Qubit < 0 || ct.Qubit >= c.N {
+				return fmt.Errorf("circuit: gate %d control %d out of range", i, ct.Qubit)
+			}
+			if seen[ct.Qubit] {
+				return fmt.Errorf("circuit: gate %d reuses qubit %d", i, ct.Qubit)
+			}
+			seen[ct.Qubit] = true
+		}
+		if g.IsMeasure() {
+			if g.Clbit < 0 || g.Clbit >= c.Cbits {
+				return fmt.Errorf("circuit: op %d classical bit %d out of range [0,%d)", i, g.Clbit, c.Cbits)
+			}
+			if len(g.Controls) > 0 || len(g.Params) > 0 {
+				return fmt.Errorf("circuit: op %d: measure takes no controls or parameters", i)
+			}
+		}
+		if g.IsReset() && (len(g.Controls) > 0 || len(g.Params) > 0) {
+			return fmt.Errorf("circuit: op %d: reset takes no controls or parameters", i)
+		}
+		if cd := g.Cond; cd != nil {
+			if cd.Offset < 0 || cd.Width < 1 || cd.Width > 64 || cd.Offset+cd.Width > c.Cbits {
+				return fmt.Errorf("circuit: op %d condition range [%d:%d) out of range [0,%d)",
+					i, cd.Offset, cd.Offset+cd.Width, c.Cbits)
+			}
+			if cd.Width < 64 && cd.Value >= 1<<uint(cd.Width) {
+				return fmt.Errorf("circuit: op %d condition value %d does not fit %d bit(s)", i, cd.Value, cd.Width)
+			}
+		}
+	}
+	return nil
+}

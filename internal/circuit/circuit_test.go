@@ -149,3 +149,21 @@ func TestGateString(t *testing.T) {
 		t.Fatalf("parametric gate string %q", gp.String())
 	}
 }
+
+func TestValidateCatchesBadGates(t *testing.T) {
+	c := New("ok", 2)
+	c.H(0)
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	bad := &Circuit{N: 2, Gates: []Gate{
+		{Name: "x", Target: 1, Controls: []Control{{Qubit: 1}}},
+	}}
+	if err := bad.Validate(); err == nil {
+		t.Fatal("control == target accepted")
+	}
+	bad2 := &Circuit{N: 2, Gates: []Gate{{Name: "x", Target: 5}}}
+	if err := bad2.Validate(); err == nil {
+		t.Fatal("out-of-range target accepted")
+	}
+}

@@ -80,55 +80,6 @@ func TestUnitaryPrefix(t *testing.T) {
 	}
 }
 
-func TestExpandPreservesDynamicOps(t *testing.T) {
-	c := New("c", 3).H(0).Measure(0, 0)
-	c.Append(Gate{
-		Name: "x", Target: 2,
-		Controls: []Control{{Qubit: 0}, {Qubit: 1, Neg: true}},
-		Cond:     &Cond{Offset: 0, Width: 1, Value: 1},
-	})
-	c.Reset(1)
-	out, err := ExpandMultiControls(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Cbits != c.Cbits {
-		t.Errorf("expanded Cbits = %d, want %d", out.Cbits, c.Cbits)
-	}
-	var measures, resets int
-	for i, g := range out.Gates {
-		if g.IsMeasure() {
-			measures++
-			if g.Clbit != 0 {
-				t.Errorf("op %d: measure clbit %d, want 0", i, g.Clbit)
-			}
-		}
-		if g.IsReset() {
-			resets++
-		}
-	}
-	if measures != 1 || resets != 1 {
-		t.Fatalf("expansion kept %d measures, %d resets; want 1, 1", measures, resets)
-	}
-	// Every gate the conditioned op expanded into must carry the condition:
-	// the X-conjugation pair around the negative control included.
-	var conded int
-	for _, g := range out.Gates {
-		if g.Cond != nil {
-			if *g.Cond != (Cond{Offset: 0, Width: 1, Value: 1}) {
-				t.Errorf("expanded gate carries wrong cond %+v", *g.Cond)
-			}
-			conded++
-		}
-	}
-	if conded != 3 { // x-flip, ccx, x-flip
-		t.Errorf("%d expanded gates conditioned, want 3", conded)
-	}
-	if err := out.Validate(); err != nil {
-		t.Errorf("expanded circuit invalid: %v", err)
-	}
-}
-
 func TestFingerprintCoversDynamicOps(t *testing.T) {
 	base := func() *Circuit { return New("c", 2).H(0).CX(0, 1) }
 	a := Fingerprint(base())

@@ -72,10 +72,6 @@ type LocalGate[T any] struct {
 // Target returns the gate's target level.
 func (g *LocalGate[T]) Target() int { return g.target }
 
-// TopLevel returns the highest level the gate affects; diagrams it is
-// applied to must reach at least this level.
-func (g *LocalGate[T]) TopLevel() int { return g.topLevel }
-
 // IsIdentity reports whether the gate is the identity operation — a base
 // block equal (in the ring's sense) to the 2×2 identity. Controls do not
 // matter: a controlled identity is still the identity. Callers may skip

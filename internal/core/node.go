@@ -44,23 +44,12 @@ type Node[T any] struct {
 	hash uint64
 }
 
-// IsTerminal reports whether e points to the terminal node.
-func (e Edge[T]) IsTerminal() bool { return e.N == nil }
-
 // Level returns the level of the edge's target (0 for the terminal).
 func (e Edge[T]) Level() int {
 	if e.N == nil {
 		return 0
 	}
 	return e.N.Level
-}
-
-// Arity returns the node fan-out at the edge's target (0 for the terminal).
-func (e Edge[T]) Arity() int {
-	if e.N == nil {
-		return 0
-	}
-	return len(e.N.E)
 }
 
 // MatrixArity and VectorArity are the two legal node fan-outs.

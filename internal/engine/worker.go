@@ -133,6 +133,8 @@ func (e *Engine) runJob(workerID int, ws *workerState, j *Job) {
 	busy := time.Since(start)
 	e.met.observe(workerID, busy, snap)
 
+	// Count before finishJob publishes the outcome, so a client that saw
+	// its job finish also sees it in /metrics.
 	switch {
 	case errBody == nil:
 		if res != nil && res.Approximate {
@@ -140,14 +142,14 @@ func (e *Engine) runJob(workerID int, ws *workerState, j *Job) {
 			e.met.approxEvents.Add(uint64(res.ApproxEvents))
 			e.met.fidelityGivenUp.add(1 - res.Fidelity)
 		}
-		e.finishJob(j, StatusDone, res, nil)
 		e.met.completed.Add(1)
+		e.finishJob(j, StatusDone, res, nil)
 	case errBody.Kind == KindCancelled || errBody.Kind == KindTimeout:
-		e.finishJob(j, StatusCancelled, nil, errBody)
 		e.met.cancelled.Add(1)
+		e.finishJob(j, StatusCancelled, nil, errBody)
 	default:
-		e.finishJob(j, StatusFailed, nil, errBody)
 		e.met.failed.Add(1)
+		e.finishJob(j, StatusFailed, nil, errBody)
 	}
 }
 

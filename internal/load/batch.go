@@ -1,22 +1,14 @@
 package load
 
 import (
-	"bytes"
-	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"strings"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/qasm"
 )
 
-// BatchWorkload is the shared-prefix variant sweep the batch harness drives:
+// BatchWorkload is the shared-prefix variant sweep qbench -prefix-bench drives:
 // one Grover circuit as the shared prefix, plus n small Clifford+T suffixes
 // that make each variant distinct. The same gates are packaged two ways —
 // Base+Suffixes for POST /v1/batches, and Variants as standalone programs
@@ -77,183 +69,4 @@ func variantGates(n, i int) string {
 		}
 	}
 	return sb.String()
-}
-
-// BatchOptions configures one RunBatch invocation.
-type BatchOptions struct {
-	// Target is the base URL the batch is submitted to (router or worker).
-	Target string
-	// Variants is the sweep size.
-	Variants int
-	// Repr / Eps select the representation ("alg" default).
-	Repr string
-	Eps  float64
-	// TopK bounds each variant's amplitude list (default 16).
-	TopK int
-	// Timeout bounds each HTTP exchange (default 60s); the overall run is
-	// bounded by the context.
-	Timeout time.Duration
-	// Poll is the GET /v1/batches/{id} interval (default 200ms).
-	Poll time.Duration
-	// Tenant, when non-empty, is sent as the X-Tenant header.
-	Tenant string
-	// Params sizes the Grover prefix.
-	Params bench.FigureParams
-}
-
-// BatchReport is the JSON payload of a qload -batch run.
-type BatchReport struct {
-	GeneratedBy string  `json:"generated_by"`
-	Target      string  `json:"target"`
-	BatchID     string  `json:"batch_id"`
-	Status      string  `json:"status"`
-	Variants    int     `json:"variants"`
-	Qubits      int     `json:"qubits"`
-	PrefixGates int     `json:"prefix_gates"`
-	SuffixGates int     `json:"suffix_gates"`
-	PrefixKey   string  `json:"prefix_key,omitempty"`
-	ElapsedSec  float64 `json:"elapsed_sec"`
-	Polls       int     `json:"polls"`
-	OK          int     `json:"ok"`
-	Failed      int     `json:"failed"`
-	Cached      int     `json:"cached"`
-	// ResultsDigest folds every variant's canonical result digest in index
-	// order — byte-identical across replays of the same sweep.
-	ResultsDigest string `json:"results_digest"`
-}
-
-// batchViewWire is the slice of the BatchView wire form the harness reads.
-type batchViewWire struct {
-	ID        string `json:"id"`
-	Status    string `json:"status"`
-	PrefixKey string `json:"prefix_key"`
-	Variants  []struct {
-		Index     int             `json:"index"`
-		RequestID string          `json:"request_id"`
-		Job       json.RawMessage `json:"job"`
-		Error     json.RawMessage `json:"error"`
-	} `json:"variants"`
-}
-
-// RunBatch submits one shared-prefix batch (POST /v1/batches), polls
-// GET /v1/batches/{id} until it is terminal, and reduces the per-variant
-// outcomes to a report.
-func RunBatch(ctx context.Context, opts BatchOptions) (*BatchReport, error) {
-	if opts.Variants <= 0 {
-		return nil, fmt.Errorf("load: batch needs at least one variant")
-	}
-	if opts.Repr == "" {
-		opts.Repr = "alg"
-	}
-	if opts.TopK <= 0 {
-		opts.TopK = 16
-	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = 60 * time.Second
-	}
-	if opts.Poll <= 0 {
-		opts.Poll = 200 * time.Millisecond
-	}
-	w, err := BatchPrograms(opts.Params, opts.Variants)
-	if err != nil {
-		return nil, err
-	}
-	body, err := json.Marshal(struct {
-		Base     string   `json:"base"`
-		Suffixes []string `json:"suffixes"`
-		Repr     string   `json:"representation,omitempty"`
-		Eps      float64  `json:"eps,omitempty"`
-		TopK     int      `json:"top_k"`
-	}{w.Base, w.Suffixes, opts.Repr, opts.Eps, opts.TopK})
-	if err != nil {
-		return nil, err
-	}
-
-	client := &http.Client{Timeout: opts.Timeout}
-	start := time.Now()
-	view, status, err := batchExchange(ctx, client, opts, http.MethodPost, opts.Target+"/v1/batches", body)
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusAccepted && status != http.StatusOK {
-		return nil, fmt.Errorf("load: batch submission refused with HTTP %d", status)
-	}
-	rep := &BatchReport{
-		GeneratedBy: "qload",
-		Target:      opts.Target,
-		BatchID:     view.ID,
-		Variants:    opts.Variants,
-		Qubits:      w.Qubits,
-		PrefixGates: w.PrefixGates,
-		SuffixGates: w.SuffixGates,
-		PrefixKey:   view.PrefixKey,
-	}
-	for view.Status != "done" {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(opts.Poll):
-		}
-		rep.Polls++
-		view, status, err = batchExchange(ctx, client, opts, http.MethodGet, opts.Target+"/v1/batches/"+rep.BatchID, nil)
-		if err != nil {
-			return nil, err
-		}
-		if status != http.StatusOK {
-			return nil, fmt.Errorf("load: polling batch %s: HTTP %d", rep.BatchID, status)
-		}
-	}
-	rep.Status = view.Status
-	rep.ElapsedSec = time.Since(start).Seconds()
-
-	h := sha256.New()
-	for _, v := range view.Variants {
-		var jv struct {
-			Status string `json:"status"`
-			Cached bool   `json:"cached"`
-		}
-		if v.Job == nil || json.Unmarshal(v.Job, &jv) != nil || jv.Status != "done" {
-			rep.Failed++
-			continue
-		}
-		rep.OK++
-		if jv.Cached {
-			rep.Cached++
-		}
-		fmt.Fprintf(h, "%d=%s\n", v.Index, resultDigest(v.Job))
-	}
-	rep.ResultsDigest = hex.EncodeToString(h.Sum(nil))
-	return rep, nil
-}
-
-// batchExchange performs one batch API exchange and decodes the view.
-func batchExchange(ctx context.Context, client *http.Client, opts BatchOptions, method, url string, body []byte) (*batchViewWire, int, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
-	if err != nil {
-		return nil, 0, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if opts.Tenant != "" {
-		req.Header.Set("X-Tenant", opts.Tenant)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
-	if err != nil {
-		return nil, resp.StatusCode, err
-	}
-	var view batchViewWire
-	if err := json.Unmarshal(raw, &view); err != nil {
-		return nil, resp.StatusCode, fmt.Errorf("load: decoding batch view: %w", err)
-	}
-	return &view, resp.StatusCode, nil
 }

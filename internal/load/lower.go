@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"repro/internal/circuit"
+	"repro/internal/qasm"
 )
 
 // Lower rewrites a circuit into the gate set OpenQASM 2.0 (qelib1) can
@@ -44,7 +45,7 @@ import (
 func Lower(c *circuit.Circuit) (*circuit.Circuit, error) {
 	ancillas, changed := 0, false
 	for _, g := range c.Gates {
-		if !expressible(g) {
+		if !qasm.Expressible(g) {
 			changed = true
 		}
 		if n := ancillasFor(g); n > ancillas {
@@ -68,35 +69,9 @@ func Lower(c *circuit.Circuit) (*circuit.Circuit, error) {
 // target are interchangeable: the phase fires on the all-ones subspace.
 var phaseType = map[string]bool{"z": true, "s": true, "sdg": true, "t": true, "tdg": true, "p": true}
 
-// expressible mirrors the qasm writer's capability: can this gate be
-// written as one OpenQASM 2.0 statement?
-func expressible(g circuit.Gate) bool {
-	if g.IsMeasure() || g.IsReset() {
-		return true
-	}
-	for _, c := range g.Controls {
-		if c.Neg {
-			return false
-		}
-	}
-	switch len(g.Controls) {
-	case 0:
-		return true
-	case 1:
-		switch g.Name {
-		case "x", "z", "y", "h", "p", "rz":
-			return true
-		}
-		return false
-	case 2:
-		return g.Name == "x"
-	}
-	return false
-}
-
 // ancillasFor returns the clean ancillas the lowered form of g needs.
 func ancillasFor(g circuit.Gate) int {
-	if expressible(g) || g.IsMeasure() || g.IsReset() {
+	if qasm.Expressible(g) {
 		return 0
 	}
 	k := len(g.Controls)
@@ -118,7 +93,7 @@ func ancillasFor(g circuit.Gate) int {
 // lowerGate appends the expressible form of g to out. n is the original
 // qubit count: ancillas live at indices n, n+1, ….
 func lowerGate(out *circuit.Circuit, g circuit.Gate, n int) error {
-	if expressible(g) {
+	if qasm.Expressible(g) {
 		out.Append(g)
 		return nil
 	}
@@ -175,7 +150,7 @@ func lowerGate(out *circuit.Circuit, g circuit.Gate, n int) error {
 
 	inner := g
 	inner.Controls = pos
-	if expressible(inner) {
+	if qasm.Expressible(inner) {
 		out.Append(inner)
 		return nil
 	}

@@ -34,6 +34,9 @@ func assertLoweredEquivalent(t *testing.T, c *circuit.Circuit) {
 	if err != nil {
 		t.Fatalf("Lower(%s): %v", c.Name, err)
 	}
+	if err := low.Validate(); err != nil {
+		t.Fatalf("lowered %s is malformed: %v", c.Name, err)
+	}
 	var sb strings.Builder
 	if err := qasm.Write(&sb, low); err != nil {
 		t.Fatalf("lowered %s is still not writable: %v", c.Name, err)
@@ -115,12 +118,106 @@ func TestLowerControlledPhase(t *testing.T) {
 // TestLowerPassthrough: an already-expressible circuit comes back unchanged
 // — same pointer, no ancillas.
 func TestLowerPassthrough(t *testing.T) {
-	c := circuit.New("plain", 2).H(0).CX(0, 1).Measure(0, 0).Measure(1, 1)
-	low, err := Lower(c)
+	unitary := circuit.New("plain", 3).H(0).CX(0, 1).CCX(0, 1, 2).T(2)
+	assertLoweredEquivalent(t, unitary)
+	measured := circuit.New("plain", 3).H(0).CX(0, 1).CCX(0, 1, 2).T(2).Measure(0, 0).Measure(1, 1)
+	for _, c := range []*circuit.Circuit{unitary, measured} {
+		low, err := Lower(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if low != c {
+			t.Fatal("expressible circuit was rewritten")
+		}
+	}
+}
+
+// TestLowerNegativeControls: a single negative control on x, z and a phase
+// gate becomes an X-sandwich; only the phase gate, which has no qelib1
+// controlled form that stays in Q[ω], takes an AND ancilla.
+func TestLowerNegativeControls(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		ancillas int
+	}{{"x", 0}, {"z", 0}, {"t", 1}} {
+		c := circuit.New("neg"+tc.name, 2).H(0).H(1).Append(circuit.Gate{
+			Name: tc.name, Target: 1, Controls: []circuit.Control{{Qubit: 0, Neg: true}}})
+		assertLoweredEquivalent(t, c)
+		if low, _ := Lower(c); low.N-c.N != tc.ancillas {
+			t.Errorf("%s: lowering added %d ancillas, want %d", tc.name, low.N-c.N, tc.ancillas)
+		}
+	}
+}
+
+// TestLowerMCZAndMCT: a 3-controlled Z and a t with two positive and one
+// negative control in one circuit share the ancilla block.
+func TestLowerMCZAndMCT(t *testing.T) {
+	c := circuit.New("mc", 4).H(0).H(1).H(2).H(3)
+	c.MCZ([]int{0, 1, 2}, 3)
+	c.Append(circuit.Gate{Name: "t", Target: 3,
+		Controls: []circuit.Control{{Qubit: 0}, {Qubit: 1}, {Qubit: 2, Neg: true}}})
+	assertLoweredEquivalent(t, c)
+}
+
+// TestLowerPreservesDynamicOps: measure and reset pass through, the
+// classical register is kept, every gate a conditioned op lowers into
+// carries its condition, and the if survives Write→Parse.
+func TestLowerPreservesDynamicOps(t *testing.T) {
+	cond := circuit.Cond{Offset: 0, Width: 1, Value: 1}
+	c := circuit.New("c", 3).H(0).Measure(0, 0)
+	c.Append(circuit.Gate{
+		Name: "x", Target: 2,
+		Controls: []circuit.Control{{Qubit: 0}, {Qubit: 1, Neg: true}},
+		Cond:     &cond,
+	})
+	c.Reset(1)
+	out, err := Lower(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if low != c {
-		t.Fatal("expressible circuit was rewritten")
+	if err := out.Validate(); err != nil {
+		t.Fatalf("lowered circuit invalid: %v", err)
+	}
+	if out.Cbits != c.Cbits {
+		t.Errorf("lowered Cbits = %d, want %d", out.Cbits, c.Cbits)
+	}
+	var sb strings.Builder
+	if err := qasm.Write(&sb, out); err != nil {
+		t.Fatal(err)
+	}
+	back, err := qasm.Parse(sb.String(), "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		c    *circuit.Circuit
+	}{{"lowered", out}, {"re-parsed", back}} {
+		var measures, resets, conded int
+		for i, g := range tc.c.Gates {
+			switch {
+			case g.IsMeasure():
+				measures++
+				if g.Clbit != 0 {
+					t.Errorf("%s op %d: measure clbit %d, want 0", tc.name, i, g.Clbit)
+				}
+			case g.IsReset():
+				resets++
+			}
+			if g.Cond != nil {
+				if *g.Cond != cond {
+					t.Errorf("%s op %d carries cond %+v, want %+v", tc.name, i, *g.Cond, cond)
+				}
+				conded++
+			}
+		}
+		if measures != 1 || resets != 1 {
+			t.Errorf("%s: %d measures, %d resets; want 1, 1", tc.name, measures, resets)
+		}
+		// The X-sandwich around the negative control is conditioned too:
+		// x-flip, ccx, x-flip.
+		if conded != 3 {
+			t.Errorf("%s: %d gates conditioned, want 3", tc.name, conded)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package qasm
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -174,6 +175,42 @@ func TestWriteRejectsInexpressible(t *testing.T) {
 	c2.MCX([]int{0, 1, 2}, 3)
 	if err := Write(&sb, c2); err == nil {
 		t.Fatal("3-control gate written without error")
+	}
+}
+
+// TestExpressibleAgreesWithWrite: Expressible accepts exactly the one-gate
+// circuits Write can spell, for every gate name the simulator knows, 0–3
+// controls and every negative/positive control pattern.
+func TestExpressibleAgreesWithWrite(t *testing.T) {
+	params := map[string][]float64{"rz": {0.5}, "rx": {0.5}, "ry": {0.5}, "p": {0.5}, "u1": {0.5}, "phase": {0.5}, "u": {0.1, 0.2, 0.3}, "u3": {0.1, 0.2, 0.3}}
+	names := []string{"id", "i", "x", "y", "z", "h", "s", "sdg", "t", "tdg", "sx", "v", "sxdg", "vdg", "rz", "rx", "ry", "p", "u1", "phase", "u", "u3"}
+	accepted := 0
+	for _, name := range names {
+		for k := 0; k <= 3; k++ {
+			for neg := 0; neg < 1<<k; neg++ {
+				g := circuit.Gate{Name: name, Target: k, Params: params[name]}
+				for i := 0; i < k; i++ {
+					g.Controls = append(g.Controls, circuit.Control{Qubit: i, Neg: neg>>i&1 == 1})
+				}
+				c := circuit.New("one", k+1).Append(g)
+				werr := Write(io.Discard, c)
+				if got := Expressible(g); got != (werr == nil) {
+					t.Errorf("%s: Expressible = %v, Write error = %v", g.String(), got, werr)
+				}
+				if werr == nil {
+					accepted++
+				}
+			}
+		}
+	}
+	// 22 bare gates, cx/cz/cy/ch/cu1/crz and ccx.
+	if accepted != len(names)+7 {
+		t.Errorf("%d one-gate circuits writable, want %d", accepted, len(names)+7)
+	}
+	for _, g := range circuit.New("m", 1).Measure(0, 0).Reset(0).Gates {
+		if !Expressible(g) {
+			t.Errorf("%s: not Expressible", g.String())
+		}
 	}
 }
 

@@ -9,9 +9,10 @@ import (
 	"repro/internal/circuit"
 )
 
-// Write emits the circuit as an OpenQASM 2.0 program. Gates with more than
-// two positive controls or any negative control have no qelib1 equivalent
-// and cause an error.
+// Write emits the circuit as an OpenQASM 2.0 program. A gate Expressible
+// rejects (more than two positive controls, any negative control, or a
+// controlled gate qelib1 has no name for) causes an error; load.Lower
+// rewrites such circuits exactly first.
 //
 // Classical bits are emitted as creg declarations reconstructed from the
 // circuit: every classical condition must compare a whole register in
@@ -131,50 +132,69 @@ func stmtLine(g circuit.Gate, regs []creg) (string, error) {
 	return prefix + line, nil
 }
 
-func gateLine(g circuit.Gate) (string, error) {
+// Expressible reports whether Write can spell op g as one OpenQASM 2.0
+// statement: measure and reset always, a unitary gate when qelib1 has a
+// gate for its name and positive-control count.
+func Expressible(g circuit.Gate) bool {
+	if g.IsMeasure() || g.IsReset() {
+		return true
+	}
+	_, err := qelib1Name(g)
+	return err == nil
+}
+
+// qelib1Name returns the qelib1 gate that spells the unitary gate g, with
+// g's controls as its leading operands. This switch is the one statement of
+// what OpenQASM 2.0 can express; Write and Expressible both use it.
+func qelib1Name(g circuit.Gate) (string, error) {
 	for _, c := range g.Controls {
 		if c.Neg {
 			return "", fmt.Errorf("negative controls are not expressible in OpenQASM 2.0")
 		}
 	}
-	params := ""
+	switch len(g.Controls) {
+	case 0:
+		if g.Name == "u" {
+			return "u3", nil
+		}
+		return g.Name, nil
+	case 1:
+		switch g.Name {
+		case "x", "z", "y", "h":
+			return "c" + g.Name, nil
+		case "p":
+			return "cu1", nil
+		case "rz":
+			return "crz", nil
+		}
+		return "", fmt.Errorf("no OpenQASM 2.0 spelling for controlled %q", g.Name)
+	case 2:
+		if g.Name == "x" {
+			return "ccx", nil
+		}
+		return "", fmt.Errorf("no OpenQASM 2.0 spelling for doubly-controlled %q", g.Name)
+	}
+	return "", fmt.Errorf("OpenQASM 2.0 has no gates with %d controls", len(g.Controls))
+}
+
+func gateLine(g circuit.Gate) (string, error) {
+	name, err := qelib1Name(g)
+	if err != nil {
+		return "", err
+	}
+	var sb strings.Builder
+	sb.WriteString(name)
 	if len(g.Params) > 0 {
 		parts := make([]string, len(g.Params))
 		for i, p := range g.Params {
 			parts[i] = fmt.Sprintf("%.17g", p)
 		}
-		params = "(" + strings.Join(parts, ",") + ")"
+		sb.WriteString("(" + strings.Join(parts, ",") + ")")
 	}
-	switch len(g.Controls) {
-	case 0:
-		name := g.Name
-		if name == "u" {
-			name = "u3"
-		}
-		return fmt.Sprintf("%s%s q[%d];", name, params, g.Target), nil
-	case 1:
-		ctl := g.Controls[0].Qubit
-		switch g.Name {
-		case "x":
-			return fmt.Sprintf("cx q[%d],q[%d];", ctl, g.Target), nil
-		case "z":
-			return fmt.Sprintf("cz q[%d],q[%d];", ctl, g.Target), nil
-		case "y":
-			return fmt.Sprintf("cy q[%d],q[%d];", ctl, g.Target), nil
-		case "h":
-			return fmt.Sprintf("ch q[%d],q[%d];", ctl, g.Target), nil
-		case "p":
-			return fmt.Sprintf("cu1%s q[%d],q[%d];", params, ctl, g.Target), nil
-		case "rz":
-			return fmt.Sprintf("crz%s q[%d],q[%d];", params, ctl, g.Target), nil
-		}
-		return "", fmt.Errorf("no OpenQASM 2.0 spelling for controlled %q", g.Name)
-	case 2:
-		if g.Name == "x" {
-			return fmt.Sprintf("ccx q[%d],q[%d],q[%d];",
-				g.Controls[0].Qubit, g.Controls[1].Qubit, g.Target), nil
-		}
-		return "", fmt.Errorf("no OpenQASM 2.0 spelling for doubly-controlled %q", g.Name)
+	sb.WriteByte(' ')
+	for _, c := range g.Controls {
+		fmt.Fprintf(&sb, "q[%d],", c.Qubit)
 	}
-	return "", fmt.Errorf("OpenQASM 2.0 has no gates with %d controls", len(g.Controls))
+	fmt.Fprintf(&sb, "q[%d];", g.Target)
+	return sb.String(), nil
 }

@@ -45,18 +45,14 @@ const WorkerHeader = "X-Qmddd-Worker"
 type Config struct {
 	// Workers is the cluster membership: the base URLs jobs are sharded
 	// over. The list must match the -peers list the workers themselves run
-	// with, or cache peering will look up the wrong owners.
+	// with, or cache peering will look up the wrong owners. The ring uses
+	// ring.DefaultVNodes points per worker, as every worker's peer ring
+	// does, so router and peers always agree on a key's owner.
 	Workers []string
-	// VNodes is the ring's virtual-node count per worker (default 128).
-	VNodes int
 	// ProbeInterval is the readiness-poll period (default 1s).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one readiness probe (default 2s).
 	ProbeTimeout time.Duration
-	// ForwardTimeout bounds one proxied job submission. Default 0 (none):
-	// "wait": true jobs legitimately run for minutes; the worker's own
-	// timeout-cap governor is the budget authority.
-	ForwardTimeout time.Duration
 	// ShedLatency, when > 0, turns queue-latency shedding on: if the routed
 	// worker's estimated wait (queue depth × mean service time, from its
 	// readiness probe) exceeds this, the job is refused with 429 and a
@@ -76,9 +72,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = ring.DefaultVNodes
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
 	}
@@ -143,7 +136,10 @@ type Router struct {
 	mux  *http.ServeMux
 	memo *parsememo.Memo // source → parse, so a repeated body is not parsed again
 
-	probe   *http.Client
+	probe *http.Client
+	// forward has no timeout: "wait": true jobs legitimately run for
+	// minutes, and the worker's own timeout-cap governor is the budget
+	// authority.
 	forward *http.Client
 
 	mu      sync.Mutex
@@ -179,10 +175,10 @@ func New(cfg Config) (*Router, error) {
 	cfg.Workers = members
 	rt := &Router{
 		cfg:     cfg,
-		ring:    ring.New(members, cfg.VNodes),
+		ring:    ring.New(members, ring.DefaultVNodes),
 		mux:     http.NewServeMux(),
 		probe:   &http.Client{Timeout: cfg.ProbeTimeout},
-		forward: &http.Client{Timeout: cfg.ForwardTimeout},
+		forward: &http.Client{},
 		health:  make(map[string]WorkerHealth, len(members)),
 		buckets: make(map[string]*bucket),
 		memo:    parsememo.New(),

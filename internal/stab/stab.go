@@ -198,16 +198,6 @@ func (t *Tableau) ExpectationZ(q int) int {
 	return 1
 }
 
-// StabilizesZ reports whether (−1)^sign · Z_q is in the stabilizer group —
-// i.e. whether the state is an eigenstate of Z_q with that sign.
-func (t *Tableau) StabilizesZ(q int, sign bool) bool {
-	random, outcome := t.MeasureIsRandom(q)
-	if random {
-		return false
-	}
-	return (outcome == 1) == sign
-}
-
 // String renders the stabilizer generators like "+XXI / +ZZI".
 func (t *Tableau) String() string {
 	var sb strings.Builder

@@ -14,6 +14,10 @@
 # 3. qsim subcommands: verify exits 0 on an equivalent pair, 1 on a
 #    non-equivalent one, and accepts a global-phase pair under -phase; view
 #    emits Graphviz DOT; tune prints its report.
+# 4. Exact OpenQASM lowering: qsim -writeqasm of the BWT walk (negative and
+#    multi-controls, a doubly-controlled t) writes a file that qsim re-reads
+#    under -repr alg, and both runs print the same probability column (the
+#    re-read outcomes carry the clean ancillas as extra low bits).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -98,4 +102,16 @@ rc=0; "$qsim" verify "$outroot/y.qasm" "$outroot/zx.qasm" || rc=$?
 "$qsim" tune -alg grover -n 4 >"$outroot/tune.txt" && grep -q '^chosen ε' "$outroot/tune.txt" ||
   fail "tune: no report"
 [ "$status" -eq 0 ] && echo "bench smoke: qsim verify/view/tune behave"
+
+probs() { awk '$1 ~ /^\|/ { print $2 }' "$1"; }
+"$qsim" -alg bwt -depth 3 -steps 4 -repr alg -top 4 -writeqasm "$outroot/bwt.qasm" >"$outroot/bwt.txt" ||
+  fail "qsim -writeqasm exited non-zero"
+"$qsim" -file "$outroot/bwt.qasm" -repr alg -top 4 >"$outroot/bwt_reread.txt" ||
+  fail "qsim could not re-read its -writeqasm output under -repr alg"
+if [ -s "$outroot/bwt_reread.txt" ] && [ -n "$(probs "$outroot/bwt.txt")" ] &&
+  diff <(probs "$outroot/bwt.txt") <(probs "$outroot/bwt_reread.txt") >&2; then
+  echo "bench smoke: qsim -writeqasm round trip keeps the probabilities under -repr alg"
+else
+  fail "qsim -writeqasm round trip changed the probability column"
+fi
 exit "$status"
