@@ -44,20 +44,8 @@ import (
 	"time"
 
 	"repro/internal/buildinfo"
-	"repro/internal/core"
 	"repro/internal/server"
 )
-
-// splitCSV parses a comma-separated flag value, dropping empty elements.
-func splitCSV(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
 
 func main() {
 	var (
@@ -68,7 +56,6 @@ func main() {
 		maxJobs     = flag.Int("max-jobs", 1024, "retained job records")
 		maxQubits   = flag.Int("max-qubits", 64, "circuit width cap")
 		maxShots    = flag.Int("max-shots", 0, "per-job shot-count cap for histogram jobs (0 = default 1048576); larger requests are rejected")
-		ctSize      = flag.Int("ctsize", core.DefaultCTSize, "per-manager compute-table slots")
 		nodeCap     = flag.Int("node-cap", 0, "server-side cap on per-job MaxNodes budget (0 = none)")
 		weightCap   = flag.Int("weight-cap", 0, "server-side cap on per-job MaxWeights budget (0 = none)")
 		byteCap     = flag.Int64("byte-cap", 0, "server-side cap on per-job MaxBytes budget (0 = none)")
@@ -107,7 +94,6 @@ func main() {
 		MaxJobs:          *maxJobs,
 		MaxQubits:        *maxQubits,
 		MaxShots:         *maxShots,
-		CTSize:           *ctSize,
 		NodeCap:          *nodeCap,
 		WeightCap:        *weightCap,
 		ByteCap:          *byteCap,
@@ -120,7 +106,7 @@ func main() {
 		CheckpointBytes:  *ckptBytes,
 		MaxBatchVariants: *maxVariants,
 		Self:             *self,
-		Peers:            splitCSV(*peers),
+		Peers:            strings.Split(*peers, ","),
 		PeerTimeout:      *peerTimeout,
 		AccessLog:        logw,
 	})

@@ -38,16 +38,6 @@ import (
 	"repro/internal/router"
 )
 
-func splitCSV(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 func main() {
 	var (
 		addr        = flag.String("addr", ":8090", "listen address")
@@ -72,7 +62,7 @@ func main() {
 		logw = os.Stderr
 	}
 	rt, err := router.New(router.Config{
-		Workers:       splitCSV(*workers),
+		Workers:       strings.Split(*workers, ","),
 		ProbeInterval: *probeEvery,
 		ProbeTimeout:  *probeTO,
 		ShedLatency:   *shedLatency,
@@ -88,7 +78,7 @@ func main() {
 
 	log.SetPrefix("qrouter: ")
 	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
-	log.Printf("listening on %s, %d workers (%s)", *addr, len(splitCSV(*workers)), buildinfo.Read())
+	log.Printf("listening on %s, %d workers (%s)", *addr, len(rt.Healths()), buildinfo.Read())
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           rt,

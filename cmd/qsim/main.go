@@ -70,7 +70,6 @@ func cmdSimulate(args []string) {
 	var (
 		shots     = fs.Int("shots", 0, "measure the circuit this many times and print the histogram (required for dynamic circuits)")
 		seed      = fs.Int64("seed", 1, "deterministic RNG seed for -shots (same seed, same histogram)")
-		strategy  = fs.String("strategy", "auto", "shots strategy: auto, sample (one simulation, N draws), resimulate (per-shot replay with collapse)")
 		topK      = fs.Int("top", 8, "print the K most probable outcomes")
 		stats     = fs.Bool("stats", false, "print manager statistics")
 		ctSize    = fs.Int("ctsize", core.DefaultCTSize, "compute-table slots (rounded up to a power of two)")
@@ -139,7 +138,7 @@ func cmdSimulate(args []string) {
 		m := core.NewManager[alg.Q](alg.Ring{}, norm, core.WithComputeTableSize(*ctSize))
 		m.SetBudget(budget)
 		if *shots > 0 {
-			runShots(ctx, m, c, sim.ShotOptions{Shots: *shots, Seed: *seed, Strategy: *strategy, AutoPrune: *prune}, *stats)
+			runShots(ctx, m, c, sim.ShotOptions{Shots: *shots, Seed: *seed, AutoPrune: *prune}, *stats)
 			return
 		}
 		var ps *prefix.Store[alg.Q]
@@ -151,7 +150,7 @@ func cmdSimulate(args []string) {
 		m := core.NewManager[complex128](num.NewRing(o.eps), norm, core.WithComputeTableSize(*ctSize))
 		m.SetBudget(budget)
 		if *shots > 0 {
-			runShots(ctx, m, c, sim.ShotOptions{Shots: *shots, Seed: *seed, Strategy: *strategy, AutoPrune: *prune}, *stats)
+			runShots(ctx, m, c, sim.ShotOptions{Shots: *shots, Seed: *seed, AutoPrune: *prune}, *stats)
 			return
 		}
 		var ps *prefix.Store[complex128]
@@ -163,9 +162,9 @@ func cmdSimulate(args []string) {
 }
 
 // runShots measures the circuit through the sim shots engine and prints
-// the histogram. The strategy line reports what actually ran, so "auto"
-// invocations show whether the circuit sampled one final state or
-// re-simulated per shot.
+// the histogram. The strategy is picked from the circuit's shape
+// (sim.ResolveStrategy), and the header line reports which one ran: one
+// final state sampled, or a re-simulation per shot.
 func runShots[T any](ctx context.Context, m *core.Manager[T], c *circuit.Circuit, opt sim.ShotOptions, stats bool) {
 	start := time.Now()
 	res, err := sim.SampleShotsCtx(ctx, m, c, opt)

@@ -2,7 +2,7 @@ package alg
 
 import "math/big"
 
-// Structural hashing for the QMDD core's coeff.Hasher fast path. The core
+// Structural hashing for the QMDD core's weight tables (coeff.Ring.Hash). The core
 // hashes an edge weight on every weight-intern lookup — i.e. on every node
 // creation and every memoized Add — so these walk big.Int limbs directly
 // instead of formatting the canonical Key strings (D.Key alone runs
@@ -52,6 +52,6 @@ func (d D) hash(h uint64) uint64 {
 // Hash returns a 64-bit hash of the canonical representation of q.
 func (q Q) Hash() uint64 { return hashInt(q.N.hash(hashOffset), q.E) }
 
-// Hash implements the coeff.Hasher fast path for the QMDD core: weights are
-// hashed limb-by-limb, never via Key strings.
+// Hash is coeff.Ring's weight hash for the QMDD core: weights are hashed
+// limb-by-limb, never via Key strings.
 func (Ring) Hash(a Q) uint64 { return a.Hash() }

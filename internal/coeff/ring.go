@@ -7,9 +7,9 @@ package coeff
 import "repro/internal/alg"
 
 // Ring is the set of operations the QMDD core needs from edge weights.
-// Implementations must be deterministic: Key must return identical strings
-// for values the implementation considers equal, because node uniqueness
-// (and hence DD canonicity) is keyed on it.
+// Implementations must be deterministic: Key and Hash must agree for values
+// the implementation considers equal, because node uniqueness (and hence
+// DD canonicity) is keyed on them.
 type Ring[T any] interface {
 	Zero() T
 	One() T
@@ -24,8 +24,16 @@ type Ring[T any] interface {
 	IsZero(a T) bool
 	IsOne(a T) bool
 	Equal(a, b T) bool
-	// Key is a canonical hash key for unique/compute tables.
+	// Key is a canonical string key for a; the plain-DD reference
+	// implementation keys its tables on it.
 	Key(a T) string
+	// Hash is the weight hash the QMDD core's tables key on. It must be
+	// deterministic and consistent with Key: Key(a) == Key(b) implies
+	// Hash(a) == Hash(b) (for exact rings, where Key coincides with Equal,
+	// equal values hash equally). num hashes the complex128 bit patterns and
+	// alg hashes big.Int limbs directly, so node creation and operation
+	// memoization never build a string.
+	Hash(a T) uint64
 	// FromQ injects an exact Q[ω] value (possibly approximating it, for
 	// numerical implementations).
 	FromQ(q alg.Q) T
@@ -41,18 +49,6 @@ type Ring[T any] interface {
 	// BitLen reports the coefficient bit-width of a (0 where meaningless),
 	// the statistic behind the paper's overhead analysis on GSE.
 	BitLen(a T) int
-}
-
-// Hasher is an optional fast path a Ring can implement so the QMDD core can
-// hash weights without formatting Key strings. Hash must be deterministic
-// and consistent with Key: Key(a) == Key(b) implies Hash(a) == Hash(b) (for
-// exact rings, where Key coincides with Equal, this means equal values hash
-// equally). Both built-in rings implement it — num hashes the complex128
-// bit patterns, alg hashes big.Int limbs directly — so the hot path of node
-// creation and operation memoization never builds a string. Rings without it
-// fall back to hashing the Key string.
-type Hasher[T any] interface {
-	Hash(a T) uint64
 }
 
 // ExactRing is an optional marker a Ring can implement to declare whether

@@ -21,22 +21,6 @@ package core
 // figures' output. Flattening them is a layout change with its own
 // before/after evidence (DESIGN.md §5.6).
 
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-// fnv1a hashes a string key. It only remains for the Ring.Key fallback taken
-// by coefficient rings that do not implement coeff.Hasher.
-func fnv1a(s string) uint64 {
-	h := fnvOffset
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
-	}
-	return h
-}
-
 // mix64 is the SplitMix64 finalizer: a cheap full-avalanche mixer that
 // spreads entropy into the low bits used for table indexing.
 func mix64(x uint64) uint64 {

@@ -92,9 +92,8 @@ type Manager[T any] struct {
 	R    coeff.Ring[T]
 	Norm NormScheme
 
-	hashW    func(T) uint64 // weight hash: coeff.Hasher fast path or Key fallback
-	zeroW    T              // the ring's zero, the reserved WID-0 representative
-	zeroHash uint64         // mixed hash of zeroW
+	zeroW    T      // the ring's zero, the reserved WID-0 representative
+	zeroHash uint64 // mixed hash of zeroW
 	wt       internTable[T]
 	ut       uniqueTable[T]
 	ct       *computeTable[T]
@@ -155,19 +154,13 @@ func NewManager[T any](r coeff.Ring[T], norm NormScheme, opts ...Option) *Manage
 		ct:          newComputeTable[T](o.ctSize),
 		budgetStart: time.Now(),
 	}
-	h, hashed := any(r).(coeff.Hasher[T])
-	if hashed {
-		m.hashW = h.Hash
-	} else {
-		m.hashW = func(w T) uint64 { return fnv1a(r.Key(w)) }
-	}
 	m.arith = r
-	if ex, ok := any(r).(coeff.ExactRing); ok && ex.Exact() && hashed {
-		m.st = &scalarTable[T]{r: r, hash: h.Hash}
+	if ex, ok := any(r).(coeff.ExactRing); ok && ex.Exact() {
+		m.st = &scalarTable[T]{r: r}
 		m.arith = m.st
 	}
 	m.zeroW = r.Zero()
-	m.zeroHash = mix64(m.hashW(m.zeroW))
+	m.zeroHash = mix64(r.Hash(m.zeroW))
 	m.wt.init(1 << 4)
 	m.ut.init(1 << 4)
 	m.totalWeights = 1 // WID 0, pinned to the ring's zero
@@ -176,11 +169,11 @@ func NewManager[T any](r coeff.Ring[T], norm NormScheme, opts ...Option) *Manage
 
 // internWeight canonicalizes w through the per-manager intern table and
 // returns its weight ID plus the canonical representative. The hit path
-// hashes w (via the ring's Hasher fast path when available) and compares
+// hashes w with the ring's Hash and compares
 // candidates with Ring.Equal — no strings, no allocation. The ring's zero
 // maps to the reserved WID 0 without touching any shard.
 func (m *Manager[T]) internWeight(w T) (uint32, T) {
-	h := mix64(m.hashW(w))
+	h := mix64(m.R.Hash(w))
 	if h == m.zeroHash && m.R.Equal(m.zeroW, w) {
 		return 0, m.zeroW
 	}

@@ -14,7 +14,7 @@ import "repro/internal/coeff"
 // (hash.go). Its values are exact, so the layout never changes a result; it
 // does fix which operand pairs evict each other, and with that the hit
 // counts, and it lets each shard allocate its slots on first store. Slots
-// are keyed by the operation and the coeff.Hasher hashes of both operands; a
+// are keyed by the operation and the ring's Hash of both operands; a
 // hit additionally checks both operands with Ring.Equal, so a hash collision
 // costs a recomputation, never a wrong value.
 // Prune clears the table, so nothing computed for one job outlives the
@@ -55,7 +55,6 @@ type scalarArith[T any] interface {
 
 type scalarTable[T any] struct {
 	r      coeff.Ring[T]
-	hash   func(T) uint64 // the manager's coeff.Hasher hash
 	shards [tableShardCount]scalarShard[T]
 }
 
@@ -126,7 +125,7 @@ func (t *scalarTable[T]) Div(a, b T) T {
 }
 
 func (t *scalarTable[T]) memo(op scalarOp, a, b T) T {
-	ha, hb := t.hash(a), t.hash(b)
+	ha, hb := t.r.Hash(a), t.r.Hash(b)
 	if v, ok := t.get(op, ha, hb, a, b); ok {
 		return v
 	}

@@ -82,13 +82,13 @@ func TestScalarTableHitsAndPrune(t *testing.T) {
 }
 
 // TestScalarTableIdenticalDiagrams: random exact diagrams built and summed
-// with and without the table (a ring whose Hasher is withheld has none)
-// come out CrossEqual.
+// with and without the table (Q[ω] arithmetic that does not declare itself
+// exact gets none) come out CrossEqual.
 func TestScalarTableIdenticalDiagrams(t *testing.T) {
 	with := algManager(NormLeft)
-	without := NewManager[alg.Q](keyOnlyQ{alg.Ring{}}, NormLeft)
+	without := NewManager[alg.Q](unmarkedQ{alg.Ring{}}, NormLeft)
 	if without.st != nil {
-		t.Fatal("ring without a Hasher got a scalar table")
+		t.Fatal("a ring that is not marked exact got a scalar table")
 	}
 	r1, r2 := rand.New(rand.NewSource(31)), rand.New(rand.NewSource(31))
 	acc1, acc2 := with.ZeroEdge(), without.ZeroEdge()
@@ -104,8 +104,6 @@ func TestScalarTableIdenticalDiagrams(t *testing.T) {
 	}
 }
 
-// keyOnlyQ is Q[ω] arithmetic behind the plain coeff.Ring interface: exact,
-// but without the Hasher fast path.
-type keyOnlyQ struct{ coeff.Ring[alg.Q] }
-
-func (keyOnlyQ) Exact() bool { return true }
+// unmarkedQ is Q[ω] arithmetic behind the plain coeff.Ring interface,
+// without the coeff.ExactRing marker.
+type unmarkedQ struct{ coeff.Ring[alg.Q] }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/parsememo"
+	"repro/internal/prefix"
 	"repro/internal/qcache"
 )
 
@@ -258,7 +259,8 @@ func (e *Engine) SubmitBatch(req BatchRequest, rid string) (*Batch, *SubmitError
 		b.children[i].requestID = fmt.Sprintf("%s-/v%d", stem, i)
 	}
 	if prefixLen > 0 {
-		b.prefixKey = prefixCacheKey(&template, variants[0].circ, prefixLen)
+		link := circuit.Chain(variants[0].circ)[prefixLen]
+		b.prefixKey = prefix.Key(link, template.Representation, template.Norm, template.Eps)
 	}
 	if !e.batches.add(b) {
 		return nil, &SubmitError{Reason: RejectBusy, Body: ErrorBody{
@@ -396,28 +398,6 @@ func (e *Engine) batchCircuits(template *JobRequest, req BatchRequest) ([]jobCir
 	// The checked circuits are read-out stripped, hence fully unitary — the
 	// discovered shared prefix is automatically a sound checkpoint position.
 	return variants, circuit.SharedPrefixLen(circs...), nil
-}
-
-// prefixCacheKey is the cache key the shared prefix's checkpoint lands
-// under: the chain link H_k of the first k gates, in the identity family
-// the checkpoint store uses. The router uses the same
-// construction to co-locate a batch with the solo jobs of its prefix.
-func prefixCacheKey(template *JobRequest, v *circuit.Circuit, k int) qcache.Key {
-	h := circuit.NewPrefixHasher(v.N, v.Cbits)
-	for i := 0; i < k; i++ {
-		h.Absorb(v.Gates[i])
-	}
-	eps := template.Eps
-	if template.Representation != "float" {
-		eps = 0
-	}
-	return qcache.Identity{
-		Circuit: h.Link(),
-		Repr:    template.Representation,
-		Norm:    template.Norm,
-		Eps:     eps,
-		Output:  "state",
-	}.Key()
 }
 
 // runBatch is the batch scheduler goroutine: simulate the shared prefix

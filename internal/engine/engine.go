@@ -53,9 +53,6 @@ type Config struct {
 	// Requests above the cap are rejected, not clamped — fewer shots is a
 	// different histogram, not a tightened version of the same one.
 	MaxShots int
-	// CTSize is the per-manager compute-table slot count (default
-	// core.DefaultCTSize).
-	CTSize int
 
 	// NodeCap / WeightCap / ByteCap / TimeoutCap clamp the per-request
 	// budget: a request asking for more (or for nothing, when a cap is set)
@@ -140,9 +137,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxShots <= 0 {
 		c.MaxShots = 1 << 20
-	}
-	if c.CTSize <= 0 {
-		c.CTSize = core.DefaultCTSize
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 64

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/qcache"
 )
 
 const testBase = `OPENQASM 2.0;
@@ -234,5 +236,46 @@ func TestSubmitRepeatedOperandIsParseError(t *testing.T) {
 		if serr.Reason != RejectInvalid || serr.Body.Kind != KindParseError || serr.Body.Line != 3 {
 			t.Errorf("%s: got %+v, want a parse_error on line 3", stmt, serr)
 		}
+	}
+}
+
+// TestBatchPrefixKeyIsCheckpointKey: the prefix_key a batch reports is the
+// cache key its prefix checkpoint actually lands under, for both
+// representations, under a non-default normalization, and for an alg batch
+// that names an ε (the exact representation ignores it).
+func TestBatchPrefixKeyIsCheckpointKey(t *testing.T) {
+	for _, tc := range []struct {
+		name, repr, norm string
+		eps              float64
+	}{
+		{"alg", "alg", "", 0},
+		{"alg-eps", "alg", "", 1e-9},
+		{"alg-max", "alg", "max", 0},
+		{"float", "float", "", 0},
+		{"float-eps", "float", "left", 1e-12},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newTestEngine(t, Config{CacheBytes: 1 << 20})
+			req := BatchRequest{Base: testBase, Representation: tc.repr, Norm: tc.norm, Eps: tc.eps, TopK: 4,
+				Suffixes: []string{testSuffix(0), testSuffix(1)}}
+			b, serr := e.SubmitBatch(req, "")
+			if serr != nil {
+				t.Fatalf("SubmitBatch: %v", serr)
+			}
+			<-b.Done()
+			v := b.View(true)
+			if v.Status != StatusDone {
+				t.Fatalf("batch finished %q", v.Status)
+			}
+			if v.PrefixKey != b.PrefixKey().String() {
+				t.Fatalf("view prefix_key %q, batch key %s", v.PrefixKey, b.PrefixKey())
+			}
+			if _, ok := e.cache.Get(b.PrefixKey(), qcache.Stamp{}); !ok {
+				t.Fatalf("no checkpoint under prefix_key %s", v.PrefixKey)
+			}
+			if hits := e.PrefixHits(); hits != 2 {
+				t.Errorf("prefix hits = %d, want 2", hits)
+			}
+		})
 	}
 }

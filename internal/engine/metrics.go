@@ -1,14 +1,15 @@
 package engine
 
 import (
-	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/httpx"
 	"repro/internal/parsememo"
 	"repro/internal/qcache"
 )
@@ -92,14 +93,15 @@ func (h *histogram) observe(v float64) {
 func (h *histogram) render(w io.Writer, name, help string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+	httpx.Family(w, name, "histogram", help)
 	var cum uint64
 	for i, le := range queueLatencyBuckets {
 		cum += h.counts[i]
-		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, le, cum)
+		httpx.Sample(w, name+"_bucket", httpx.Label("le", strconv.FormatFloat(le, 'g', -1, 64)), cum)
 	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, h.total)
-	fmt.Fprintf(w, "%s_sum %g\n%s_count %d\n", name, h.sum, name, h.total)
+	httpx.Sample(w, name+"_bucket", httpx.Label("le", "+Inf"), h.total)
+	httpx.Sample(w, name+"_sum", "", h.sum)
+	httpx.Sample(w, name+"_count", "", h.total)
 }
 
 // workerMetrics is one worker's cumulative utilization plus the table
@@ -182,74 +184,64 @@ func (e *Engine) RenderMetrics(w io.Writer) {
 
 // render writes the Prometheus text exposition.
 func (m *metrics) render(w io.Writer, queueDepth, queueCap int, cs qcache.Stats, ms parsememo.Stats) {
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("qmddd_jobs_started_total", "Jobs dequeued by a worker.", m.started.Load())
-	counter("qmddd_jobs_completed_total", "Jobs finished successfully.", m.completed.Load())
-	counter("qmddd_jobs_failed_total", "Jobs finished with an error.", m.failed.Load())
-	counter("qmddd_jobs_cancelled_total", "Jobs cancelled by timeout or shutdown.", m.cancelled.Load())
-	counter("qmddd_jobs_rejected_total", "Submissions refused with 429.", m.rejected.Load())
-	counter("qmddd_jobs_deduped_total", "Submissions collapsed onto an identical in-flight job.", m.deduped.Load())
-	counter("qmddd_approximated_jobs_total", "Jobs completed approximately under a min_fidelity floor.", m.approximated.Load())
-	counter("qmddd_approximations_total", "Fidelity-bounded approximation events across all jobs.", m.approxEvents.Load())
-	fmt.Fprintf(w, "# HELP qmddd_fidelity_given_up_total Cumulative (1 - retained fidelity) over approximate jobs.\n# TYPE qmddd_fidelity_given_up_total counter\nqmddd_fidelity_given_up_total %g\n", m.fidelityGivenUp.load())
-	counter("qmddd_cache_hits_total", "Result-cache hits (memory or disk).", cs.Hits)
-	counter("qmddd_cache_disk_hits_total", "Result-cache hits served by the disk tier.", cs.DiskHits)
-	counter("qmddd_cache_misses_total", "Result-cache misses.", cs.Misses)
-	counter("qmddd_cache_stores_total", "Result envelopes stored in the cache.", cs.Stores)
-	counter("qmddd_cache_evictions_total", "Memory-tier entries evicted under the byte cap.", cs.Evictions)
-	counter("qmddd_cache_disk_evictions_total", "Disk-tier entries evicted under -cache-max-bytes (LRU by access time).", cs.DiskEvictions)
-	counter("qmddd_prefix_hits_total", "Jobs warm-started from a prefix-state checkpoint.", m.prefixHits.Load())
-	counter("qmddd_prefix_gates_skipped_total", "Gate applications skipped by prefix warm starts.", m.prefixGatesSkipped.Load())
-	counter("qmddd_checkpoints_stored_total", "Prefix-state checkpoints written to the cache.", m.checkpointsStored.Load())
-	counter("qmddd_checkpoint_bytes_total", "Serialized bytes across stored prefix checkpoints.", m.checkpointBytes.Load())
-	counter("qmddd_batches_total", "Batch submissions accepted (POST /v1/batches).", m.batches.Load())
-	counter("qmddd_batch_variants_total", "Variant jobs across accepted batches.", m.batchVariants.Load())
-	counter("qmddd_cache_peer_hits_total", "Local cache misses answered by a ring peer's cache.", m.peerHits.Load())
-	gauge("qmddd_cache_bytes", "Bytes held by the in-memory cache tier (payload + overhead).", cs.Bytes)
-	gauge("qmddd_cache_entries", "Entries in the in-memory cache tier.", int64(cs.Entries))
-	counter("qmddd_parse_memo_hits_total", "Submitted sources found in the parse memo (no parse, no fingerprint).", ms.Hits)
-	counter("qmddd_parse_memo_misses_total", "Submitted sources parsed because the parse memo did not hold them.", ms.Misses)
-	gauge("qmddd_parse_memo_entries", "Parsed sources held by the parse memo.", int64(ms.Entries))
-	gauge("qmddd_parse_memo_bytes", "Bytes accounted to the parse memo (bounded at parsememo.MaxBytes).", ms.Bytes)
-	fmt.Fprintf(w, "# HELP qmddd_queue_depth Jobs waiting in the bounded queue.\n# TYPE qmddd_queue_depth gauge\nqmddd_queue_depth %d\n", queueDepth)
-	fmt.Fprintf(w, "# HELP qmddd_queue_capacity Bounded queue capacity.\n# TYPE qmddd_queue_capacity gauge\nqmddd_queue_capacity %d\n", queueCap)
+	httpx.Counter(w, "qmddd_jobs_started_total", "Jobs dequeued by a worker.", m.started.Load())
+	httpx.Counter(w, "qmddd_jobs_completed_total", "Jobs finished successfully.", m.completed.Load())
+	httpx.Counter(w, "qmddd_jobs_failed_total", "Jobs finished with an error.", m.failed.Load())
+	httpx.Counter(w, "qmddd_jobs_cancelled_total", "Jobs cancelled by timeout or shutdown.", m.cancelled.Load())
+	httpx.Counter(w, "qmddd_jobs_rejected_total", "Submissions refused with 429.", m.rejected.Load())
+	httpx.Counter(w, "qmddd_jobs_deduped_total", "Submissions collapsed onto an identical in-flight job.", m.deduped.Load())
+	httpx.Counter(w, "qmddd_approximated_jobs_total", "Jobs completed approximately under a min_fidelity floor.", m.approximated.Load())
+	httpx.Counter(w, "qmddd_approximations_total", "Fidelity-bounded approximation events across all jobs.", m.approxEvents.Load())
+	httpx.Counter(w, "qmddd_fidelity_given_up_total", "Cumulative (1 - retained fidelity) over approximate jobs.", m.fidelityGivenUp.load())
+	httpx.Counter(w, "qmddd_cache_hits_total", "Result-cache hits (memory or disk).", cs.Hits)
+	httpx.Counter(w, "qmddd_cache_disk_hits_total", "Result-cache hits served by the disk tier.", cs.DiskHits)
+	httpx.Counter(w, "qmddd_cache_misses_total", "Result-cache misses.", cs.Misses)
+	httpx.Counter(w, "qmddd_cache_stores_total", "Result envelopes stored in the cache.", cs.Stores)
+	httpx.Counter(w, "qmddd_cache_evictions_total", "Memory-tier entries evicted under the byte cap.", cs.Evictions)
+	httpx.Counter(w, "qmddd_cache_disk_evictions_total", "Disk-tier entries evicted under -cache-max-bytes (LRU by access time).", cs.DiskEvictions)
+	httpx.Counter(w, "qmddd_prefix_hits_total", "Jobs warm-started from a prefix-state checkpoint.", m.prefixHits.Load())
+	httpx.Counter(w, "qmddd_prefix_gates_skipped_total", "Gate applications skipped by prefix warm starts.", m.prefixGatesSkipped.Load())
+	httpx.Counter(w, "qmddd_checkpoints_stored_total", "Prefix-state checkpoints written to the cache.", m.checkpointsStored.Load())
+	httpx.Counter(w, "qmddd_checkpoint_bytes_total", "Serialized bytes across stored prefix checkpoints.", m.checkpointBytes.Load())
+	httpx.Counter(w, "qmddd_batches_total", "Batch submissions accepted (POST /v1/batches).", m.batches.Load())
+	httpx.Counter(w, "qmddd_batch_variants_total", "Variant jobs across accepted batches.", m.batchVariants.Load())
+	httpx.Counter(w, "qmddd_cache_peer_hits_total", "Local cache misses answered by a ring peer's cache.", m.peerHits.Load())
+	httpx.Gauge(w, "qmddd_cache_bytes", "Bytes held by the in-memory cache tier (payload + overhead).", cs.Bytes)
+	httpx.Gauge(w, "qmddd_cache_entries", "Entries in the in-memory cache tier.", cs.Entries)
+	httpx.Counter(w, "qmddd_parse_memo_hits_total", "Submitted sources found in the parse memo (no parse, no fingerprint).", ms.Hits)
+	httpx.Counter(w, "qmddd_parse_memo_misses_total", "Submitted sources parsed because the parse memo did not hold them.", ms.Misses)
+	httpx.Gauge(w, "qmddd_parse_memo_entries", "Parsed sources held by the parse memo.", ms.Entries)
+	httpx.Gauge(w, "qmddd_parse_memo_bytes", "Bytes accounted to the parse memo (bounded at parsememo.MaxBytes).", ms.Bytes)
+	httpx.Gauge(w, "qmddd_queue_depth", "Jobs waiting in the bounded queue.", queueDepth)
+	httpx.Gauge(w, "qmddd_queue_capacity", "Bounded queue capacity.", queueCap)
 	m.queueLatency.render(w, "qmddd_queue_latency_seconds", "Time from submission to worker pickup.")
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	fmt.Fprintf(w, "# HELP qmddd_worker_jobs_total Jobs run by this worker.\n# TYPE qmddd_worker_jobs_total counter\n")
-	for i := range m.workers {
-		fmt.Fprintf(w, "qmddd_worker_jobs_total{worker=\"%d\"} %d\n", i, m.workers[i].jobs)
-	}
-	fmt.Fprintf(w, "# HELP qmddd_worker_busy_seconds_total Wall-clock spent inside jobs.\n# TYPE qmddd_worker_busy_seconds_total counter\n")
-	for i := range m.workers {
-		fmt.Fprintf(w, "qmddd_worker_busy_seconds_total{worker=\"%d\"} %.6f\n", i, m.workers[i].busy.Seconds())
-	}
-	fmt.Fprintf(w, "# HELP qmddd_worker_peak_nodes Largest per-job peak node count observed.\n# TYPE qmddd_worker_peak_nodes gauge\n")
-	for i := range m.workers {
-		fmt.Fprintf(w, "qmddd_worker_peak_nodes{worker=\"%d\"} %d\n", i, m.workers[i].peakNodes)
-	}
-	fmt.Fprintf(w, "# HELP qmddd_worker_unique_table_nodes Unique-table occupancy after the worker's last job.\n# TYPE qmddd_worker_unique_table_nodes gauge\n")
-	for i := range m.workers {
-		if m.workers[i].hasSnap {
-			fmt.Fprintf(w, "qmddd_worker_unique_table_nodes{worker=\"%d\"} %d\n", i, m.workers[i].lastSnap.UniqueNodes)
+	// perWorker writes one family labelled by worker index; snapOnly skips
+	// the workers that have not finished a job yet.
+	perWorker := func(name, typ, help string, snapOnly bool, v func(*workerMetrics) any) {
+		var samples []httpx.Labelled
+		for i := range m.workers {
+			if wm := &m.workers[i]; wm.hasSnap || !snapOnly {
+				samples = append(samples, httpx.Labelled{Label: strconv.Itoa(i), Value: v(wm)})
+			}
 		}
+		httpx.LabelledFamily(w, name, typ, help, "worker", samples)
 	}
-	fmt.Fprintf(w, "# HELP qmddd_worker_interned_weights Intern-table occupancy after the worker's last job.\n# TYPE qmddd_worker_interned_weights gauge\n")
-	for i := range m.workers {
-		if m.workers[i].hasSnap {
-			fmt.Fprintf(w, "qmddd_worker_interned_weights{worker=\"%d\"} %d\n", i, m.workers[i].lastSnap.InternedWeights)
-		}
-	}
-	fmt.Fprintf(w, "# HELP qmddd_worker_ct_load Compute-table load factor after the worker's last job.\n# TYPE qmddd_worker_ct_load gauge\n")
-	for i := range m.workers {
-		if m.workers[i].hasSnap {
-			fmt.Fprintf(w, "qmddd_worker_ct_load{worker=\"%d\"} %.6f\n", i, m.workers[i].lastSnap.CTLoad)
-		}
-	}
+	perWorker("qmddd_worker_jobs_total", "counter", "Jobs run by this worker.", false,
+		func(wm *workerMetrics) any { return wm.jobs })
+	perWorker("qmddd_worker_busy_seconds_total", "counter", "Wall-clock spent inside jobs.", false,
+		func(wm *workerMetrics) any { return fixed6(wm.busy.Seconds()) })
+	perWorker("qmddd_worker_peak_nodes", "gauge", "Largest per-job peak node count observed.", false,
+		func(wm *workerMetrics) any { return wm.peakNodes })
+	perWorker("qmddd_worker_unique_table_nodes", "gauge", "Unique-table occupancy after the worker's last job.", true,
+		func(wm *workerMetrics) any { return wm.lastSnap.UniqueNodes })
+	perWorker("qmddd_worker_interned_weights", "gauge", "Intern-table occupancy after the worker's last job.", true,
+		func(wm *workerMetrics) any { return wm.lastSnap.InternedWeights })
+	perWorker("qmddd_worker_ct_load", "gauge", "Compute-table load factor after the worker's last job.", true,
+		func(wm *workerMetrics) any { return fixed6(wm.lastSnap.CTLoad) })
 }
+
+// fixed6 formats seconds and load factors with six decimals.
+func fixed6(v float64) string { return strconv.FormatFloat(v, 'f', 6, 64) }

@@ -1,8 +1,9 @@
-// Package httpx holds the small HTTP middleware shared by the qmddd worker
-// transport and the qrouter front tier: request-id minting/propagation and
-// the structured access log. Keeping it transport-neutral means one id
-// follows a request from the router edge through the worker to every log
-// line and error envelope it produces.
+// Package httpx holds the HTTP plumbing shared by the qmddd worker
+// transport and the qrouter front tier: request-id minting/propagation, the
+// structured access log, JSON replies and the Prometheus text exposition.
+// Keeping it transport-neutral means one id follows a request from the
+// router edge through the worker to every log line and error envelope it
+// produces, and both tiers put the same bytes on the wire.
 package httpx
 
 import (

@@ -65,8 +65,8 @@ func (r *Ring) Equal(a, b complex128) bool { return Near(a, b, r.T.Tol) }
 // Key returns the bit-exact key of the (already interned) value.
 func (r *Ring) Key(a complex128) string { return KeyOf(a) }
 
-// Hash returns a 64-bit hash of the exact bit pattern of a — the
-// coeff.Hasher fast path, consistent with Key and allocation-free.
+// Hash returns a 64-bit hash of the exact bit pattern of a, consistent
+// with Key and allocation-free.
 func (r *Ring) Hash(a complex128) uint64 {
 	const (
 		offset uint64 = 14695981039346656037

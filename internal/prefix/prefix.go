@@ -69,11 +69,7 @@ func NewStore[T any](cache *qcache.Cache, repr string, eps float64, norm core.No
 	if !cache.Enabled() {
 		return nil
 	}
-	if repr != "float" {
-		// The exact representation is ε-independent; zeroing it here keeps
-		// every writer of an alg checkpoint on one key and one blob header.
-		eps = 0
-	}
+	eps = checkpointEps(repr, eps)
 	return &Store[T]{
 		cache: cache,
 		repr:  repr,
@@ -84,22 +80,38 @@ func NewStore[T any](cache *qcache.Cache, repr string, eps float64, norm core.No
 	}
 }
 
-// identity builds the cache identity of the checkpoint under link: the
-// chain link in the circuit slot, Output pinned to "state".
-func (s *Store[T]) identity(link circuit.Digest) qcache.Identity {
+// checkpointEps is the ε a checkpoint is keyed and stamped under. The
+// exact representation is ε-independent, so every alg checkpoint uses 0:
+// one key and one blob header whatever ε a request names.
+func checkpointEps(repr string, eps float64) float64 {
+	if repr != "float" {
+		return 0
+	}
+	return eps
+}
+
+// identity is the cache identity of the checkpoint under link: the chain
+// link in the circuit slot, Output pinned to "state". repr and norm are
+// the wire names ("alg"/"float", canonical normalization name).
+func identity(link circuit.Digest, repr, norm string, eps float64) qcache.Identity {
 	return qcache.Identity{
 		Circuit: link,
-		Repr:    s.repr,
-		Norm:    s.norm.String(),
-		Eps:     s.eps,
+		Repr:    repr,
+		Norm:    norm,
+		Eps:     checkpointEps(repr, eps),
 		Output:  "state",
 	}
 }
 
-// Key returns the cache key a checkpoint under link lives at (diagnostics,
-// batch routing).
-func (s *Store[T]) Key(link circuit.Digest) qcache.Key {
-	return s.identity(link).Key()
+// Key returns the cache key the checkpoint under link lands at for one
+// representation configuration. It is the key a Store reads and writes,
+// and the prefix_key a batch reports.
+func Key(link circuit.Digest, repr, norm string, eps float64) qcache.Key {
+	return identity(link, repr, norm, eps).Key()
+}
+
+func (s *Store[T]) identity(link circuit.Digest) qcache.Identity {
+	return identity(link, s.repr, s.norm.String(), s.eps)
 }
 
 // Load decodes the checkpoint under link into m. Any failure — miss,

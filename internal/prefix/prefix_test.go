@@ -268,21 +268,27 @@ func TestNilAndDisabledStore(t *testing.T) {
 
 // TestAlgKeyIsEpsIndependent: the exact representation folds ε out of the
 // key, so every writer of an alg checkpoint shares one key; float keeps ε.
+// A Store writes exactly where Key says, whatever ε it was built with.
 func TestAlgKeyIsEpsIndependent(t *testing.T) {
-	cache := memCache(t)
 	link := PlanOf(testCircuit()).Links[2]
-	algA := NewStore(cache, "alg", 0, core.NormLeft, ddio.Codec[alg.Q](ddio.AlgCodec{}))
-	algB := NewStore(cache, "alg", 0.5, core.NormLeft, ddio.Codec[alg.Q](ddio.AlgCodec{}))
-	if algA.Key(link) != algB.Key(link) {
+	if Key(link, "alg", "left", 0) != Key(link, "alg", "left", 0.5) {
 		t.Error("alg checkpoint keys depend on ε")
 	}
-	floA := NewStore(cache, "float", 0, core.NormLeft, ddio.Codec[complex128](ddio.NumCodec{}))
-	floB := NewStore(cache, "float", 0.5, core.NormLeft, ddio.Codec[complex128](ddio.NumCodec{}))
-	if floA.Key(link) == floB.Key(link) {
+	if Key(link, "float", "left", 0) == Key(link, "float", "left", 0.5) {
 		t.Error("float checkpoint keys ignore ε")
 	}
-	if algA.Key(link) == floA.Key(link) {
+	if Key(link, "alg", "left", 0) == Key(link, "float", "left", 0) {
 		t.Error("alg and float checkpoints share a key")
+	}
+
+	cache := memCache(t)
+	st := NewStore(cache, "alg", 0.5, core.NormLeft, ddio.Codec[alg.Q](ddio.AlgCodec{}))
+	m := newManager()
+	if n, err := st.Store(m, m.BasisState(3, 0), link, 3, 0); err != nil || n == 0 {
+		t.Fatalf("storing checkpoint: n=%d err=%v", n, err)
+	}
+	if _, ok := cache.Get(Key(link, "alg", "left", 0.5), qcache.Stamp{}); !ok {
+		t.Error("the store's checkpoint is not under Key")
 	}
 }
 

@@ -8,6 +8,18 @@ import (
 	"repro/internal/circuit"
 )
 
+// fingerprint parses src and returns the fingerprint of the circuit it
+// denotes: the parse is the canonicalization step, so comments,
+// whitespace, register names, include statements and gate-macro structure
+// never reach the hash.
+func fingerprint(src string) (circuit.Digest, error) {
+	c, err := Parse(src, "fingerprint")
+	if err != nil {
+		return circuit.Digest{}, err
+	}
+	return circuit.Fingerprint(c), nil
+}
+
 // TestFingerprintCanonicalization proves the cache-key property: every
 // presentational variant of a program hashes identically, and every
 // semantic change hashes differently.
@@ -46,12 +58,12 @@ func TestFingerprintCanonicalization(t *testing.T) {
 		{"reset", "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nh q[0];\nreset q[0];\ncx q[0],q[1];\n"},
 	}
 
-	want, err := Fingerprint(base)
+	want, err := fingerprint(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range equivalent {
-		got, err := Fingerprint(tc.src)
+		got, err := fingerprint(tc.src)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -62,7 +74,7 @@ func TestFingerprintCanonicalization(t *testing.T) {
 	// All distinct programs must differ from the base AND from each other.
 	seen := map[[32]byte]string{want: "base"}
 	for _, tc := range distinct {
-		got, err := Fingerprint(tc.src)
+		got, err := fingerprint(tc.src)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -90,7 +102,7 @@ func TestFingerprintCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := string(raw)
-		fp, err := Fingerprint(src)
+		fp, err := fingerprint(src)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -98,7 +110,7 @@ func TestFingerprintCorpus(t *testing.T) {
 			t.Errorf("%s collides with %s", name, prev)
 		}
 		seen[fp] = name
-		again, err := Fingerprint(src)
+		again, err := fingerprint(src)
 		if err != nil || again != fp {
 			t.Errorf("%s: fingerprint not stable across parses", name)
 		}

@@ -68,8 +68,8 @@ type Stamp struct {
 // whether a result gets computed, not what the result is, so a success
 // computed under any budget serves all budgets.
 type Identity struct {
-	// Circuit is the canonical circuit fingerprint (circuit.Fingerprint /
-	// qasm.Fingerprint): comment-, whitespace- and register-name
+	// Circuit is the canonical circuit fingerprint (circuit.Fingerprint
+	// of the parsed program): comment-, whitespace- and register-name
 	// insensitive.
 	Circuit [sha256.Size]byte
 	// Repr is "alg" or "float".

@@ -23,13 +23,38 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"net/url"
 	"sort"
+	"strings"
 )
 
 // DefaultVNodes is the per-member virtual-node count. 128 points per member
 // keeps the max/min shard ratio under 1.3 for small clusters (asserted by the
 // package tests) at a memory cost of 16 bytes per point.
 const DefaultVNodes = 128
+
+// NormalizeMembers turns a configured member-URL list into ring member
+// names: each value is trimmed of spaces and trailing slashes, empty values
+// and repeats are dropped (first occurrence kept), and a value that is not
+// a base URL (scheme://host) is an error. Every tier that builds a ring
+// from a URL list — the router over its workers, each worker over its
+// peers — goes through it, so a key has one owner cluster-wide.
+func NormalizeMembers(list []string) ([]string, error) {
+	out := make([]string, 0, len(list))
+	seen := make(map[string]bool, len(list))
+	for _, m := range list {
+		m = strings.TrimRight(strings.TrimSpace(m), "/")
+		if m == "" || seen[m] {
+			continue
+		}
+		if u, err := url.Parse(m); err != nil || u.Scheme == "" || u.Host == "" {
+			return nil, fmt.Errorf("member %q is not a base URL", m)
+		}
+		seen[m] = true
+		out = append(out, m)
+	}
+	return out, nil
+}
 
 type point struct {
 	hash uint64

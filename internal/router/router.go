@@ -21,7 +21,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -29,6 +28,7 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/circuit"
+	"repro/internal/engine"
 	"repro/internal/httpx"
 	"repro/internal/parsememo"
 	"repro/internal/ring"
@@ -44,10 +44,11 @@ const WorkerHeader = "X-Qmddd-Worker"
 // Config tunes the router. Workers is required; everything else defaults.
 type Config struct {
 	// Workers is the cluster membership: the base URLs jobs are sharded
-	// over. The list must match the -peers list the workers themselves run
-	// with, or cache peering will look up the wrong owners. The ring uses
-	// ring.DefaultVNodes points per worker, as every worker's peer ring
-	// does, so router and peers always agree on a key's owner.
+	// over, normalized by ring.NormalizeMembers. The list must match the
+	// -peers list the workers themselves run with, or cache peering will
+	// look up the wrong owners. The ring uses ring.DefaultVNodes points per
+	// worker, as every worker's peer ring does, so router and peers always
+	// agree on a key's owner.
 	Workers []string
 	// ProbeInterval is the readiness-poll period (default 1s).
 	ProbeInterval time.Duration
@@ -97,15 +98,9 @@ type WorkerHealth struct {
 	CheckedAt    time.Time `json:"checked_at"`
 }
 
-// errorBody mirrors the workers' structured error envelope so router and
-// worker refusals decode identically at the client.
-type errorBody struct {
-	Kind      string `json:"kind"`
-	Message   string `json:"message"`
-	RequestID string `json:"request_id,omitempty"`
-}
-
 // Router-origin error kinds (worker-origin kinds pass through verbatim).
+// Router refusals use the workers' error envelope, engine.ErrorBody, so the
+// two decode identically at the client.
 const (
 	KindRateLimited = "rate_limited"
 	KindOverloaded  = "overloaded"
@@ -156,21 +151,12 @@ type Router struct {
 // prober.
 func New(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
-	if len(cfg.Workers) == 0 {
-		return nil, fmt.Errorf("router: at least one worker URL is required")
+	members, err := ring.NormalizeMembers(cfg.Workers)
+	if err != nil {
+		return nil, fmt.Errorf("router: %w", err)
 	}
-	seen := map[string]bool{}
-	members := make([]string, 0, len(cfg.Workers))
-	for _, w := range cfg.Workers {
-		w = strings.TrimRight(strings.TrimSpace(w), "/")
-		if w == "" || seen[w] {
-			continue
-		}
-		if u, err := url.Parse(w); err != nil || u.Scheme == "" || u.Host == "" {
-			return nil, fmt.Errorf("router: worker %q is not a base URL", w)
-		}
-		seen[w] = true
-		members = append(members, w)
+	if len(members) == 0 {
+		return nil, fmt.Errorf("router: at least one worker URL is required")
 	}
 	cfg.Workers = members
 	rt := &Router{
@@ -281,18 +267,10 @@ func (rt *Router) Healths() []WorkerHealth {
 	return out
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
 func (rt *Router) writeError(w http.ResponseWriter, r *http.Request, status int, kind, format string, args ...any) {
-	writeJSON(w, status, struct {
-		Error errorBody `json:"error"`
-	}{errorBody{Kind: kind, Message: fmt.Sprintf(format, args...), RequestID: httpx.RequestIDFrom(r)}})
+	httpx.WriteJSON(w, status, struct {
+		Error engine.ErrorBody `json:"error"`
+	}{engine.ErrorBody{Kind: kind, Message: fmt.Sprintf(format, args...), RequestID: httpx.RequestIDFrom(r)}})
 }
 
 // admit runs the tenant's token bucket. It returns ok, or the wait until the
@@ -422,7 +400,7 @@ func (rt *Router) routePost(w http.ResponseWriter, r *http.Request, path string,
 	r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		rt.writeError(w, r, http.StatusRequestEntityTooLarge, "too_large",
+		rt.writeError(w, r, http.StatusRequestEntityTooLarge, engine.KindTooLarge,
 			"request body exceeds %d bytes", rt.cfg.MaxBodyBytes)
 		return
 	}
@@ -563,27 +541,27 @@ func (rt *Router) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		rt.relay(w, resp, worker)
 		return
 	}
-	rt.writeError(w, r, http.StatusNotFound, "not_found", "no worker knows this job id")
+	rt.writeError(w, r, http.StatusNotFound, engine.KindNotFound, "no worker knows this job id")
 }
 
 // handleCluster reports the membership, the ring shape, and every worker's
 // latest probe snapshot.
 func (rt *Router) handleCluster(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	httpx.WriteJSON(w, http.StatusOK, struct {
 		Ring    string         `json:"ring"`
 		Workers []WorkerHealth `json:"workers"`
 	}{rt.ring.String(), rt.Healths()})
 }
 
 func (rt *Router) handleVersion(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	httpx.WriteJSON(w, http.StatusOK, struct {
 		Name string `json:"name"`
 		buildinfo.Info
 	}{Name: "qrouter", Info: buildinfo.Read()})
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	httpx.WriteJSON(w, http.StatusOK, struct {
 		Status string `json:"status"`
 	}{"ok"})
 }
@@ -602,7 +580,7 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		status = http.StatusServiceUnavailable
 		text = "no ready workers"
 	}
-	writeJSON(w, status, struct {
+	httpx.WriteJSON(w, status, struct {
 		Status       string `json:"status"`
 		ReadyWorkers int    `json:"ready_workers"`
 		Workers      int    `json:"workers"`
@@ -610,37 +588,31 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("qrouter_requests_total", "Job submissions received.", rt.met.requests.Load())
-	counter("qrouter_routed_total", "Submissions proxied to a worker.", rt.met.routed.Load())
-	counter("qrouter_rerouted_total", "Submissions that skipped at least one failed or draining worker.", rt.met.rerouted.Load())
-	counter("qrouter_shed_tenant_total", "Submissions refused by per-tenant admission control.", rt.met.shedTenant.Load())
-	counter("qrouter_shed_latency_total", "Submissions refused by queue-latency shedding.", rt.met.shedLatency.Load())
-	counter("qrouter_no_worker_total", "Submissions refused with no usable worker.", rt.met.noWorker.Load())
-	counter("qrouter_proxy_errors_total", "Individual forward attempts that failed.", rt.met.proxyErrors.Load())
+	w.Header().Set("Content-Type", httpx.MetricsContentType)
+	httpx.Counter(w, "qrouter_requests_total", "Job submissions received.", rt.met.requests.Load())
+	httpx.Counter(w, "qrouter_routed_total", "Submissions proxied to a worker.", rt.met.routed.Load())
+	httpx.Counter(w, "qrouter_rerouted_total", "Submissions that skipped at least one failed or draining worker.", rt.met.rerouted.Load())
+	httpx.Counter(w, "qrouter_shed_tenant_total", "Submissions refused by per-tenant admission control.", rt.met.shedTenant.Load())
+	httpx.Counter(w, "qrouter_shed_latency_total", "Submissions refused by queue-latency shedding.", rt.met.shedLatency.Load())
+	httpx.Counter(w, "qrouter_no_worker_total", "Submissions refused with no usable worker.", rt.met.noWorker.Load())
+	httpx.Counter(w, "qrouter_proxy_errors_total", "Individual forward attempts that failed.", rt.met.proxyErrors.Load())
 	ms := rt.memo.Stats()
-	counter("qrouter_parse_memo_hits_total", "Submitted sources found in the parse memo (no parse, no fingerprint).", ms.Hits)
-	counter("qrouter_parse_memo_misses_total", "Submitted sources parsed because the parse memo did not hold them.", ms.Misses)
-	gauge("qrouter_parse_memo_entries", "Parsed sources held by the parse memo.", int64(ms.Entries))
-	gauge("qrouter_parse_memo_bytes", "Bytes accounted to the parse memo (bounded at parsememo.MaxBytes).", ms.Bytes)
-	fmt.Fprintf(w, "# HELP qrouter_worker_ready Worker readiness at last probe.\n# TYPE qrouter_worker_ready gauge\n")
-	for _, h := range rt.Healths() {
-		ready := 0
+	httpx.Counter(w, "qrouter_parse_memo_hits_total", "Submitted sources found in the parse memo (no parse, no fingerprint).", ms.Hits)
+	httpx.Counter(w, "qrouter_parse_memo_misses_total", "Submitted sources parsed because the parse memo did not hold them.", ms.Misses)
+	httpx.Gauge(w, "qrouter_parse_memo_entries", "Parsed sources held by the parse memo.", ms.Entries)
+	httpx.Gauge(w, "qrouter_parse_memo_bytes", "Bytes accounted to the parse memo (bounded at parsememo.MaxBytes).", ms.Bytes)
+	healths := rt.Healths()
+	ready := make([]httpx.Labelled, len(healths))
+	depth := make([]httpx.Labelled, len(healths))
+	for i, h := range healths {
+		ready[i] = httpx.Labelled{Label: h.URL, Value: 0}
 		if h.Ready {
-			ready = 1
+			ready[i].Value = 1
 		}
-		fmt.Fprintf(w, "qrouter_worker_ready{worker=%q} %d\n", h.URL, ready)
+		depth[i] = httpx.Labelled{Label: h.URL, Value: h.QueueDepth}
 	}
-	fmt.Fprintf(w, "# HELP qrouter_worker_queue_depth Worker queue depth at last probe.\n# TYPE qrouter_worker_queue_depth gauge\n")
-	for _, h := range rt.Healths() {
-		fmt.Fprintf(w, "qrouter_worker_queue_depth{worker=%q} %d\n", h.URL, h.QueueDepth)
-	}
+	httpx.LabelledFamily(w, "qrouter_worker_ready", "gauge", "Worker readiness at last probe.", "worker", ready)
+	httpx.LabelledFamily(w, "qrouter_worker_queue_depth", "gauge", "Worker queue depth at last probe.", "worker", depth)
 }
 
 // Rerouted reports submissions that skipped ≥1 worker (test introspection).

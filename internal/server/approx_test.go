@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/num"
 	"repro/internal/qasm"
 	"repro/internal/sim"
@@ -63,13 +64,13 @@ func TestApproxFlipsBudgetExceeded(t *testing.T) {
 
 	body := fmt.Sprintf(`{"qasm": %q, "representation": "float", "max_nodes": %d, "wait": true}`, src, cap)
 	_, view, _ := postJob(t, ts.URL, body)
-	if view.Status != StatusFailed || view.Error == nil || view.Error.Kind != KindBudgetExceeded {
+	if view.Status != engine.StatusFailed || view.Error == nil || view.Error.Kind != engine.KindBudgetExceeded {
 		t.Fatalf("capped job without min_fidelity: %+v", view)
 	}
 
 	body = fmt.Sprintf(`{"qasm": %q, "representation": "float", "max_nodes": %d, "min_fidelity": 0.6, "wait": true}`, src, cap)
 	_, view, _ = postJob(t, ts.URL, body)
-	if view.Status != StatusDone || view.Result == nil {
+	if view.Status != engine.StatusDone || view.Result == nil {
 		t.Fatalf("capped job with min_fidelity did not complete: %+v", view)
 	}
 	r := view.Result
@@ -111,7 +112,7 @@ func TestApproxCacheKeys(t *testing.T) {
 
 	approxBody := fmt.Sprintf(`{"qasm": %q, "representation": "float", "max_nodes": %d, "min_fidelity": 0.6, "wait": true}`, src, cap)
 	_, first, _ := postJob(t, ts.URL, approxBody)
-	if first.Status != StatusDone || !first.Result.Approximate {
+	if first.Status != engine.StatusDone || !first.Result.Approximate {
 		t.Fatalf("approximate leader: %+v", first)
 	}
 	_, second, _ := postJob(t, ts.URL, approxBody)
@@ -125,7 +126,7 @@ func TestApproxCacheKeys(t *testing.T) {
 	// The exact request must not inherit the approximate envelope.
 	exactBody := fmt.Sprintf(`{"qasm": %q, "representation": "float", "wait": true}`, src)
 	_, exact, _ := postJob(t, ts.URL, exactBody)
-	if exact.Status != StatusDone || exact.Cached {
+	if exact.Status != engine.StatusDone || exact.Cached {
 		t.Fatalf("exact request after approximate run: %+v", exact)
 	}
 	if exact.Result.Approximate || exact.Result.Fidelity != 0 {
@@ -146,7 +147,7 @@ func TestApproxCacheKeys(t *testing.T) {
 
 // sameEnvelope compares two result envelopes by their canonical JSON bytes —
 // the same form the cache stores and replays.
-func sameEnvelope(t *testing.T, a, b *JobResult) bool {
+func sameEnvelope(t *testing.T, a, b *engine.JobResult) bool {
 	t.Helper()
 	ja, err := json.Marshal(a)
 	if err != nil {
@@ -169,7 +170,7 @@ func TestApproxValidation(t *testing.T) {
 		fmt.Sprintf(`{"qasm": %q, "min_fidelity": 0.9, "shots": 100}`, ghzQASM(2)),
 	} {
 		resp, _, eb := postJob(t, ts.URL, body)
-		if resp.StatusCode != http.StatusBadRequest || eb.Kind != KindInvalidRequest {
+		if resp.StatusCode != http.StatusBadRequest || eb.Kind != engine.KindInvalidRequest {
 			t.Fatalf("body %s: status %d, error %+v", body, resp.StatusCode, eb)
 		}
 	}
@@ -180,7 +181,7 @@ func TestApproxValidation(t *testing.T) {
 	cap := clutterNodeDemand(t, src) / 2
 	body := fmt.Sprintf(`{"qasm": %q, "representation": "float", "max_nodes": %d, "min_fidelity": 0.01, "wait": true}`, src, cap)
 	_, view, _ := postJob(t, ts.URL, body)
-	if view.Status != StatusDone || !view.Result.Approximate {
+	if view.Status != engine.StatusDone || !view.Result.Approximate {
 		t.Fatalf("floored job: %+v", view)
 	}
 	if view.Result.Fidelity < 0.8 {
@@ -190,7 +191,7 @@ func TestApproxValidation(t *testing.T) {
 	// min_fidelity 1 is exact semantics: accepted, never approximates.
 	body = fmt.Sprintf(`{"qasm": %q, "min_fidelity": 1, "wait": true}`, ghzQASM(3))
 	_, view, _ = postJob(t, ts.URL, body)
-	if view.Status != StatusDone || view.Result.Approximate {
+	if view.Status != engine.StatusDone || view.Result.Approximate {
 		t.Fatalf("min_fidelity=1 job: %+v", view)
 	}
 }

@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/engine"
 )
 
 // serveHTTP exposes an already-built Server over a test listener; shutdown
@@ -26,7 +28,7 @@ func serveHTTP(t *testing.T, s *Server) string {
 // postRaw submits a job and returns the status code, the raw response body,
 // and the "result" member's exact bytes (nil when absent) — the byte-level
 // view the cache tests compare.
-func postRaw(t *testing.T, url, body string) (int, []byte, json.RawMessage, JobView) {
+func postRaw(t *testing.T, url, body string) (int, []byte, json.RawMessage, engine.JobView) {
 	t.Helper()
 	resp, err := http.Post(url+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -37,7 +39,7 @@ func postRaw(t *testing.T, url, body string) (int, []byte, json.RawMessage, JobV
 	if err != nil {
 		t.Fatal(err)
 	}
-	var view JobView
+	var view engine.JobView
 	if err := json.Unmarshal(raw, &view); err != nil {
 		t.Fatalf("decoding response (%d): %v\n%s", resp.StatusCode, err, raw)
 	}
@@ -60,7 +62,7 @@ func TestCacheByteIdenticalReplay(t *testing.T) {
 	body := fmt.Sprintf(`{"qasm": %q, "wait": true}`, groverQASM)
 
 	code, _, res1, view1 := postRaw(t, ts.URL, body)
-	if code != http.StatusOK || view1.Status != StatusDone {
+	if code != http.StatusOK || view1.Status != engine.StatusDone {
 		t.Fatalf("first run: %d %+v", code, view1)
 	}
 	if view1.Cached {
@@ -72,7 +74,7 @@ func TestCacheByteIdenticalReplay(t *testing.T) {
 	variant := strings.ReplaceAll(groverQASM, "q[", "work[")
 	variant = strings.Replace(variant, "qreg work[2];", "// renamed\nqreg work[2];", 1)
 	code, _, res2, view2 := postRaw(t, ts.URL, fmt.Sprintf(`{"qasm": %q, "wait": true}`, variant))
-	if code != http.StatusOK || view2.Status != StatusDone {
+	if code != http.StatusOK || view2.Status != engine.StatusDone {
 		t.Fatalf("replay: %d %+v", code, view2)
 	}
 	if !view2.Cached {
@@ -105,7 +107,7 @@ func TestCacheByteIdenticalReplay(t *testing.T) {
 func TestConcurrentIdenticalSubmissions(t *testing.T) {
 	var runs atomic.Int32
 	cfg := Config{Workers: 4, CacheBytes: 1 << 20}
-	cfg.hookRunning = func(*Job) { runs.Add(1) }
+	cfg.hookRunning = func(*engine.Job) { runs.Add(1) }
 	s, ts := newTestServer(t, cfg)
 
 	const clients = 16
@@ -117,7 +119,7 @@ func TestConcurrentIdenticalSubmissions(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			code, _, res, view := postRaw(t, ts.URL, body)
-			if code != http.StatusOK || view.Status != StatusDone {
+			if code != http.StatusOK || view.Status != engine.StatusDone {
 				t.Errorf("client %d: %d %+v", i, code, view.Error)
 				return
 			}
@@ -147,7 +149,7 @@ func TestFailedJobsNotCached(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, CacheBytes: 1 << 20, CheckpointEvery: -1})
 	body := fmt.Sprintf(`{"qasm": %q, "wait": true, "max_nodes": 1}`, ghzQASM(6))
 	_, view, _ := postJob(t, ts.URL, body)
-	if view.Status != StatusFailed || view.Error == nil || view.Error.Kind != KindBudgetExceeded {
+	if view.Status != engine.StatusFailed || view.Error == nil || view.Error.Kind != engine.KindBudgetExceeded {
 		t.Fatalf("tiny budget: %+v", view)
 	}
 	if st := s.eng.CacheStats(); st.Stores != 0 {
@@ -155,7 +157,7 @@ func TestFailedJobsNotCached(t *testing.T) {
 	}
 
 	_, view, _ = postJob(t, ts.URL, fmt.Sprintf(`{"qasm": %q, "wait": true}`, ghzQASM(6)))
-	if view.Status != StatusDone || view.Cached {
+	if view.Status != engine.StatusDone || view.Cached {
 		t.Fatalf("unbudgeted rerun: %+v", view)
 	}
 	if st := s.eng.CacheStats(); st.Stores != 1 {
@@ -175,7 +177,7 @@ func TestDiskTierSurvivesRestart(t *testing.T) {
 	}
 	ts1 := serveHTTP(t, s1)
 	code, _, res1, view := postRaw(t, ts1, body)
-	if code != http.StatusOK || view.Status != StatusDone {
+	if code != http.StatusOK || view.Status != engine.StatusDone {
 		t.Fatalf("first run: %d %+v", code, view)
 	}
 	s1.Shutdown(10 * time.Second)

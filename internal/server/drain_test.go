@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/engine"
 )
 
 // TestGracefulDrain: accepted jobs finish during Shutdown, new submissions
@@ -38,18 +40,18 @@ func TestGracefulDrain(t *testing.T) {
 
 	// Every accepted job drained to completion.
 	for _, id := range ids {
-		var v JobView
+		var v engine.JobView
 		if r := getJSON(t, ts.URL+"/v1/jobs/"+id, &v); r.StatusCode != http.StatusOK {
 			t.Fatalf("poll %s = %d", id, r.StatusCode)
 		}
-		if v.Status != StatusDone {
+		if v.Status != engine.StatusDone {
 			t.Fatalf("job %s drained to %q, want done (error: %+v)", id, v.Status, v.Error)
 		}
 	}
 
 	// Intake is closed: submissions answer 503 shutting_down.
 	resp, _, eb := postJob(t, ts.URL, fmt.Sprintf(`{"qasm": %q}`, ghzQASM(2)))
-	if resp.StatusCode != http.StatusServiceUnavailable || eb.Kind != KindShuttingDown {
+	if resp.StatusCode != http.StatusServiceUnavailable || eb.Kind != engine.KindShuttingDown {
 		t.Fatalf("post-shutdown submit = %d %+v", resp.StatusCode, eb)
 	}
 
@@ -85,7 +87,7 @@ func TestDrainDeadlineCancelsInFlight(t *testing.T) {
 	cfg := Config{Workers: 1, QueueSize: 4}
 	release := make(chan struct{})
 	entered := make(chan struct{}, 4)
-	cfg.hookRunning = func(*Job) { entered <- struct{}{}; <-release }
+	cfg.hookRunning = func(*engine.Job) { entered <- struct{}{}; <-release }
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -112,13 +114,13 @@ func TestDrainDeadlineCancelsInFlight(t *testing.T) {
 		t.Fatal("Shutdown did not return after cancelling in-flight work")
 	}
 
-	var v JobView
+	var v engine.JobView
 	getJSON(t, ts.URL+"/v1/jobs/"+inflight.ID, &v)
-	if v.Status != StatusCancelled || v.Error == nil || v.Error.Kind != KindCancelled {
+	if v.Status != engine.StatusCancelled || v.Error == nil || v.Error.Kind != engine.KindCancelled {
 		t.Fatalf("in-flight job = %q %+v, want cancelled", v.Status, v.Error)
 	}
 	getJSON(t, ts.URL+"/v1/jobs/"+queued.ID, &v)
-	if v.Status != StatusCancelled || v.Error == nil || v.Error.Kind != KindCancelled {
+	if v.Status != engine.StatusCancelled || v.Error == nil || v.Error.Kind != engine.KindCancelled {
 		t.Fatalf("queued job = %q %+v, want cancelled", v.Status, v.Error)
 	}
 	if v.Error.Message == "" || !strings.Contains(v.Error.Message, "shut down") {

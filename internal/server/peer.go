@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
-	"strings"
+	"slices"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/httpx"
 	"repro/internal/qcache"
 	"repro/internal/ring"
 )
@@ -39,26 +39,23 @@ type peerClient struct {
 // newPeerClient builds the peering client, or returns nil when the
 // membership leaves this node standalone (no peers beyond self).
 func newPeerClient(self string, peers []string, timeout time.Duration) (*peerClient, error) {
-	if len(peers) == 0 {
+	members, err := ring.NormalizeMembers(peers)
+	if err != nil {
+		return nil, fmt.Errorf("server: peer %w", err)
+	}
+	if len(members) == 0 {
 		return nil, nil
 	}
-	if self == "" {
+	me, err := ring.NormalizeMembers([]string{self})
+	if err != nil {
+		return nil, fmt.Errorf("server: self %w", err)
+	}
+	if len(me) == 0 {
 		return nil, fmt.Errorf("server: peering needs -self (this node's advertised URL)")
 	}
-	members := make([]string, 0, len(peers)+1)
-	seen := map[string]bool{}
-	for _, p := range append(append([]string{}, peers...), self) {
-		p = strings.TrimRight(strings.TrimSpace(p), "/")
-		if p == "" || seen[p] {
-			continue
-		}
-		if u, err := url.Parse(p); err != nil || u.Scheme == "" || u.Host == "" {
-			return nil, fmt.Errorf("server: peer %q is not a base URL", p)
-		}
-		seen[p] = true
-		members = append(members, p)
+	if !slices.Contains(members, me[0]) {
+		members = append(members, me[0])
 	}
-	self = strings.TrimRight(strings.TrimSpace(self), "/")
 	if len(members) < 2 {
 		return nil, nil // membership is just this node
 	}
@@ -66,7 +63,7 @@ func newPeerClient(self string, peers []string, timeout time.Duration) (*peerCli
 		timeout = 2 * time.Second
 	}
 	return &peerClient{
-		self: self,
+		self: me[0],
 		ring: ring.New(members, ring.DefaultVNodes),
 		http: &http.Client{Timeout: timeout},
 	}, nil
@@ -133,10 +130,7 @@ func (pc *peerClient) fetch(base string, key qcache.Key) ([]byte, error) {
 // (the engine itself renders qmddd_cache_peer_hits_total — hits are an
 // engine-side adoption event).
 func (pc *peerClient) renderMetrics(w io.Writer) {
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("qmddd_cache_peer_fetches_total", "Cache lookups issued to ring peers.", pc.fetches.Load())
-	counter("qmddd_cache_peer_misses_total", "Peer cache lookups answered 404.", pc.misses.Load())
-	counter("qmddd_cache_peer_errors_total", "Peer cache lookups that failed or returned invalid envelopes.", pc.errors.Load())
+	httpx.Counter(w, "qmddd_cache_peer_fetches_total", "Cache lookups issued to ring peers.", pc.fetches.Load())
+	httpx.Counter(w, "qmddd_cache_peer_misses_total", "Peer cache lookups answered 404.", pc.misses.Load())
+	httpx.Counter(w, "qmddd_cache_peer_errors_total", "Peer cache lookups that failed or returned invalid envelopes.", pc.errors.Load())
 }

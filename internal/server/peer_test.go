@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/qcache"
 )
 
@@ -53,7 +54,7 @@ func TestPeerCacheHitServesWithoutSimulation(t *testing.T) {
 	body := fmt.Sprintf(`{"qasm": %q, "wait": true}`, groverQASM)
 
 	// Warm the key on A (A may consult B first — a miss — then simulates).
-	if resp, view, _ := postJob(t, tsA.URL, body); resp.StatusCode != http.StatusOK || view.Status != StatusDone {
+	if resp, view, _ := postJob(t, tsA.URL, body); resp.StatusCode != http.StatusOK || view.Status != engine.StatusDone {
 		t.Fatalf("warming run on A: %d %+v", resp.StatusCode, view)
 	}
 	if got := srvA.eng.JobsStarted(); got != 1 {
@@ -62,7 +63,7 @@ func TestPeerCacheHitServesWithoutSimulation(t *testing.T) {
 
 	// Same job to B: served via the peering protocol, no local simulation.
 	resp, view, _ := postJob(t, tsB.URL, body)
-	if resp.StatusCode != http.StatusOK || view.Status != StatusDone || !view.Cached {
+	if resp.StatusCode != http.StatusOK || view.Status != engine.StatusDone || !view.Cached {
 		t.Fatalf("peer-served run on B: %d cached=%v %+v", resp.StatusCode, view.Cached, view.Error)
 	}
 	if got := srvB.eng.JobsStarted(); got != 0 {
@@ -97,7 +98,7 @@ func TestPeerDownFallsBackToSimulation(t *testing.T) {
 	mux.Handle("/", srv)
 
 	resp, view, _ := postJob(t, ts.URL, fmt.Sprintf(`{"qasm": %q, "wait": true}`, groverQASM))
-	if resp.StatusCode != http.StatusOK || view.Status != StatusDone || view.Cached {
+	if resp.StatusCode != http.StatusOK || view.Status != engine.StatusDone || view.Cached {
 		t.Fatalf("run with dead peer: %d %+v", resp.StatusCode, view)
 	}
 	if got := srv.eng.JobsStarted(); got != 1 {
@@ -148,7 +149,7 @@ func TestPeerCorruptEnvelopeRejected(t *testing.T) {
 
 			body := fmt.Sprintf(`{"qasm": %q, "wait": true}`, groverQASM)
 			resp, view, _ := postJob(t, ts.URL, body)
-			if resp.StatusCode != http.StatusOK || view.Status != StatusDone || view.Cached {
+			if resp.StatusCode != http.StatusOK || view.Status != engine.StatusDone || view.Cached {
 				t.Fatalf("run against corrupt peer: %d %+v", resp.StatusCode, view)
 			}
 			if view.Result == nil || len(view.Result.Amplitudes) == 0 || view.Result.Amplitudes[0].State != "11" {
@@ -182,7 +183,7 @@ func TestPeerCorruptEnvelopeRejected(t *testing.T) {
 func TestCachePeekEndpoint(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, CacheDir: t.TempDir()})
 	body := fmt.Sprintf(`{"qasm": %q, "wait": true}`, groverQASM)
-	if resp, view, _ := postJob(t, ts.URL, body); resp.StatusCode != http.StatusOK || view.Status != StatusDone {
+	if resp, view, _ := postJob(t, ts.URL, body); resp.StatusCode != http.StatusOK || view.Status != engine.StatusDone {
 		t.Fatalf("warming run: %d %+v", resp.StatusCode, view)
 	}
 	_ = s

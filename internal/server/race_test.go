@@ -14,6 +14,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/ddio"
+	"repro/internal/engine"
 	"repro/internal/num"
 	"repro/internal/qasm"
 	"repro/internal/sim"
@@ -23,7 +24,7 @@ import (
 // returns the amplitude list exactly as the server computes it, so the
 // concurrency test can assert that a hammered pool returns byte-identical
 // answers.
-func baseline(t *testing.T, src, repr string) []Amplitude {
+func baseline(t *testing.T, src, repr string) []engine.Amplitude {
 	t.Helper()
 	circ, err := qasm.Parse(src, "baseline")
 	if err != nil {
@@ -37,18 +38,18 @@ func baseline(t *testing.T, src, repr string) []Amplitude {
 	return baselineTyped(t, m, ddio.NumCodec{}, circ)
 }
 
-func baselineTyped[T any](t *testing.T, m *core.Manager[T], codec ddio.Codec[T], circ *circuit.Circuit) []Amplitude {
+func baselineTyped[T any](t *testing.T, m *core.Manager[T], codec ddio.Codec[T], circ *circuit.Circuit) []engine.Amplitude {
 	t.Helper()
 	s := sim.New(m, circ.N)
 	if err := s.RunCtx(context.Background(), circ, nil); err != nil {
 		t.Fatal(err)
 	}
 	idxs, probs := m.TopOutcomes(s.State, circ.N, 16)
-	out := make([]Amplitude, 0, len(idxs))
+	out := make([]engine.Amplitude, 0, len(idxs))
 	for i, idx := range idxs {
 		amp := m.Amplitude(s.State, circ.N, idx)
 		c := m.R.Complex128(amp)
-		out = append(out, Amplitude{
+		out = append(out, engine.Amplitude{
 			Index: idx,
 			State: fmt.Sprintf("%0*b", circ.N, idx),
 			Re:    real(c),
@@ -77,7 +78,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		{ghzQASM(6), "alg"},
 		{ghzQASM(6), "float"},
 	}
-	want := make([][]Amplitude, len(loads))
+	want := make([][]engine.Amplitude, len(loads))
 	for i, l := range loads {
 		want[i] = baseline(t, l.qasmSrc, l.repr)
 	}
@@ -101,14 +102,14 @@ func TestConcurrentMixedLoad(t *testing.T) {
 					errs <- err
 					return
 				}
-				var view JobView
+				var view engine.JobView
 				err = json.NewDecoder(resp.Body).Decode(&view)
 				resp.Body.Close()
 				if err != nil {
 					errs <- err
 					return
 				}
-				if resp.StatusCode != http.StatusOK || view.Status != StatusDone || view.Result == nil {
+				if resp.StatusCode != http.StatusOK || view.Status != engine.StatusDone || view.Result == nil {
 					errs <- fmt.Errorf("client %d job %d: status %d/%q (%+v)", k, n, resp.StatusCode, view.Status, view.Error)
 					return
 				}
@@ -126,7 +127,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	}
 }
 
-func compareAmplitudes(got, want []Amplitude, repr string) error {
+func compareAmplitudes(got, want []engine.Amplitude, repr string) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("amplitude count %d, baseline %d", len(got), len(want))
 	}

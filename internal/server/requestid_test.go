@@ -10,6 +10,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/engine"
+	"repro/internal/httpx"
 )
 
 // syncBuffer is a goroutine-safe log sink (the server writes access-log
@@ -46,13 +49,13 @@ func TestRequestIDLifecycle(t *testing.T) {
 
 	// Forwarded id: adopted verbatim.
 	req, _ := http.NewRequest("GET", ts.URL+"/healthz", nil)
-	req.Header.Set(RequestIDHeader, "r-forwarded-42")
+	req.Header.Set(httpx.RequestIDHeader, "r-forwarded-42")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got := resp.Header.Get(RequestIDHeader); got != "r-forwarded-42" {
+	if got := resp.Header.Get(httpx.RequestIDHeader); got != "r-forwarded-42" {
 		t.Fatalf("forwarded id not echoed: %q", got)
 	}
 
@@ -62,7 +65,7 @@ func TestRequestIDLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	gen := resp.Header.Get(RequestIDHeader)
+	gen := resp.Header.Get(httpx.RequestIDHeader)
 	if gen == "" || !strings.HasPrefix(gen, "r") {
 		t.Fatalf("no generated id: %q", gen)
 	}
@@ -75,20 +78,20 @@ func TestRequestIDLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got := resp.Header.Get(RequestIDHeader); got == "bad id with spaces" || got == "" {
+	if got := resp.Header.Get(httpx.RequestIDHeader); got == "bad id with spaces" || got == "" {
 		t.Fatalf("invalid id propagated: %q", got)
 	}
 
 	// Error envelopes carry the exchange's id.
 	req, _ = http.NewRequest("POST", ts.URL+"/v1/jobs", strings.NewReader(`{"qasm": ""}`))
-	req.Header.Set(RequestIDHeader, "r-err-7")
+	req.Header.Set(httpx.RequestIDHeader, "r-err-7")
 	req.Header.Set("Content-Type", "application/json")
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var envelope struct {
-		Error ErrorBody `json:"error"`
+		Error engine.ErrorBody `json:"error"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
 		t.Fatal(err)
@@ -116,13 +119,13 @@ func TestRequestIDOnSubmitSuccess(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	body := fmt.Sprintf(`{"qasm": %q, "wait": true}`, groverQASM)
 	req, _ := http.NewRequest("POST", ts.URL+"/v1/jobs", strings.NewReader(body))
-	req.Header.Set(RequestIDHeader, "r-ok-1")
+	req.Header.Set(httpx.RequestIDHeader, "r-ok-1")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get(RequestIDHeader) != "r-ok-1" {
-		t.Fatalf("submit = %d, id %q", resp.StatusCode, resp.Header.Get(RequestIDHeader))
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(httpx.RequestIDHeader) != "r-ok-1" {
+		t.Fatalf("submit = %d, id %q", resp.StatusCode, resp.Header.Get(httpx.RequestIDHeader))
 	}
 }

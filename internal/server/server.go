@@ -41,8 +41,6 @@ type Config struct {
 	MaxTopK int
 	// MaxShots caps the shot count of a histogram job (default 1<<20).
 	MaxShots int
-	// CTSize is the per-manager compute-table slot count.
-	CTSize int
 
 	// NodeCap / WeightCap / ByteCap / TimeoutCap clamp the per-request
 	// budget. See engine.Config.
@@ -73,10 +71,11 @@ type Config struct {
 
 	// Self is this node's advertised base URL (scheme://host:port) and Peers
 	// the full cluster membership (base URLs, self included or not — Self is
-	// always folded in). With ≥2 members, cache peering activates: a local
-	// miss first asks the ring owners of the key for their stored envelope
-	// (GET /v1/cache/{key}), validated by checksum and provenance stamp
-	// before adoption. Empty Peers runs the node standalone.
+	// always folded in), both normalized by ring.NormalizeMembers as the
+	// router's worker list is. With ≥2 members, cache peering activates: a
+	// local miss first asks the ring owners of the key for their stored
+	// envelope (GET /v1/cache/{key}), validated by checksum and provenance
+	// stamp before adoption. Empty Peers runs the node standalone.
 	Self  string
 	Peers []string
 	// PeerTimeout bounds one peer cache fetch (default 2s) — peering is an
@@ -101,7 +100,6 @@ func (c Config) engineConfig() engine.Config {
 		MaxQubits:        c.MaxQubits,
 		MaxTopK:          c.MaxTopK,
 		MaxShots:         c.MaxShots,
-		CTSize:           c.CTSize,
 		NodeCap:          c.NodeCap,
 		WeightCap:        c.WeightCap,
 		ByteCap:          c.ByteCap,
@@ -175,22 +173,49 @@ func (s *Server) Engine() *engine.Engine { return s.eng }
 // cancelled cooperatively through the governor.
 func (s *Server) Shutdown(drain time.Duration) { s.eng.Shutdown(drain) }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
 // writeError serves the structured error envelope, stamped with the
 // exchange's request id so a client-side error report can be joined against
 // the access log.
-func writeError(w http.ResponseWriter, r *http.Request, status int, body ErrorBody) {
+func writeError(w http.ResponseWriter, r *http.Request, status int, body engine.ErrorBody) {
 	body.RequestID = httpx.RequestIDFrom(r)
-	writeJSON(w, status, struct {
-		Error ErrorBody `json:"error"`
+	httpx.WriteJSON(w, status, struct {
+		Error engine.ErrorBody `json:"error"`
 	}{body})
+}
+
+// decodeSubmission strictly decodes a submission body (POST /v1/jobs or
+// /v1/batches) into v, answering 413 past the body cap and 400 for
+// malformed JSON or an unknown field. It reports whether v was decoded.
+func (s *Server) decodeSubmission(w http.ResponseWriter, r *http.Request, v any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeError(w, r, http.StatusRequestEntityTooLarge, engine.ErrorBody{
+			Kind: engine.KindTooLarge, Message: fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes),
+		})
+	default:
+		writeError(w, r, http.StatusBadRequest, engine.ErrorBody{Kind: engine.KindInvalidRequest, Message: "decoding request: " + err.Error()})
+	}
+	return false
+}
+
+// writeReject serves a refused submission under the status its reason maps
+// to: 503 while draining, 429 when full, 400 otherwise.
+func writeReject(w http.ResponseWriter, r *http.Request, serr *engine.SubmitError) {
+	status := http.StatusBadRequest
+	switch serr.Reason {
+	case engine.RejectDraining:
+		status = http.StatusServiceUnavailable
+	case engine.RejectBusy:
+		status = http.StatusTooManyRequests
+	}
+	writeError(w, r, status, serr.Body)
 }
 
 // handleSubmit decodes and submits one job (POST /v1/jobs). Validation,
@@ -198,98 +223,60 @@ func writeError(w http.ResponseWriter, r *http.Request, status int, body ErrorBo
 // maps the reject reasons onto HTTP and implements "wait": true by blocking
 // on the job's done channel.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var req JobRequest
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, r, http.StatusRequestEntityTooLarge, ErrorBody{
-				Kind: KindTooLarge, Message: fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes),
-			})
-			return
-		}
-		writeError(w, r, http.StatusBadRequest, ErrorBody{Kind: KindInvalidRequest, Message: "decoding request: " + err.Error()})
+	var req engine.JobRequest
+	if !s.decodeSubmission(w, r, &req) {
 		return
 	}
-
 	j, serr := s.eng.Submit(req)
 	if serr != nil {
-		status := http.StatusBadRequest
-		switch serr.Reason {
-		case engine.RejectDraining:
-			status = http.StatusServiceUnavailable
-		case engine.RejectBusy:
-			status = http.StatusTooManyRequests
-		}
-		writeError(w, r, status, serr.Body)
+		writeReject(w, r, serr)
 		return
 	}
 
 	select {
 	case <-j.Done():
 		// Already finished (cache/peer/flight hit, or a fast run under wait).
-		writeJSON(w, http.StatusOK, j.View(true))
+		httpx.WriteJSON(w, http.StatusOK, j.View(true))
 		return
 	default:
 	}
 	if req.Wait {
 		select {
 		case <-j.Done():
-			writeJSON(w, http.StatusOK, j.View(true))
+			httpx.WriteJSON(w, http.StatusOK, j.View(true))
 		case <-r.Context().Done():
 			// Client gave up; the job keeps running and stays pollable.
-			writeJSON(w, http.StatusAccepted, j.View(false))
+			httpx.WriteJSON(w, http.StatusAccepted, j.View(false))
 		}
 		return
 	}
-	writeJSON(w, http.StatusAccepted, j.View(false))
+	httpx.WriteJSON(w, http.StatusAccepted, j.View(false))
 }
 
 // handleBatchSubmit decodes and submits one batch (POST /v1/batches): a
 // shared prefix simulated exactly once, fanned out into per-variant jobs.
 // "wait": true blocks until every variant is terminal, mirroring /v1/jobs.
 func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req engine.BatchRequest
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, r, http.StatusRequestEntityTooLarge, ErrorBody{
-				Kind: KindTooLarge, Message: fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes),
-			})
-			return
-		}
-		writeError(w, r, http.StatusBadRequest, ErrorBody{Kind: KindInvalidRequest, Message: "decoding request: " + err.Error()})
+	if !s.decodeSubmission(w, r, &req) {
 		return
 	}
-
 	b, serr := s.eng.SubmitBatch(req, httpx.RequestIDFrom(r))
 	if serr != nil {
-		status := http.StatusBadRequest
-		switch serr.Reason {
-		case engine.RejectDraining:
-			status = http.StatusServiceUnavailable
-		case engine.RejectBusy:
-			status = http.StatusTooManyRequests
-		}
-		writeError(w, r, status, serr.Body)
+		writeReject(w, r, serr)
 		return
 	}
 	if req.Wait {
 		select {
 		case <-b.Done():
-			writeJSON(w, http.StatusOK, b.View(true))
+			httpx.WriteJSON(w, http.StatusOK, b.View(true))
 		case <-r.Context().Done():
 			// Client gave up; the batch keeps running and stays pollable.
-			writeJSON(w, http.StatusAccepted, b.View(false))
+			httpx.WriteJSON(w, http.StatusAccepted, b.View(false))
 		}
 		return
 	}
-	writeJSON(w, http.StatusAccepted, b.View(false))
+	httpx.WriteJSON(w, http.StatusAccepted, b.View(false))
 }
 
 // handleBatchStatus serves one batch's aggregate view (GET /v1/batches/{id});
@@ -298,14 +285,14 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleBatchStatus(w http.ResponseWriter, r *http.Request) {
 	b := s.eng.Batch(r.PathValue("id"))
 	if b == nil {
-		writeError(w, r, http.StatusNotFound, ErrorBody{Kind: KindNotFound, Message: "unknown batch id"})
+		writeError(w, r, http.StatusNotFound, engine.ErrorBody{Kind: engine.KindNotFound, Message: "unknown batch id"})
 		return
 	}
 	select {
 	case <-b.Done():
-		writeJSON(w, http.StatusOK, b.View(true))
+		httpx.WriteJSON(w, http.StatusOK, b.View(true))
 	default:
-		writeJSON(w, http.StatusOK, b.View(false))
+		httpx.WriteJSON(w, http.StatusOK, b.View(false))
 	}
 }
 
@@ -325,26 +312,26 @@ func (s *Server) logBatchChild(b *engine.Batch, index int, j *engine.Job) {
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	j := s.eng.Job(r.PathValue("id"))
 	if j == nil {
-		writeError(w, r, http.StatusNotFound, ErrorBody{Kind: KindNotFound, Message: "unknown job id"})
+		writeError(w, r, http.StatusNotFound, engine.ErrorBody{Kind: engine.KindNotFound, Message: "unknown job id"})
 		return
 	}
-	writeJSON(w, http.StatusOK, j.View(false))
+	httpx.WriteJSON(w, http.StatusOK, j.View(false))
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	j := s.eng.Job(r.PathValue("id"))
 	if j == nil {
-		writeError(w, r, http.StatusNotFound, ErrorBody{Kind: KindNotFound, Message: "unknown job id"})
+		writeError(w, r, http.StatusNotFound, engine.ErrorBody{Kind: engine.KindNotFound, Message: "unknown job id"})
 		return
 	}
 	v := j.View(true)
-	if v.Status == StatusQueued || v.Status == StatusRunning {
-		writeError(w, r, http.StatusConflict, ErrorBody{
-			Kind: KindNotFinished, Message: fmt.Sprintf("job is %s; poll /v1/jobs/%s", v.Status, j.ID()),
+	if v.Status == engine.StatusQueued || v.Status == engine.StatusRunning {
+		writeError(w, r, http.StatusConflict, engine.ErrorBody{
+			Kind: engine.KindNotFinished, Message: fmt.Sprintf("job is %s; poll /v1/jobs/%s", v.Status, j.ID()),
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, v)
+	httpx.WriteJSON(w, http.StatusOK, v)
 }
 
 // handleCachePeek serves the cache-peering protocol: the stamped disk-tier
@@ -354,12 +341,12 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCachePeek(w http.ResponseWriter, r *http.Request) {
 	key, err := qcache.ParseKey(r.PathValue("key"))
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, ErrorBody{Kind: KindInvalidRequest, Message: err.Error()})
+		writeError(w, r, http.StatusBadRequest, engine.ErrorBody{Kind: engine.KindInvalidRequest, Message: err.Error()})
 		return
 	}
 	raw, ok := s.eng.CacheRaw(key)
 	if !ok {
-		writeError(w, r, http.StatusNotFound, ErrorBody{Kind: KindNotFound, Message: "no cache entry"})
+		writeError(w, r, http.StatusNotFound, engine.ErrorBody{Kind: engine.KindNotFound, Message: "no cache entry"})
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -368,7 +355,7 @@ func (s *Server) handleCachePeek(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	httpx.WriteJSON(w, http.StatusOK, struct {
 		Name string `json:"name"`
 		buildinfo.Info
 	}{Name: "qmddd", Info: buildinfo.Read()})
@@ -379,7 +366,7 @@ func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {
 // finishing accepted jobs and serving polls. Restart-deciders watch this;
 // traffic-routers must watch /readyz instead.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	httpx.WriteJSON(w, http.StatusOK, struct {
 		Status   string `json:"status"`
 		Draining bool   `json:"draining"`
 	}{"ok", s.eng.Draining()})
@@ -413,11 +400,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 			b.Status = "warming"
 		}
 	}
-	writeJSON(w, status, b)
+	httpx.WriteJSON(w, status, b)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.Header().Set("Content-Type", httpx.MetricsContentType)
 	s.eng.RenderMetrics(w)
 	if s.peers != nil {
 		s.peers.renderMetrics(w)

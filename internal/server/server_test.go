@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/engine"
 )
 
 // ghzQASM is an n-qubit GHZ circuit in OpenQASM.
@@ -49,9 +51,9 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 }
 
 // postJob submits a request body and decodes the response, which is either a
-// JobView (possibly carrying an error for failed jobs) or an {"error": …}
+// engine.JobView (possibly carrying an error for failed jobs) or an {"error": …}
 // envelope for refused submissions.
-func postJob(t *testing.T, url string, body string) (*http.Response, JobView, ErrorBody) {
+func postJob(t *testing.T, url string, body string) (*http.Response, engine.JobView, engine.ErrorBody) {
 	t.Helper()
 	resp, err := http.Post(url+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -59,13 +61,13 @@ func postJob(t *testing.T, url string, body string) (*http.Response, JobView, Er
 	}
 	defer resp.Body.Close()
 	var wrapper struct {
-		JobView
-		Error *ErrorBody `json:"error"`
+		engine.JobView
+		Error *engine.ErrorBody `json:"error"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&wrapper); err != nil {
 		t.Fatalf("decoding response (%d): %v", resp.StatusCode, err)
 	}
-	var eb ErrorBody
+	var eb engine.ErrorBody
 	if wrapper.Error != nil {
 		eb = *wrapper.Error
 	}
@@ -97,7 +99,7 @@ func TestSubmitWaitGrover(t *testing.T) {
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("status = %d", resp.StatusCode)
 			}
-			if view.Status != StatusDone || view.Result == nil {
+			if view.Status != engine.StatusDone || view.Result == nil {
 				t.Fatalf("job not done: %+v", view)
 			}
 			r := view.Result
@@ -128,12 +130,12 @@ func TestSubmitPollResult(t *testing.T) {
 		t.Fatalf("no job id in %+v", view)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	var polled JobView
+	var polled engine.JobView
 	for {
 		if r := getJSON(t, ts.URL+"/v1/jobs/"+view.ID, &polled); r.StatusCode != http.StatusOK {
 			t.Fatalf("poll status = %d", r.StatusCode)
 		}
-		if polled.Status != StatusQueued && polled.Status != StatusRunning {
+		if polled.Status != engine.StatusQueued && polled.Status != engine.StatusRunning {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -141,13 +143,13 @@ func TestSubmitPollResult(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if polled.Status != StatusDone {
+	if polled.Status != engine.StatusDone {
 		t.Fatalf("terminal status = %q, error = %+v", polled.Status, polled.Error)
 	}
 	if polled.Result != nil {
 		t.Fatal("status poll must not carry the result payload")
 	}
-	var full JobView
+	var full engine.JobView
 	if r := getJSON(t, ts.URL+"/v1/jobs/"+view.ID+"/result", &full); r.StatusCode != http.StatusOK {
 		t.Fatalf("result status = %d", r.StatusCode)
 	}
@@ -164,7 +166,7 @@ func TestNotFoundAndNotFinished(t *testing.T) {
 	cfg := Config{Workers: 1}
 	release := make(chan struct{})
 	entered := make(chan struct{}, 8)
-	cfg.hookRunning = func(*Job) { entered <- struct{}{}; <-release }
+	cfg.hookRunning = func(*engine.Job) { entered <- struct{}{}; <-release }
 	_, ts := newTestServer(t, cfg)
 	defer close(release)
 
@@ -178,12 +180,12 @@ func TestNotFoundAndNotFinished(t *testing.T) {
 	_, view, _ := postJob(t, ts.URL, fmt.Sprintf(`{"qasm": %q}`, ghzQASM(2)))
 	<-entered
 	var wrapper struct {
-		Error ErrorBody `json:"error"`
+		Error engine.ErrorBody `json:"error"`
 	}
 	if r := getJSON(t, ts.URL+"/v1/jobs/"+view.ID+"/result", &wrapper); r.StatusCode != http.StatusConflict {
 		t.Fatalf("result for running job = %d", r.StatusCode)
 	}
-	if wrapper.Error.Kind != KindNotFinished {
+	if wrapper.Error.Kind != engine.KindNotFinished {
 		t.Fatalf("kind = %q", wrapper.Error.Kind)
 	}
 }
@@ -195,7 +197,7 @@ func TestRequestTooLarge(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	if eb.Kind != KindTooLarge {
+	if eb.Kind != engine.KindTooLarge {
 		t.Fatalf("kind = %q", eb.Kind)
 	}
 }
@@ -204,7 +206,7 @@ func TestQueueFull(t *testing.T) {
 	cfg := Config{Workers: 1, QueueSize: 1}
 	release := make(chan struct{})
 	entered := make(chan struct{}, 8)
-	cfg.hookRunning = func(*Job) { entered <- struct{}{}; <-release }
+	cfg.hookRunning = func(*engine.Job) { entered <- struct{}{}; <-release }
 	_, ts := newTestServer(t, cfg)
 	defer close(release)
 
@@ -222,7 +224,7 @@ func TestQueueFull(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("third submit = %d, want 429", resp.StatusCode)
 	}
-	if eb.Kind != KindQueueFull {
+	if eb.Kind != engine.KindQueueFull {
 		t.Fatalf("kind = %q", eb.Kind)
 	}
 }
@@ -233,7 +235,7 @@ func TestParseErrorBody(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	if eb.Kind != KindParseError || eb.Line != 3 {
+	if eb.Kind != engine.KindParseError || eb.Line != 3 {
 		t.Fatalf("error = %+v, want parse_error at line 3", eb)
 	}
 }
@@ -245,10 +247,10 @@ func TestBudgetExceededBody(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d (a governed refusal is not a 5xx)", resp.StatusCode)
 	}
-	if view.Status != StatusFailed {
+	if view.Status != engine.StatusFailed {
 		t.Fatalf("status = %q", view.Status)
 	}
-	if eb.Kind != KindBudgetExceeded || eb.Limit != "nodes" || eb.Peak == nil || eb.Peak.Nodes < 1 {
+	if eb.Kind != engine.KindBudgetExceeded || eb.Limit != "nodes" || eb.Peak == nil || eb.Peak.Nodes < 1 {
 		t.Fatalf("error = %+v, want budget_exceeded on nodes with peaks", eb)
 	}
 }
@@ -273,7 +275,7 @@ func TestInvalidRequests(t *testing.T) {
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("status = %d", resp.StatusCode)
 			}
-			if eb.Kind != KindInvalidRequest {
+			if eb.Kind != engine.KindInvalidRequest {
 				t.Fatalf("kind = %q (%+v)", eb.Kind, eb)
 			}
 		})
@@ -283,7 +285,7 @@ func TestInvalidRequests(t *testing.T) {
 func TestQubitCap(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, MaxQubits: 4})
 	resp, _, eb := postJob(t, ts.URL, fmt.Sprintf(`{"qasm": %q}`, ghzQASM(5)))
-	if resp.StatusCode != http.StatusBadRequest || eb.Kind != KindInvalidRequest {
+	if resp.StatusCode != http.StatusBadRequest || eb.Kind != engine.KindInvalidRequest {
 		t.Fatalf("resp = %d %+v", resp.StatusCode, eb)
 	}
 }
@@ -315,14 +317,14 @@ func TestTimeoutJob(t *testing.T) {
 	// The hook runs after the per-job deadline starts ticking; sleeping past
 	// it guarantees RunCtx sees an expired context at gate 0, making the
 	// outcome deterministic even though the circuit itself is instant.
-	cfg.hookRunning = func(*Job) { time.Sleep(30 * time.Millisecond) }
+	cfg.hookRunning = func(*engine.Job) { time.Sleep(30 * time.Millisecond) }
 	_, ts := newTestServer(t, cfg)
 	body := fmt.Sprintf(`{"qasm": %q, "timeout_ms": 1, "wait": true}`, ghzQASM(4))
 	resp, view, eb := postJob(t, ts.URL, body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	if view.Status != StatusCancelled || eb.Kind != KindTimeout {
+	if view.Status != engine.StatusCancelled || eb.Kind != engine.KindTimeout {
 		t.Fatalf("view = %+v, error = %+v; want cancelled/timeout", view, eb)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // teleportQASM teleports X|0⟩ = |1⟩ from q0 to q2 via mid-circuit
@@ -40,7 +42,7 @@ func TestShotsTeleportation(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	if view.Status != StatusDone || view.Result == nil {
+	if view.Status != engine.StatusDone || view.Result == nil {
 		t.Fatalf("job not done: %+v", view)
 	}
 	r := view.Result
@@ -61,7 +63,7 @@ func TestShotsTeleportation(t *testing.T) {
 	// Same request again: the seeded histogram is cacheable, so the second
 	// submission is served without a run and is byte-identical.
 	resp2, view2, _ := postJob(t, ts.URL, body)
-	if resp2.StatusCode != http.StatusOK || view2.Status != StatusDone {
+	if resp2.StatusCode != http.StatusOK || view2.Status != engine.StatusDone {
 		t.Fatalf("resubmission: %d %+v", resp2.StatusCode, view2)
 	}
 	if !view2.Cached {
@@ -75,7 +77,7 @@ func TestShotsTeleportation(t *testing.T) {
 	// histogram identical (fresh run — repr is part of the cache key).
 	bodyF := fmt.Sprintf(`{"qasm": %q, "shots": 256, "seed": 7, "representation": "float", "wait": true}`, teleportQASM)
 	respF, viewF, _ := postJob(t, ts.URL, bodyF)
-	if respF.StatusCode != http.StatusOK || viewF.Status != StatusDone {
+	if respF.StatusCode != http.StatusOK || viewF.Status != engine.StatusDone {
 		t.Fatalf("float submission: %d %+v", respF.StatusCode, viewF)
 	}
 	if viewF.Cached {
@@ -92,7 +94,7 @@ func TestShotsUnseeded(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, CacheBytes: 1 << 20})
 	body := fmt.Sprintf(`{"qasm": %q, "shots": 64, "wait": true}`, ghzQASM(2))
 	_, view, _ := postJob(t, ts.URL, body)
-	if view.Status != StatusDone || view.Result == nil {
+	if view.Status != engine.StatusDone || view.Result == nil {
 		t.Fatalf("job not done: %+v", view)
 	}
 	if view.Result.Seed == 0 {
@@ -114,7 +116,7 @@ func TestShotsCached(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, CacheBytes: 1 << 20})
 	body := fmt.Sprintf(`{"qasm": %q, "shots": 100, "seed": 3, "wait": true}`, ghzQASM(3))
 	_, view, _ := postJob(t, ts.URL, body)
-	if view.Status != StatusDone {
+	if view.Status != engine.StatusDone {
 		t.Fatalf("job not done: %+v", view)
 	}
 	for key := range view.Result.Histogram {
@@ -123,7 +125,7 @@ func TestShotsCached(t *testing.T) {
 		}
 	}
 	_, view2, _ := postJob(t, ts.URL, body)
-	if !view2.Cached || view2.Status != StatusDone {
+	if !view2.Cached || view2.Status != engine.StatusDone {
 		t.Fatalf("resubmission not served from cache: %+v", view2)
 	}
 	if !reflect.DeepEqual(view2.Result.Histogram, view.Result.Histogram) {
@@ -161,7 +163,7 @@ func TestShotsValidationHTTP(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, _, eb := postJob(t, ts.URL, tc.body)
-			if resp.StatusCode != http.StatusBadRequest || eb.Kind != KindInvalidRequest {
+			if resp.StatusCode != http.StatusBadRequest || eb.Kind != engine.KindInvalidRequest {
 				t.Fatalf("status %d, kind %q", resp.StatusCode, eb.Kind)
 			}
 			if !strings.Contains(eb.Message, tc.wantMsg) {
@@ -177,12 +179,12 @@ func TestShotsValidationHTTP(t *testing.T) {
 func TestAmplitudesStripReadout(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, CacheBytes: 1 << 20})
 	_, view, _ := postJob(t, ts.URL, fmt.Sprintf(`{"qasm": %q, "wait": true}`, ghzQASM(2)))
-	if view.Status != StatusDone {
+	if view.Status != engine.StatusDone {
 		t.Fatalf("job not done: %+v", view)
 	}
 	withReadout := ghzQASM(2) + "creg c[2];\nmeasure q -> c;\n"
 	_, view2, _ := postJob(t, ts.URL, fmt.Sprintf(`{"qasm": %q, "wait": true}`, withReadout))
-	if view2.Status != StatusDone {
+	if view2.Status != engine.StatusDone {
 		t.Fatalf("read-out twin not done: %+v", view2)
 	}
 	if !view2.Cached {
