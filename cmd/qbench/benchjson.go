@@ -111,27 +111,23 @@ func benchOne(ctx context.Context, figure, name string, c *circuit.Circuit, p be
 }
 
 // benchRun simulates the circuit once on a fresh manager and measures wall
-// time, allocation, and the exact per-gate peak state size.
+// time, allocation, and the exact per-gate peak and final state sizes.
 func benchRun(ctx context.Context, m *core.Manager[alg.Q], c *circuit.Circuit) (benchVariant, error) {
 	r := benchVariant{Name: "local"}
 	s := sim.New(m, c.N)
+	tr := sim.Trace[alg.Q]{Stride: c.Len(), Peak: true}
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	err := s.RunCtx(ctx, c, func(i int, g circuit.Gate) bool {
-		if n := s.State.NodeCount(); n > r.PeakNodes {
-			r.PeakNodes = n
-		}
-		return true
-	})
-	if err != nil {
+	if err := s.RunCtx(ctx, c, tr.Hook(s, c)); err != nil {
 		return r, err
 	}
 	r.Seconds = time.Since(start).Seconds()
 	runtime.ReadMemStats(&after)
 	r.AllocBytes = after.TotalAlloc - before.TotalAlloc
 	r.Mallocs = after.Mallocs - before.Mallocs
-	r.FinalNodes = s.State.NodeCount()
+	r.PeakNodes = tr.PeakNodes
+	r.FinalNodes = tr.Points[len(tr.Points)-1].Nodes
 	return r, nil
 }

@@ -50,40 +50,19 @@ func cmdTune(args []string) {
 	ctx, stop := governorContext(*timeout)
 	defer stop()
 
-	// tune runs one pass; false means the governor stopped it and the
-	// partial trials are already printed.
-	tune := func(maxNodes int) (*bench.TuneResult, bool) {
-		res, err := bench.Tune(ctx, c, bench.TuneParams{
-			Candidates: candidates,
-			MaxNodes:   maxNodes,
-			MaxError:   *maxErr,
-			Parallel:   *parallel,
-		})
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			fmt.Printf("qsim: tuning stopped early (%v); partial trials below\n", err)
-			fmt.Print(res.Report())
-			return res, false
-		}
-		if err != nil {
-			fatal(err)
-		}
-		return res, true
+	res, err := bench.Tune(ctx, c, bench.TuneParams{
+		Candidates: candidates,
+		MaxNodes:   *maxNodes,
+		MaxError:   *maxErr,
+		Parallel:   *parallel,
+	})
+	switch {
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		fmt.Printf("qsim: tuning stopped early (%v); partial trials below\n", err)
+	case err != nil:
+		fatal(err)
+	case *maxNodes <= 0:
+		fmt.Printf("node budget: 4 × exact size = %d\n", res.MaxNodes)
 	}
-
-	if *maxNodes > 0 {
-		if res, ok := tune(*maxNodes); ok {
-			fmt.Print(res.Report())
-		}
-		return
-	}
-	// A first pass under a huge budget learns the exact size; acceptance
-	// is then re-evaluated against 4× that size.
-	res, ok := tune(1 << 30)
-	if !ok {
-		return
-	}
-	if res, ok = tune(4 * res.AlgebraicNodes); ok {
-		fmt.Printf("node budget: 4 × exact size = %d\n", 4*res.AlgebraicNodes)
-		fmt.Print(res.Report())
-	}
+	fmt.Print(res.Report())
 }

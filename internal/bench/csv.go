@@ -33,13 +33,8 @@ func Summary(r *Result) string {
 	fmt.Fprintf(&sb, "%-22s %10s %10s %12s %14s %9s  %s\n",
 		"run", "peak nodes", "final", "time (s)", "final error", "max bits", "status")
 	for _, run := range r.Runs {
-		peak, final := 0, 0
-		finalErr := 0.0
-		maxBits := 0
+		final, finalErr, maxBits := 0, 0.0, 0
 		for _, s := range run.Samples {
-			if s.Nodes > peak {
-				peak = s.Nodes
-			}
 			final = s.Nodes
 			finalErr = s.Error
 			if s.MaxBits > maxBits {
@@ -51,7 +46,7 @@ func Summary(r *Result) string {
 			status = "FAILED: " + run.FailNote
 		}
 		fmt.Fprintf(&sb, "%-22s %10d %10d %12.3f %14.3e %9d  %s\n",
-			run.Label, peak, final, run.Total.Seconds(), finalErr, maxBits, status)
+			run.Label, run.PeakNodes, final, run.Total.Seconds(), finalErr, maxBits, status)
 	}
 	return sb.String()
 }

@@ -1,11 +1,10 @@
 // Package bench is the experiment harness that regenerates every figure of
-// the paper's evaluation (Section V): it runs one benchmark circuit under a
-// list of numerical tolerances ε and under the exact algebraic
-// representation in lockstep, sampling after every stride gates the three
-// quantities the paper plots — QMDD size (node count), accuracy
-// (‖v_num/‖v_num‖ − v_alg‖₂), and cumulative run time — plus the
-// algebraic-only statistics (coefficient bit widths, trivial-weight
-// fraction) behind the paper's overhead discussion.
+// the paper's evaluation (Section V): it runs one benchmark circuit under
+// the exact algebraic representation and under a list of numerical
+// tolerances ε. Each run's per-gate series — QMDD size, cumulative run time,
+// coefficient bit widths and norm — is recorded by sim.Trace every stride
+// gates; bench adds only what needs the exact reference, the accuracy
+// ‖v_num/‖v_num‖ − v_alg‖₂, and the float runs' invalid-state diagnosis.
 //
 // Every run is governed: the Config's core.Budget is installed into each
 // run's manager, so a run that would blow up (ε = 0 on GSE, say) is refused
@@ -19,7 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/accuracy"
@@ -30,14 +28,11 @@ import (
 	"repro/internal/sim"
 )
 
-// Sample is one measured point of one run.
+// Sample is one measured point of one run: the simulator's per-gate series
+// point plus the error against the exact reference.
 type Sample struct {
-	Gate       int     // number of gates applied so far
-	Nodes      int     // QMDD size of the state
-	CumSeconds float64 // cumulative simulation time (this run only)
-	Error      float64 // ‖v_num − v_alg‖₂; 0 (exact) for the algebraic run
-	MaxBits    int     // max coefficient bit width (algebraic runs; 0 numeric)
-	Norm       float64 // ‖state‖₂ as seen by the representation
+	sim.Point
+	Error float64 // ‖v_num − v_alg‖₂; 0 (exact) for the algebraic run
 }
 
 // Run is one full simulation trace.
@@ -46,10 +41,9 @@ type Run struct {
 	Eps     float64 // −1 for algebraic runs
 	Norm    core.NormScheme
 	Samples []Sample
-	// PeakNodes is the largest state size observed: exact (every gate) when
-	// Config.TrackPeak is set, otherwise the maximum over the strided
-	// samples (which can miss a between-samples peak — the bug the exact
-	// mode exists to fix).
+	// PeakNodes is the trace's peak state size (sim.Trace.PeakNodes):
+	// exact per gate when Config.TrackPeak or PeakCap is set, otherwise the
+	// maximum over the strided samples.
 	PeakNodes int
 	Total     time.Duration
 	Stats     core.Stats // manager counters at the end of the run
@@ -117,59 +111,21 @@ type Result struct {
 // first and alone: it produces the exact reference amplitudes every numeric
 // cell reads (immutably) for the error metric.
 func Execute(ctx context.Context, name string, cfg Config) (*Result, error) {
-	if cfg.Stride < 1 {
-		cfg.Stride = 1
-	}
-	c := cfg.Circuit
-	res := &Result{Name: name, N: c.N}
-
-	// The algebraic run goes first: it provides the exact reference states,
-	// expanded once to amplitude vectors so the numeric workers share only
-	// immutable data (a live *Manager[alg.Q] is not safe to share).
-	var algAmps [][]alg.Q // amplitudes after each sampled prefix
+	res := &Result{Name: name, N: cfg.Circuit.N}
+	var amps [][]alg.Q
 	if cfg.Algebraic {
-		run := &Run{Label: "algebraic/" + cfg.AlgNorm.String(), Eps: -1, Norm: cfg.AlgNorm}
-		mAlg := core.NewManager[alg.Q](alg.Ring{}, cfg.AlgNorm)
-		s := newGovernedSim(mAlg, c.N, cfg)
-		start := time.Now()
-		err := s.RunCtx(ctx, c, func(i int, g circuit.Gate) bool {
-			nodes, stop := trackGate(run, s.State, i, c, cfg)
-			if nodes >= 0 {
-				elapsed := time.Since(start).Seconds()
-				run.Samples = append(run.Samples, Sample{
-					Gate:       i + 1,
-					Nodes:      nodes,
-					CumSeconds: elapsed,
-					MaxBits:    mAlg.MaxWeightBitLen(s.State),
-					Norm:       math.Sqrt(mAlg.Norm2(s.State)),
-				})
-				if cfg.MeasureError {
-					algAmps = append(algAmps, mAlg.ToVector(s.State, c.N))
-				}
-			}
-			return !stop
-		})
-		run.Total = time.Since(start)
-		run.Stats = mAlg.Stats()
-		cancelled, ferr := noteRunError(run, err)
-		if ferr != nil {
-			return nil, fmt.Errorf("bench: algebraic run: %w", ferr)
+		run, refAmps, err := reference(ctx, cfg)
+		if err != nil && !isCtxErr(err) {
+			return nil, fmt.Errorf("bench: algebraic run: %w", err)
 		}
 		res.Runs = append(res.Runs, run)
-		if cancelled {
+		if err != nil {
 			return res, ctx.Err()
 		}
+		amps = refAmps
 	}
-
-	runs := make([]*Run, len(cfg.EpsList))
-	pool := Pool{Workers: cfg.Parallel}
-	err := pool.Run(ctx, len(cfg.EpsList), func(ctx context.Context, i int) error {
-		run, err := executeNumeric(ctx, c, cfg.EpsList[i], cfg, algAmps)
-		runs[i] = run // sole writer of this slot
-		return err
-	})
-	// Merge in ε-list order, independent of completion order. Under
-	// cancellation, cells that never started leave nil slots.
+	runs, err := floatCells(ctx, cfg, amps)
+	// Under cancellation, cells that never started leave nil slots.
 	for _, run := range runs {
 		if run != nil {
 			res.Runs = append(res.Runs, run)
@@ -198,61 +154,28 @@ func newGovernedSim[T any](m *core.Manager[T], n int, cfg Config) *sim.Simulator
 	return s
 }
 
-// trackGate implements the per-gate bookkeeping shared by both run kinds:
-// exact peak tracking (when requested), the peak cap, and the stride test.
-// It returns the node count to sample (−1 when this gate is not a sample
-// point) and whether the run must stop.
-func trackGate[T any](run *Run, state core.Edge[T], i int, c *circuit.Circuit, cfg Config) (nodes int, stop bool) {
-	nodes = -1
-	sampling := (i+1)%cfg.Stride == 0 || i == c.Len()-1
-	if cfg.TrackPeak || cfg.PeakCap > 0 || sampling {
-		nodes = state.NodeCount()
-		if nodes > run.PeakNodes {
-			run.PeakNodes = nodes
-		}
-		if cfg.PeakCap > 0 && nodes > cfg.PeakCap {
-			run.Failed = true
-			run.FailNote = fmt.Sprintf("node cap %d exceeded", cfg.PeakCap)
-			stop = true
+// reference runs the exact algebraic cell. With cfg.MeasureError it also
+// expands the state at every sample point to the amplitude vector the float
+// cells measure their error against, so the float workers share only
+// immutable data (a live *Manager[alg.Q] is not safe to share).
+func reference(ctx context.Context, cfg Config) (*Run, [][]alg.Q, error) {
+	run := &Run{Label: "algebraic/" + cfg.AlgNorm.String(), Eps: -1, Norm: cfg.AlgNorm}
+	m := core.NewManager[alg.Q](alg.Ring{}, cfg.AlgNorm)
+	var amps [][]alg.Q
+	var atSample func(core.Edge[alg.Q], *Sample)
+	if cfg.MeasureError {
+		atSample = func(state core.Edge[alg.Q], _ *Sample) {
+			amps = append(amps, m.ToVector(state, cfg.Circuit.N))
 		}
 	}
-	if !sampling {
-		nodes = -1
-	}
-	return nodes, stop
+	err := runCell(ctx, cfg, run, m, atSample)
+	return run, amps, err
 }
 
-// noteRunError folds a run error into the Run record: governor outcomes
-// (budget exceeded, cancellation) mark the run Failed and keep its partial
-// samples; hook stops are normal; anything else is a real error.
-func noteRunError(run *Run, err error) (cancelled bool, fatal error) {
-	switch {
-	case err == nil:
-		return false, nil
-	case errors.Is(err, sim.ErrStopped):
-		return false, nil // PeakCap stop; run already annotated
-	case errors.Is(err, core.ErrBudgetExceeded):
-		run.Failed = true
-		run.FailNote = err.Error()
-		return false, nil
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		run.Failed = true
-		run.FailNote = "cancelled: " + err.Error()
-		return true, nil
-	default:
-		return false, err
-	}
-}
-
-// executeNumeric runs one ε cell on a private manager. algAmps is read-only
-// shared data (the reference amplitudes from the algebraic run). The
-// returned error is nil for completed (possibly Failed) runs, the context
-// error for cancelled runs (whose partial Run is still returned), and a
-// genuine error otherwise.
-func executeNumeric(
-	ctx context.Context, c *circuit.Circuit, eps float64, cfg Config,
-	algAmps [][]alg.Q,
-) (*Run, error) {
+// floatCells runs one float cell per ε of cfg.EpsList on the worker pool and
+// returns the runs in ε-list order. amps is the reference's read-only
+// amplitude series.
+func floatCells(ctx context.Context, cfg Config, amps [][]alg.Q) ([]*Run, error) {
 	// Numerical runs default to the max-magnitude normalization rule [29]:
 	// keeping every edge weight at magnitude ≤ 1 is the numerically
 	// stabilized state-of-the-art configuration the paper evaluates against.
@@ -260,50 +183,71 @@ func executeNumeric(
 	if cfg.NumNormLeft {
 		norm = core.NormLeft
 	}
-	run := &Run{Label: fmt.Sprintf("eps=%.0e", eps), Eps: eps, Norm: norm}
-	if eps == 0 {
-		run.Label = "eps=0"
-	}
-	m := core.NewManager[complex128](num.NewRing(eps), norm)
-	s := newGovernedSim(m, c.N, cfg)
-	start := time.Now()
-	sampleIdx := 0
-	err := s.RunCtx(ctx, c, func(i int, g circuit.Gate) bool {
-		nodes, stop := trackGate(run, s.State, i, c, cfg)
-		if nodes >= 0 {
-			elapsed := time.Since(start).Seconds()
-			sample := Sample{
-				Gate:       i + 1,
-				Nodes:      nodes,
-				CumSeconds: elapsed,
-				Norm:       math.Sqrt(m.Norm2(s.State)),
+	runs := make([]*Run, len(cfg.EpsList))
+	pool := Pool{Workers: cfg.Parallel}
+	err := pool.Run(ctx, len(cfg.EpsList), func(ctx context.Context, i int) error {
+		eps := cfg.EpsList[i]
+		run := &Run{Label: fmt.Sprintf("eps=%.0e", eps), Eps: eps, Norm: norm}
+		if eps == 0 {
+			run.Label = "eps=0"
+		}
+		runs[i] = run // sole writer of this slot
+		m := core.NewManager[complex128](num.NewRing(eps), norm)
+		err := runCell(ctx, cfg, run, m, func(state core.Edge[complex128], smp *Sample) {
+			if k := len(run.Samples) - 1; cfg.MeasureError && k < len(amps) {
+				smp.Error = accuracy.VectorError(m.ToVector(state, cfg.Circuit.N), amps[k])
 			}
-			if cfg.MeasureError && sampleIdx < len(algAmps) {
-				sample.Error = accuracy.VectorError(m.ToVector(s.State, c.N), algAmps[sampleIdx])
-			}
-			run.Samples = append(run.Samples, sample)
-			sampleIdx++
 			switch {
-			case m.IsZero(s.State) || sample.Norm < 1e-9:
-				run.Failed = true
-				run.FailNote = "state collapsed to zero vector"
-			case sample.Norm < 0.5 || sample.Norm > 2:
+			case smp.Norm < 1e-9:
+				run.fail("state collapsed to zero vector")
+			case smp.Norm < 0.5 || smp.Norm > 2:
 				// The paper's other invalid-state symptom: the evolution is
 				// no longer norm-preserving (a "non-unitary" result).
-				run.Failed = true
-				run.FailNote = fmt.Sprintf("state norm diverged to %.3g", sample.Norm)
+				run.fail(fmt.Sprintf("state norm diverged to %.3g", smp.Norm))
 			}
+		})
+		if err != nil && !isCtxErr(err) {
+			return fmt.Errorf("bench: numeric run ε=%g: %w", eps, err)
 		}
-		return !stop
+		return err
 	})
+	return runs, err
+}
+
+// runCell simulates cfg.Circuit on one private manager, recording the
+// series into run through a sim.Trace; atSample, when set, fills in the
+// bench-specific part of each sample while the sampled state is live.
+// Governor outcomes (budget exceeded, cancellation) and the peak cap mark
+// the run Failed with its partial samples kept. The returned error is nil
+// for a completed (possibly Failed) run, the context error for a cancelled
+// one, and a genuine error otherwise.
+func runCell[T any](ctx context.Context, cfg Config, run *Run, m *core.Manager[T], atSample func(core.Edge[T], *Sample)) error {
+	s := newGovernedSim(m, cfg.Circuit.N, cfg)
+	tr := sim.Trace[T]{Stride: cfg.Stride, Peak: cfg.TrackPeak, PeakCap: cfg.PeakCap}
+	tr.OnSample = func(p sim.Point) {
+		run.Samples = append(run.Samples, Sample{Point: p})
+		if atSample != nil {
+			atSample(s.State, &run.Samples[len(run.Samples)-1])
+		}
+	}
+	start := time.Now()
+	err := s.RunCtx(ctx, cfg.Circuit, tr.Hook(s, cfg.Circuit))
 	run.Total = time.Since(start)
 	run.Stats = m.Stats()
-	cancelled, ferr := noteRunError(run, err)
-	if ferr != nil {
-		return nil, fmt.Errorf("bench: numeric run ε=%g: %w", eps, ferr)
+	run.PeakNodes = tr.PeakNodes
+	if tr.Capped {
+		run.fail(fmt.Sprintf("node cap %d exceeded", cfg.PeakCap))
 	}
-	if cancelled {
-		return run, ctx.Err()
+	switch {
+	case err == nil || errors.Is(err, sim.ErrStopped):
+		return nil
+	case errors.Is(err, core.ErrBudgetExceeded):
+		run.fail(err.Error())
+		return nil
+	case isCtxErr(err):
+		run.fail("cancelled: " + err.Error())
 	}
-	return run, nil
+	return err
 }
+
+func (r *Run) fail(note string) { r.Failed, r.FailNote = true, note }

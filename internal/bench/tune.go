@@ -2,14 +2,9 @@ package bench
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"time"
-
-	"repro/internal/alg"
-	"repro/internal/core"
-	"repro/internal/sim"
 
 	"repro/internal/circuit"
 )
@@ -47,6 +42,9 @@ type TuneResult struct {
 	// configuration-free alternative.
 	AlgebraicNodes int
 	AlgebraicTime  time.Duration
+	// MaxNodes is the node budget the trials were judged against:
+	// TuneParams.MaxNodes, or 4× AlgebraicNodes by default.
+	MaxNodes int
 	// TotalTuningTime is the wall-clock cost of the whole search
 	// (reference + every trial).
 	TotalTuningTime time.Duration
@@ -57,7 +55,8 @@ type TuneParams struct {
 	// Candidates are the tolerances to try, typically descending from large
 	// to small.
 	Candidates []float64
-	// MaxNodes is the peak-diagram-size acceptance budget.
+	// MaxNodes is the peak-diagram-size acceptance budget; 0 (or less)
+	// means 4× the exact reference's peak.
 	MaxNodes int
 	// MaxError is the final-state error acceptance budget.
 	MaxError float64
@@ -68,101 +67,68 @@ type TuneParams struct {
 	Parallel int
 }
 
-// Tune searches the candidate tolerances (typically descending from large
-// to small) for the largest ε whose run keeps the peak diagram size within
-// p.MaxNodes and the final state error within p.MaxError. The exact
-// reference run goes first (it anchors the node budget), then every
-// candidate trial runs as one pool cell with private managers. Trials are
-// merged in candidate order and Best is chosen after the merge, so the
-// session is deterministic for any worker count. On cancellation the
-// trials completed so far are returned alongside the context error.
+// Tune searches the candidate tolerances for the largest ε whose run keeps
+// the exact per-gate peak diagram size within the node budget and the
+// final state error within p.MaxError. It is one experiment: the exact
+// reference runs once, uncapped (it anchors the default node budget and
+// every trial's error), then the candidates run as its float cells, each
+// stopped once it exceeds 4× the node budget. Best is chosen after the
+// cells merge in candidate order, so the session is deterministic for any
+// worker count. On cancellation the trials completed so far are returned
+// alongside the context error.
 func Tune(ctx context.Context, c *circuit.Circuit, p TuneParams) (*TuneResult, error) {
 	start := time.Now()
 	res := &TuneResult{Best: math.NaN()}
 	defer func() { res.TotalTuningTime = time.Since(start) }()
-	candidates, maxNodes, maxError := p.Candidates, p.MaxNodes, p.MaxError
 
-	// Exact reference run, tracking the exact per-gate peak.
-	mAlg := core.NewManager[alg.Q](alg.Ring{}, core.NormLeft)
-	sa := sim.New(mAlg, c.N)
-	algStart := time.Now()
-	peakAlg := 0
-	err := sa.RunCtx(ctx, c, func(i int, g circuit.Gate) bool {
-		if n := sa.State.NodeCount(); n > peakAlg {
-			peakAlg = n
-		}
-		return true
-	})
-	res.AlgebraicTime = time.Since(algStart)
-	res.AlgebraicNodes = peakAlg
+	cfg := Config{
+		Circuit:      c,
+		EpsList:      p.Candidates,
+		Stride:       max(1, c.Len()/16),
+		MeasureError: true,
+		TrackPeak:    true, // exact peaks: a between-samples spike must count
+		Parallel:     p.Parallel,
+	}
+	ref, amps, err := reference(ctx, cfg)
+	res.AlgebraicNodes, res.AlgebraicTime = ref.PeakNodes, ref.Total
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if isCtxErr(err) {
 			return res, ctx.Err()
 		}
 		return nil, fmt.Errorf("bench: tuning reference run: %w", err)
 	}
+	res.MaxNodes = p.MaxNodes
+	if res.MaxNodes <= 0 {
+		res.MaxNodes = 4 * ref.PeakNodes
+	}
+	cfg.PeakCap = 4 * res.MaxNodes // abort hopeless runs early
 
-	trials := make([]*TuneTrial, len(candidates))
-	pool := Pool{Workers: p.Parallel}
-	perr := pool.Run(ctx, len(candidates), func(ctx context.Context, i int) error {
-		eps := candidates[i]
-		r, err := Execute(ctx, fmt.Sprintf("tune-%g", eps), Config{
-			Circuit:      c,
-			EpsList:      []float64{eps},
-			Algebraic:    true, // reference for the error metric
-			Stride:       maxInt(1, c.Len()/16),
-			MeasureError: true,
-			TrackPeak:    true,         // exact peaks: a between-samples spike must count
-			PeakCap:      maxNodes * 4, // abort hopeless runs early
-			Parallel:     1,            // one pool: the cell is the unit of fan-out
-		})
-		cancelled := err != nil && isCtxErr(err)
-		if err != nil && !cancelled {
-			return err
-		}
-		if r != nil && len(r.Runs) > 0 {
-			run := r.Runs[len(r.Runs)-1] // the numeric run (or partial reference)
-			if run.Eps >= 0 {            // only record actual numeric trials
-				trial := &TuneTrial{
-					Eps: eps, PeakNodes: run.PeakNodes, Time: run.Total,
-					Failed: run.Failed, FailNote: run.FailNote,
-				}
-				for _, s := range run.Samples {
-					trial.Error = s.Error
-				}
-				trial.Accepted = !trial.Failed && trial.PeakNodes <= maxNodes && trial.Error <= maxError
-				trials[i] = trial // sole writer of this slot
-			}
-		}
-		if cancelled {
-			return ctx.Err()
-		}
-		return nil
-	})
+	runs, err := floatCells(ctx, cfg, amps)
 	// Merge in candidate order; Best falls out deterministically.
-	for _, trial := range trials {
-		if trial == nil {
+	for _, run := range runs {
+		if run == nil {
 			continue
 		}
-		res.Trials = append(res.Trials, *trial)
+		trial := TuneTrial{
+			Eps: run.Eps, PeakNodes: run.PeakNodes, Time: run.Total,
+			Failed: run.Failed, FailNote: run.FailNote,
+		}
+		if n := len(run.Samples); n > 0 {
+			trial.Error = run.Samples[n-1].Error
+		}
+		trial.Accepted = !trial.Failed && trial.PeakNodes <= res.MaxNodes && trial.Error <= p.MaxError
+		res.Trials = append(res.Trials, trial)
 		if trial.Accepted && (math.IsNaN(res.Best) || trial.Eps > res.Best) {
 			res.Best = trial.Eps
 		}
 	}
-	if perr != nil {
-		if isCtxErr(perr) {
+	if err != nil {
+		if isCtxErr(err) {
 			return res, ctx.Err()
 		}
-		return nil, perr
+		return nil, err
 	}
 	return res, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Report renders the tuning session as a table.

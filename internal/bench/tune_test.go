@@ -7,10 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/core"
 	"repro/internal/num"
 	"repro/internal/sim"
-
-	"repro/internal/core"
 )
 
 // peakCircuit builds a 32-gate circuit whose state-size peak falls after an
@@ -44,24 +43,20 @@ func TestTuneExactPeakRegression(t *testing.T) {
 	if c.Len() != 32 {
 		t.Fatalf("circuit has %d gates, want 32", c.Len())
 	}
-	stride := maxInt(1, c.Len()/16)
+	stride := max(1, c.Len()/16)
 
-	// Ground truth: per-gate node counts of the (deterministic) trial run.
+	// Ground truth: the exact and strided peaks of the (deterministic) trial
+	// run. sim's recorder tests check the exact peak against a plain per-gate
+	// NodeCount.
 	m := core.NewManager[complex128](num.NewRing(1e-12), core.NormMax)
 	s := sim.New(m, c.N)
-	truePeak, stridedPeak := 0, 0
-	err := s.Run(c, func(i int, g circuit.Gate) bool {
-		n := s.State.NodeCount()
-		if n > truePeak {
-			truePeak = n
-		}
-		if ((i+1)%stride == 0 || i == c.Len()-1) && n > stridedPeak {
-			stridedPeak = n
-		}
-		return true
-	})
-	if err != nil {
+	tr := sim.Trace[complex128]{Stride: stride, Peak: true}
+	if err := s.Run(c, tr.Hook(s, c)); err != nil {
 		t.Fatal(err)
+	}
+	truePeak, stridedPeak := tr.PeakNodes, 0
+	for _, p := range tr.Points {
+		stridedPeak = max(stridedPeak, p.Nodes)
 	}
 	if truePeak <= stridedPeak {
 		t.Fatalf("test circuit does not peak between samples (true %d, strided %d)", truePeak, stridedPeak)

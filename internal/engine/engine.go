@@ -47,8 +47,6 @@ type Config struct {
 	// MaxQubits caps the circuit width (default 64 — basis-state indices are
 	// uint64 on the wire).
 	MaxQubits int
-	// MaxTopK caps the amplitude list length (default 4096).
-	MaxTopK int
 	// MaxShots caps the shot count of a histogram job (default 1<<20).
 	// Requests above the cap are rejected, not clamped — fewer shots is a
 	// different histogram, not a tightened version of the same one.
@@ -132,9 +130,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxQubits <= 0 || c.MaxQubits > 64 {
 		c.MaxQubits = 64
 	}
-	if c.MaxTopK <= 0 {
-		c.MaxTopK = 4096
-	}
 	if c.MaxShots <= 0 {
 		c.MaxShots = 1 << 20
 	}
@@ -149,6 +144,9 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// maxTopK caps a request's amplitude list length.
+const maxTopK = 4096
 
 // RejectReason classifies a refused submission; the transport maps it onto
 // its own status vocabulary (HTTP: 400 / 503 / 429).
@@ -634,9 +632,7 @@ func (e *Engine) normalizeRequest(req *JobRequest) *ErrorBody {
 		if req.TopK == 0 {
 			req.TopK = 16
 		}
-		if req.TopK > e.cfg.MaxTopK {
-			req.TopK = e.cfg.MaxTopK
-		}
+		req.TopK = min(req.TopK, maxTopK)
 	}
 	if req.MaxNodes < 0 || req.MaxWeights < 0 || req.MaxBytes < 0 || req.TimeoutMS < 0 {
 		return invalid("budget fields must be non-negative")

@@ -195,11 +195,12 @@ type Policy struct {
 	// MaxBytes caps one checkpoint's serialized size (0 = unlimited);
 	// oversized snapshots are skipped, not truncated.
 	MaxBytes int64
-	// HighWaterFloor is the minimum node count before the peak-node rule
-	// fires (default 256 when 0): tiny states are not worth a high-water
-	// snapshot — the cadence rule covers them.
-	HighWaterFloor int
 }
+
+// highWaterFloor is the minimum node count before the peak-node rule fires:
+// tiny states are not worth a high-water snapshot — the cadence rule covers
+// them.
+const highWaterFloor = 256
 
 // Tracker carries one run's checkpoint decisions: the cadence rule plus a
 // geometric peak-node high-water rule (checkpoint when the node count has
@@ -213,11 +214,6 @@ type Tracker struct {
 // NewTracker starts tracking a run whose state currently has startNodes
 // nodes (the warm-start size, or 1 for |0…0⟩).
 func (p Policy) NewTracker(startNodes int) *Tracker {
-	floor := p.HighWaterFloor
-	if floor <= 0 {
-		floor = 256
-	}
-	p.HighWaterFloor = floor
 	if startNodes < 1 {
 		startNodes = 1
 	}
@@ -238,7 +234,7 @@ func (t *Tracker) Should(k, boundary, nodes int) bool {
 	if t.p.EveryK > 0 && k%t.p.EveryK == 0 {
 		return true
 	}
-	return nodes >= t.p.HighWaterFloor && nodes >= 2*t.lastNodes
+	return nodes >= highWaterFloor && nodes >= 2*t.lastNodes
 }
 
 // Stored records a successful checkpoint at a state of `nodes` nodes,

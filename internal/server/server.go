@@ -37,8 +37,6 @@ type Config struct {
 	// MaxQubits caps the circuit width (default 64 — basis-state indices are
 	// uint64 on the wire).
 	MaxQubits int
-	// MaxTopK caps the amplitude list length (default 4096).
-	MaxTopK int
 	// MaxShots caps the shot count of a histogram job (default 1<<20).
 	MaxShots int
 
@@ -98,7 +96,6 @@ func (c Config) engineConfig() engine.Config {
 		QueueSize:        c.QueueSize,
 		MaxJobs:          c.MaxJobs,
 		MaxQubits:        c.MaxQubits,
-		MaxTopK:          c.MaxTopK,
 		MaxShots:         c.MaxShots,
 		NodeCap:          c.NodeCap,
 		WeightCap:        c.WeightCap,

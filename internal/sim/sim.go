@@ -1,8 +1,9 @@
 // Package sim drives QMDD-based simulation of quantum circuits: it applies
 // each gate to a state diagram (or to the accumulating circuit unitary)
-// through the identity-skipping local path, core.ApplyLocal, and records the
-// per-gate statistics the paper plots — diagram size, run time, and
-// coefficient bit widths.
+// through the identity-skipping local path, core.ApplyLocal. Its Trace,
+// driven through the per-gate hook, is the one recorder of the series the
+// paper plots — diagram size, run time, coefficient bit widths and norm —
+// that the figure sweeps, the ε tuner and qbench -bench-json reduce.
 package sim
 
 import (

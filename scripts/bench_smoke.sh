@@ -2,7 +2,7 @@
 # Bench smoke: the sweep pool must be a pure performance knob, and the qsim
 # subcommands must keep their contracts.
 #
-# 1. Figure determinism: Fig-3, Fig-4 and normalization-scheme CSVs must be
+# 1. Figure determinism: Fig-2 to Fig-5 and normalization-scheme CSVs must be
 #    identical at -parallel 1 and 2 once the timing column (cum_seconds,
 #    col 5) is stripped — each sweep cell runs on a private manager and
 #    cells are merged by index, so the diagrams, node counts, errors and bit
@@ -13,7 +13,9 @@
 #    figure circuits by internal/sim's TestLocalApplyMatchesMulOracleOnFigures.)
 # 3. qsim subcommands: verify exits 0 on an equivalent pair, 1 on a
 #    non-equivalent one, and accepts a global-phase pair under -phase; view
-#    emits Graphviz DOT; tune prints its report.
+#    emits Graphviz DOT; tune's default node budget (4 × the exact peak,
+#    derived from its one reference run) gives the same table as passing
+#    that budget explicitly, up to the time column.
 # 4. Exact OpenQASM lowering: qsim -writeqasm of the BWT walk (negative and
 #    multi-controls, a doubly-controlled t) writes a file that qsim re-reads
 #    under -repr alg, and both runs print the same probability column (the
@@ -37,7 +39,7 @@ qbench="$outroot/qbench"
 go build -o "$qbench" ./cmd/qbench
 for p in 1 2; do
   mkdir -p "$outroot/p$p"
-  for fig in 3 4; do
+  for fig in 2 3 4 5; do
     "$qbench" -fig "$fig" -noerror -parallel "$p" -out "$outroot/p$p" >/dev/null
   done
   "$qbench" -fig norms -parallel "$p" -out "$outroot/p$p" >"$outroot/p$p/norms.txt"
@@ -99,8 +101,27 @@ rc=0; "$qsim" verify "$outroot/y.qasm" "$outroot/zx.qasm" || rc=$?
 "$qsim" verify -phase "$outroot/y.qasm" "$outroot/zx.qasm" || fail "verify -phase: y vs z;x not equivalent"
 "$qsim" view -alg ghz -n 3 >"$outroot/ghz.dot" && grep -q '^digraph "ghz"' "$outroot/ghz.dot" ||
   fail "view: no digraph"
-"$qsim" tune -alg grover -n 4 >"$outroot/tune.txt" && grep -q '^chosen ε' "$outroot/tune.txt" ||
+# Blank the trial table's time column and the report's two timings; drop the
+# line only the default budget prints.
+tune_notime() {
+  awk '/^node budget:/ { next }
+       /^epsilon/ { t = 1; print; next }
+       /^(chosen|no tolerance|algebraic)/ { t = 0 }
+       t { $4 = "-" }
+       /^chosen/ { sub(/ after .*/, "") }
+       /^algebraic alternative/ { $6 = "-" }
+       { print }' "$1"
+}
+"$qsim" tune -alg grover -n 4 >"$outroot/tune.txt" || fail "tune exited non-zero"
+peak=$(awk '/^algebraic alternative/ { print $3 }' "$outroot/tune.txt")
+if [ -z "$peak" ]; then
   fail "tune: no report"
+else
+  "$qsim" tune -alg grover -n 4 -max-nodes $((4 * peak)) >"$outroot/tune_explicit.txt" ||
+    fail "tune -max-nodes exited non-zero"
+  diff <(tune_notime "$outroot/tune.txt") <(tune_notime "$outroot/tune_explicit.txt") >&2 ||
+    fail "tune: default budget and -max-nodes $((4 * peak)) give different tables"
+fi
 [ "$status" -eq 0 ] && echo "bench smoke: qsim verify/view/tune behave"
 
 probs() { awk '$1 ~ /^\|/ { print $2 }' "$1"; }
