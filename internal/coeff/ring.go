@@ -62,6 +62,15 @@ type ExactRing interface {
 	Exact() bool
 }
 
+// Resetter is an optional interface for a Ring that carries state from one
+// operation to the next, so that a result can depend on earlier work: the
+// numerical ring's ε-interning table decides which representative a value
+// lands on. core.Manager.Reset calls Reset, which returns the ring to its
+// freshly constructed state.
+type Resetter interface {
+	Reset()
+}
+
 // GCDRing is implemented by coefficient rings that additionally support
 // Euclidean GCDs, enabling the GCD normalization scheme (Algorithm 3).
 type GCDRing[T any] interface {

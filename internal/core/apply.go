@@ -47,9 +47,10 @@ const (
 // affected levels, and a per-manager registry ID under which applications
 // are memoized in the compute table. A LocalGate stores ring values (never
 // weight IDs), so it stays valid across Prune; it is bound to the manager
-// that prepared it.
+// that prepared it, and only until that manager's next Reset.
 type LocalGate[T any] struct {
-	id uint64 // compute-table key (ctApply/ctProject*, node ID, gate ID)
+	id    uint64 // compute-table key (ctApply/ctProject*, node ID, gate ID)
+	epoch uint64 // the manager's Reset epoch at preparation
 
 	// U is the base block, row-major — divided by scale when hasScale is
 	// set, so its leading nonzero entry is an exact 1. Mirroring the edge
@@ -100,6 +101,7 @@ func (m *Manager[T]) PrepareLocal(base [2][2]T, target int, ctrls []LocalControl
 	m.gateSeq++
 	g := &LocalGate[T]{
 		id:       m.gateSeq,
+		epoch:    m.epoch,
 		U:        base,
 		target:   target,
 		topLevel: top,
@@ -155,7 +157,11 @@ func (m *Manager[T]) PrepareLocal(base [2][2]T, target int, ctrls []LocalControl
 // ApplyLocal applies a prepared local gate to a state-vector or matrix
 // diagram (for matrices the gate multiplies from the left, acting on the row
 // space — exactly Mul(BuildDD(...), e)). Identity gates return e unchanged.
+// A gate prepared before the manager's last Reset is refused with a panic.
 func (m *Manager[T]) ApplyLocal(g *LocalGate[T], e Edge[T]) Edge[T] {
+	if g.epoch != m.epoch {
+		panic("core: ApplyLocal: gate prepared before the manager's last Reset")
+	}
 	if g.identity || m.IsZero(e) {
 		return e
 	}

@@ -13,6 +13,12 @@ package core
 // collision pattern, which ε > 0 results depend on: which entries evict
 // which decides what gets recomputed, and a recomputation under tolerance
 // interning can land on a different representative (hash.go, DESIGN.md §5.6).
+//
+// Clearing costs what was used, not what was allocated: each shard lists the
+// slots it filled since its last clear, in a list preallocated at
+// 1/dirtyFraction of the shard, and clear zeroes just those — or the whole
+// shard once the list has overflowed. Either way every slot ends up as in a
+// fresh table, so the collision pattern after a clear is a fresh table's.
 
 // ctOp tags the operation a compute-table entry memoizes. ctFree marks an
 // empty slot, so real tags start at 1.
@@ -53,7 +59,7 @@ type ctEntry[T any] struct {
 type ctShard[T any] struct {
 	mask    uint64
 	entries []ctEntry[T]
-	filled  int // occupied slots (load-factor reporting)
+	slotLog // occupied slots (load-factor reporting) and where they are
 
 	lookups, hits uint64
 }
@@ -75,17 +81,55 @@ func newComputeTable[T any](size int) *computeTable[T] {
 	for s := range t.shards {
 		t.shards[s].entries = make([]ctEntry[T], per)
 		t.shards[s].mask = uint64(per - 1)
+		t.shards[s].slotLog = newSlotLog(per)
 	}
 	return t
 }
 
+// dirtyFraction sizes a shard's dirty-slot list at 1/dirtyFraction of the
+// shard (both memo tables). A job that fills more than that pays one full
+// clear of the shard, which it has amortized over its own fills.
+const dirtyFraction = 8
+
+// slotLog records which slots of one memo-table shard were filled since its
+// last clear.
+type slotLog struct {
+	filled int      // occupied slots
+	dirty  []uint32 // their indices, while they fit the preallocated list
+}
+
+func newSlotLog(shardSize int) slotLog {
+	return slotLog{dirty: make([]uint32, 0, shardSize/dirtyFraction)}
+}
+
+// fill records that slot i went from free to occupied. It never allocates.
+func (l *slotLog) fill(i uint64) {
+	l.filled++
+	if len(l.dirty) < cap(l.dirty) {
+		l.dirty = append(l.dirty, uint32(i))
+	}
+}
+
+// clearSlots zeroes every occupied slot of a shard — the listed ones, or
+// all of them once the list has overflowed — and empties the log.
+func clearSlots[E any](entries []E, l *slotLog) {
+	if l.filled > len(l.dirty) {
+		clear(entries)
+	} else {
+		var zero E
+		for _, i := range l.dirty {
+			entries[i] = zero
+		}
+	}
+	l.dirty = l.dirty[:0]
+	l.filled = 0
+}
+
+// clear empties every slot and resets the counters.
 func (t *computeTable[T]) clear() {
 	for s := range t.shards {
 		sh := &t.shards[s]
-		for i := range sh.entries {
-			sh.entries[i] = ctEntry[T]{}
-		}
-		sh.filled = 0
+		clearSlots(sh.entries, &sh.slotLog)
 		sh.lookups, sh.hits = 0, 0
 	}
 }
@@ -130,9 +174,10 @@ func (t *computeTable[T]) get(k ctKey) (Edge[T], bool) {
 func (t *computeTable[T]) put(k ctKey, val Edge[T]) {
 	h := k.hash()
 	sh := &t.shards[shardOf(h)]
-	e := &sh.entries[h&sh.mask]
+	i := h & sh.mask
+	e := &sh.entries[i]
 	if e.key.op == ctFree {
-		sh.filled++
+		sh.fill(i)
 	}
 	e.key, e.val = k, val
 }

@@ -77,8 +77,8 @@ func (m *Manager[T]) Prune(roots ...Edge[T]) int {
 	// Compute-table entries may reference swept nodes or stale WIDs; drop
 	// them all.
 	m.ct.clear()
-	// The scalar table holds no node references, but clearing it keeps one
-	// job's weights from answering the next job's lookups (engine scrub).
+	// The scalar table holds no node references; clearing it bounds how long
+	// it keeps weights alive.
 	if m.st != nil {
 		m.st.clear()
 	}

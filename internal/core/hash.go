@@ -71,9 +71,13 @@ type internTable[T any] struct {
 	shards [tableShardCount]wtShard[T]
 }
 
+// init empties the table into fresh slot arrays of the given size. The
+// weight lists keep their capacity but drop their references: everything
+// past len is zero at all times, so clearing the live part clears them.
 func (t *internTable[T]) init(sizePerShard int) {
 	for s := range t.shards {
 		sh := &t.shards[s]
+		clear(sh.weights)
 		sh.weights = sh.weights[:0]
 		sh.hashes = sh.hashes[:0]
 		sh.slots = make([]uint32, sizePerShard)
@@ -162,6 +166,14 @@ func (t *uniqueTable[T]) init(sizePerShard int) {
 		sh.slots = make([]*Node[T], sizePerShard)
 		sh.mask = uint64(sizePerShard - 1)
 		sh.used = 0
+	}
+}
+
+// resetCounters zeroes the per-shard lookup/hit counters (Prune's rebuild
+// keeps them; Manager.Reset restarts them).
+func (t *uniqueTable[T]) resetCounters() {
+	for s := range t.shards {
+		t.shards[s].lookups, t.shards[s].hits = 0, 0
 	}
 }
 

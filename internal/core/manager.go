@@ -102,7 +102,8 @@ type Manager[T any] struct {
 	nextID   uint64
 	gateSeq  uint64 // LocalGate registry IDs (apply.go)
 	stats    Stats  // Prune counters only; table counters live in the shards
-	pruneGen uint64 // bumped by every Prune; Samplers capture it to detect staleness
+	pruneGen uint64 // bumped by every Prune and Reset; Samplers capture it to detect staleness
+	epoch    uint64 // bumped by every Reset; LocalGates capture it to detect staleness
 
 	// Live-population counters the budget meters against.
 	totalNodes   int64
@@ -217,6 +218,39 @@ func (m *Manager[T]) Stats() Stats {
 // ClearComputeTable drops all memoized operation results (the unique table —
 // and with it diagram identity — is preserved).
 func (m *Manager[T]) ClearComputeTable() { m.ct.clear() }
+
+// Reset returns the manager to its freshly constructed state, so that what
+// it computes next does not depend on anything it computed before: every
+// node and interned weight is dropped, both memo tables are emptied, the
+// counters, node IDs and gate IDs restart, the budget and context are
+// lifted, the peaks are rebased, and a ring that carries state between
+// operations (coeff.Resetter — the float ring's ε-table, which must then not
+// be shared with a manager still in use) is reset too. The memo tables
+// clear in time proportional to the slots filled since their last clear.
+//
+// Nothing obtained before a Reset may be used after it: Samplers report
+// ErrStaleSampler and ApplyLocal panics on a LocalGate prepared before it,
+// since restarted gate IDs could alias compute-table entries.
+func (m *Manager[T]) Reset() {
+	m.budget = Budget{}
+	m.ctx = nil
+	m.wt.init(1 << 4)
+	m.ut.init(1 << 4)
+	m.ut.resetCounters()
+	m.ct.clear()
+	if m.st != nil {
+		m.st.clear()
+	}
+	if rr, ok := m.R.(coeff.Resetter); ok {
+		rr.Reset()
+	}
+	m.nextID, m.gateSeq = 0, 0
+	m.stats = Stats{}
+	m.totalNodes, m.totalWeights = 0, 1
+	m.pruneGen++
+	m.epoch++
+	m.ResetPeaks()
+}
 
 // Terminal returns a terminal edge with the given weight.
 func (m *Manager[T]) Terminal(w T) Edge[T] { return Edge[T]{W: w, N: nil} }

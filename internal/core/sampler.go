@@ -21,10 +21,10 @@ var ErrZeroVector = errors.New("core: cannot sample a zero-mass vector diagram")
 var ErrMalformedDiagram = errors.New("core: malformed vector diagram")
 
 // ErrStaleSampler is returned by Draw and Mass when the manager has been
-// pruned since the sampler was built: the sampler's node pointers and mass
-// memo may reference swept nodes, so using them would read garbage. Build a
-// fresh Sampler from the live state.
-var ErrStaleSampler = errors.New("core: sampler invalidated by a Prune; rebuild it from the live state")
+// pruned or reset since the sampler was built: the sampler's node pointers
+// and mass memo may reference swept nodes, so using them would read garbage.
+// Build a fresh Sampler from the live state.
+var ErrStaleSampler = errors.New("core: sampler invalidated by a Prune or Reset; rebuild it from the live state")
 
 // Sampler draws basis-state outcomes from the distribution induced by one
 // vector diagram. Construction runs a single validating mass pass over the
@@ -34,9 +34,10 @@ var ErrStaleSampler = errors.New("core: sampler invalidated by a Prune; rebuild 
 // normalized: probabilities are renormalized level by level.
 //
 // A Sampler holds node pointers into its manager; it is invalidated by
-// Prune (it captures the manager's prune generation at construction, and
-// Draw/Mass return ErrStaleSampler once the generations diverge). It is not
-// safe for concurrent use (the draws advance the caller's RNG anyway).
+// Prune and Reset (it captures the manager's prune generation at
+// construction, and Draw/Mass return ErrStaleSampler once the generations
+// diverge). It is not safe for concurrent use (the draws advance the
+// caller's RNG anyway).
 type Sampler[T any] struct {
 	m    *Manager[T]
 	root Edge[T]

@@ -17,8 +17,9 @@ import "repro/internal/coeff"
 // are keyed by the operation and the ring's Hash of both operands; a
 // hit additionally checks both operands with Ring.Equal, so a hash collision
 // costs a recomputation, never a wrong value.
-// Prune clears the table, so nothing computed for one job outlives the
-// engine's scrub between jobs. See DESIGN.md §5.1.1.
+// Prune and Reset clear the table, so nothing computed for one job outlives
+// the engine's reset between jobs; like the compute table, a clear zeroes
+// only the slots listed since the last one (ct.go). See DESIGN.md §5.1.1.
 
 // scalarTableSize is the total slot count (a power of two, split evenly
 // across the shards). About 2.6 MiB of slots for Q[ω] weights, allocated per
@@ -41,6 +42,7 @@ type scalarEntry[T any] struct {
 
 type scalarShard[T any] struct {
 	entries []scalarEntry[T] // nil until the shard's first store
+	slotLog
 
 	lookups, hits uint64
 }
@@ -82,9 +84,16 @@ func (t *scalarTable[T]) put(op scalarOp, ha, hb uint64, a, b, r T) {
 	h := scalarSlot(op, ha, hb)
 	sh := &t.shards[shardOf(h)]
 	if sh.entries == nil {
-		sh.entries = make([]scalarEntry[T], scalarTableSize/tableShardCount)
+		const per = scalarTableSize / tableShardCount
+		sh.entries = make([]scalarEntry[T], per)
+		sh.slotLog = newSlotLog(per)
 	}
-	sh.entries[h&uint64(len(sh.entries)-1)] = scalarEntry[T]{op: op, ha: ha, hb: hb, a: a, b: b, r: r}
+	i := h & uint64(len(sh.entries)-1)
+	e := &sh.entries[i]
+	if e.op == scalarFree {
+		sh.fill(i)
+	}
+	*e = scalarEntry[T]{op: op, ha: ha, hb: hb, a: a, b: b, r: r}
 }
 
 // clear empties every slot (dropping the references to their values) and
@@ -92,7 +101,7 @@ func (t *scalarTable[T]) put(op scalarOp, ha, hb uint64, a, b, r T) {
 func (t *scalarTable[T]) clear() {
 	for s := range t.shards {
 		sh := &t.shards[s]
-		clear(sh.entries)
+		clearSlots(sh.entries, &sh.slotLog)
 		sh.lookups, sh.hits = 0, 0
 	}
 }

@@ -492,6 +492,7 @@ func decodeResult(payload []byte) (*JobResult, error) {
 // on a best-effort basis (a full store or a draining engine still serves the
 // job handle, it just isn't pollable afterwards).
 func (e *Engine) cachedJob(req JobRequest, res *JobResult, rid string) *Job {
+	req.QASM = "" // a finished record keeps no source (jobStore.finish)
 	now := time.Now()
 	j := &Job{
 		id:         newJobID(),

@@ -227,9 +227,6 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 // View snapshots the job's wire form; withResult attaches the payload.
 func (j *Job) View(withResult bool) JobView { return j.store.view(j, withResult) }
 
-// Request returns the validated (normalized, clamped) request the job runs.
-func (j *Job) Request() JobRequest { return j.req }
-
 // jobStore retains job records for polling, bounded at cap: once full,
 // the oldest finished job is evicted per new submission (queued/running
 // jobs are never evicted — a worker holds their pointer).
@@ -314,9 +311,13 @@ func (st *jobStore) markCached(j *Job) {
 	st.mu.Unlock()
 }
 
-// finish moves j to a terminal status and wakes waiters.
+// finish moves j to a terminal status and wakes waiters. A finished record
+// keeps only what its views show: the circuit and its source are dropped,
+// so the job and batch stores retain results, not gate lists.
 func (st *jobStore) finish(j *Job, status string, res *JobResult, errBody *ErrorBody) {
 	st.mu.Lock()
+	j.circ = nil
+	j.req.QASM = ""
 	j.status = status
 	j.result = res
 	j.errBody = errBody

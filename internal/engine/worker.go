@@ -81,8 +81,9 @@ func (e *Engine) worker(id int, started *sync.WaitGroup) {
 }
 
 // runJob executes one job end to end: mark running, install the governor,
-// simulate, classify the outcome, publish metrics, and scrub the manager
-// for the next tenant.
+// simulate, classify the outcome, publish metrics, and reset the manager
+// for the next tenant (core.Manager.Reset: nothing one job leaves in a warm
+// manager can change the next job's envelope, stats included).
 func (e *Engine) runJob(workerID int, ws *workerState, j *Job) {
 	// Past the drain deadline (or after a hard stop) accepted-but-unstarted
 	// jobs are cancelled, not run.
@@ -124,11 +125,11 @@ func (e *Engine) runJob(workerID int, ws *workerState, j *Job) {
 	case "alg":
 		m := ws.algManager(j.norm())
 		res, errBody, snap = runTyped(ctx, e, m, ddio.AlgCodec{}, j, budget)
-		scrub(m)
+		m.Reset()
 	default: // "float", validated at submit
 		m := ws.floatManager(j.req.Eps, j.norm())
 		res, errBody, snap = runTyped(ctx, e, m, ddio.NumCodec{}, j, budget)
-		scrub(m)
+		m.Reset()
 	}
 	busy := time.Since(start)
 	e.met.observe(workerID, busy, snap)
@@ -189,17 +190,6 @@ func (j *Job) norm() core.NormScheme {
 	return n
 }
 
-// scrub resets a warm manager between tenants: the budget is lifted, every
-// node is swept (a prune with no roots also clears the compute table and
-// releases interned weights), and the peak clock is rebased so the next
-// job's governor reports its own peaks.
-func scrub[T any](m *core.Manager[T]) {
-	m.SetBudget(core.Budget{})
-	m.SetContext(nil)
-	m.Prune()
-	m.ResetPeaks()
-}
-
 // prefixStore builds the per-job checkpoint store, or nil when the
 // subsystem is off: no cache, or checkpointing disabled by a negative
 // -checkpoint-every. The store is a cheap value — binding it per job keeps
@@ -213,7 +203,7 @@ func prefixStore[T any](e *Engine, codec ddio.Codec[T], j *Job) *prefix.Store[T]
 
 // runTyped runs one job on a concrete representation. It returns the result
 // or a classified error body, plus the manager snapshot observed right after
-// the run (before the scrub) for worker metrics.
+// the run (before the reset) for worker metrics.
 func runTyped[T any](ctx context.Context, e *Engine, m *core.Manager[T], codec ddio.Codec[T], j *Job, budget core.Budget) (*JobResult, *ErrorBody, core.Snapshot) {
 	m.SetBudget(budget)
 	m.ResetPeaks()

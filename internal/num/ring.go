@@ -27,6 +27,10 @@ func (r *Ring) Eps() float64 { return r.T.Tol }
 // approximate and are flagged as such by core.Approximate.
 func (r *Ring) Exact() bool { return false }
 
+// Reset drops every interned value but the seeds (coeff.Resetter), so the
+// ring's next results do not depend on what it computed before.
+func (r *Ring) Reset() { r.T.Reset() }
+
 func (r *Ring) intern(v complex128) complex128 { return r.T.Lookup(v) }
 
 // Zero returns 0.

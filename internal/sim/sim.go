@@ -78,7 +78,9 @@ func New[T any](m *core.Manager[T], n int) *Simulator[T] {
 // persists, like the configured watermark). The manager's tables are left
 // as-is — the next prune sweeps the previous run's state. The local-gate
 // cache is kept: prepared local gates store ring values, never diagram
-// edges, so they pin nothing and stay valid across Prune and Reset alike.
+// edges, so they pin nothing and stay valid across Prune and this Reset
+// alike. A core.Manager.Reset invalidates them: a Simulator does not
+// outlive a reset of its manager.
 func (s *Simulator[T]) Reset() {
 	defer s.M.SetBudget(s.M.Budget())
 	s.M.SetBudget(core.Budget{})
