@@ -23,7 +23,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/buildinfo"
@@ -99,9 +98,6 @@ func main() {
 	}
 	if *maxMem > 0 {
 		p.Budget.MaxBytes = *maxMem
-	}
-	if *timeout > 0 {
-		p.Budget.Deadline = time.Now().Add(*timeout)
 	}
 	p.NumNormLeft = numNormLeft
 	p.Parallel = *parallel

@@ -112,13 +112,13 @@ func (o *model) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.repr, "repr", "alg", "number representation: alg (exact) or num (float64)")
 	fs.Float64Var(&o.eps, "eps", 0, "comparison tolerance ε for -repr num")
 	fs.StringVar(&o.norm, "norm", "left", "normalization scheme: left, max, gcd")
-	fs.DurationVar(&o.timeout, "timeout", 0, "wall-clock budget (0 = none); on expiry partial stats are printed, not a crash")
+	fs.DurationVar(&o.timeout, "timeout", 0, "wall-clock limit (0 = none); on expiry the run is reported as cancelled with partial stats, not a crash")
 	fs.IntVar(&o.maxNodes, "max-nodes", 0, "budget: max live QMDD nodes (0 = unlimited)")
 	fs.Int64Var(&o.maxMem, "max-mem", 0, "budget: approximate max bytes of nodes+weights (0 = unlimited)")
 }
 
 // setup validates the flags and returns the normalization scheme and the
-// budget, whose deadline is -timeout from now.
+// size budget. -timeout is not part of it: governorContext carries it.
 func (o *model) setup() (core.NormScheme, core.Budget, error) {
 	norm, err := core.ParseNormScheme(o.norm)
 	if err != nil {
@@ -127,11 +127,7 @@ func (o *model) setup() (core.NormScheme, core.Budget, error) {
 	if o.repr != "alg" && o.repr != "num" {
 		return norm, core.Budget{}, fmt.Errorf("unknown representation %q (want alg or num)", o.repr)
 	}
-	budget := core.Budget{MaxNodes: o.maxNodes, MaxBytes: o.maxMem}
-	if o.timeout > 0 {
-		budget.Deadline = time.Now().Add(o.timeout)
-	}
-	return norm, budget, nil
+	return norm, core.Budget{MaxNodes: o.maxNodes, MaxBytes: o.maxMem}, nil
 }
 
 // governorContext is the context a subcommand runs under: cancelled by

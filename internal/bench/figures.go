@@ -27,8 +27,8 @@ type FigureParams struct {
 	Stride       int
 	MeasureError bool
 	// Budget governs every run's manager (max live nodes / interned
-	// weights / approximate bytes / deadline); replaces the old ad-hoc
-	// node cap. A run that trips it is reported Failed with partial
+	// weights / approximate bytes); replaces the old ad-hoc node cap. Time
+	// limits come only from the context the sweep runs under. A run that trips it is reported Failed with partial
 	// samples, never aborted by panic or OOM.
 	Budget  core.Budget
 	EpsList []float64

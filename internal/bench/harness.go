@@ -77,7 +77,8 @@ type Config struct {
 	// ad-hoc NodeCap): a run that trips any limit is marked Failed with its
 	// partial samples kept, never aborted by panic. When Budget.MaxNodes is
 	// set, auto-pruning at half the limit keeps stale intermediates from
-	// tripping it spuriously.
+	// tripping it spuriously. It holds sizes only: the time limit is
+	// Execute's context, and a run it stops is noted as cancelled.
 	Budget core.Budget
 	// TrackPeak records the exact per-gate peak state size in
 	// Run.PeakNodes, at O(state size) cost per gate instead of per stride.

@@ -36,14 +36,11 @@ type Budget struct {
 	// big.Int limbs or allocator overhead, so treat it as a floor on real
 	// memory use (see DESIGN.md §5.2).
 	MaxBytes int64
-	// Deadline aborts work after an absolute wall-clock instant. Checked
-	// every few hundred node creations to keep the hot path clock-free.
-	Deadline time.Time
 }
 
 // IsZero reports whether the budget imposes no limit at all.
 func (b Budget) IsZero() bool {
-	return b.MaxNodes <= 0 && b.MaxWeights <= 0 && b.MaxBytes <= 0 && b.Deadline.IsZero()
+	return b.MaxNodes <= 0 && b.MaxWeights <= 0 && b.MaxBytes <= 0
 }
 
 // PeakStats records the high-water marks a manager reached, the numbers a
@@ -70,7 +67,7 @@ var ErrBudgetExceeded = errors.New("core: budget exceeded")
 // BudgetError reports which Budget limit a run tripped and the peak
 // statistics at that moment. It matches ErrBudgetExceeded under errors.Is.
 type BudgetError struct {
-	Limit string // "nodes", "weights", "bytes" or "deadline"
+	Limit string // "nodes", "weights" or "bytes"
 	Peak  PeakStats
 }
 
@@ -115,9 +112,9 @@ func RecoverTo(err *error) {
 	*err = &PanicError{Value: r, Stack: debug.Stack()}
 }
 
-// budgetCheckStride throttles the clock reads and context polls in
-// checkBudgetSlow: count-based limits are checked on every node/weight
-// insertion, time and cancellation every stride insertions.
+// budgetCheckStride throttles checkBudgetSlow: count-based limits are
+// checked on every node/weight insertion, the byte estimate and the context
+// poll every stride insertions.
 const budgetCheckStride = 256
 
 // SetBudget installs (or, with the zero Budget, clears) the manager's
@@ -181,8 +178,8 @@ func (m *Manager[T]) noteWeight() {
 	}
 }
 
-// checkBudgetSlow performs the throttled checks: the byte estimate, the
-// wall-clock deadline and the registered context.
+// checkBudgetSlow performs the throttled checks: the byte estimate and the
+// registered context, which carries the run's time limit.
 func (m *Manager[T]) checkBudgetSlow() {
 	m.budgetTick++
 	if m.budgetTick%budgetCheckStride != 0 {
@@ -190,9 +187,6 @@ func (m *Manager[T]) checkBudgetSlow() {
 	}
 	if b := &m.budget; b.MaxBytes > 0 && m.approxBytes() > b.MaxBytes {
 		panic(&BudgetError{Limit: "bytes", Peak: m.Peak()})
-	}
-	if b := &m.budget; !b.Deadline.IsZero() && time.Now().After(b.Deadline) {
-		panic(&BudgetError{Limit: "deadline", Peak: m.Peak()})
 	}
 	if m.ctx != nil {
 		if err := m.ctx.Err(); err != nil {

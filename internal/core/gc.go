@@ -100,17 +100,3 @@ func shardSizeFor(n int) int {
 	}
 	return size
 }
-
-// AutoPruner returns a per-gate hook suitable for Simulator.Run that prunes
-// whenever the unique table grows beyond highWater nodes, keeping the
-// current state (provided by live) as the root.
-func AutoPruner[T any](m *Manager[T], highWater int, live func() Edge[T]) func() {
-	if highWater < 1 {
-		highWater = 1
-	}
-	return func() {
-		if int(m.totalNodes) > highWater {
-			m.Prune(live())
-		}
-	}
-}

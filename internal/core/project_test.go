@@ -158,22 +158,6 @@ func TestPruneWithNoRootsEmptiesTable(t *testing.T) {
 	}
 }
 
-func TestAutoPruner(t *testing.T) {
-	m := algManager(NormLeft)
-	state := m.BasisState(5, 0)
-	hook := AutoPruner(m, 20, func() Edge[alg.Q] { return state })
-	for i := uint64(0); i < 32; i++ {
-		state = m.BasisState(5, i)
-		hook()
-	}
-	if m.Stats().Prunes == 0 {
-		t.Fatal("auto-pruner never fired")
-	}
-	if got := m.Stats().UniqueNodes; got > 40 {
-		t.Fatalf("table kept growing: %d nodes", got)
-	}
-}
-
 // TestProjectMemoizesTargetLevel is the regression test for the unmemoized
 // target-level arm of projectRec: a target-level node shared by many parents
 // was recombined once per incoming edge, so measure-heavy workloads paid

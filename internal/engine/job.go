@@ -124,7 +124,7 @@ type ErrorBody struct {
 	Kind      string          `json:"kind"`
 	Message   string          `json:"message"`
 	Line      int             `json:"line,omitempty"`  // parse_error: offending QASM line
-	Limit     string          `json:"limit,omitempty"` // budget_exceeded: nodes|weights|bytes|deadline
+	Limit     string          `json:"limit,omitempty"` // budget_exceeded: nodes|weights|bytes
 	Peak      *core.PeakStats `json:"peak,omitempty"`  // budget_exceeded: high-water marks
 	RequestID string          `json:"request_id,omitempty"`
 }

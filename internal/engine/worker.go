@@ -206,7 +206,6 @@ func prefixStore[T any](e *Engine, codec ddio.Codec[T], j *Job) *prefix.Store[T]
 // the run (before the reset) for worker metrics.
 func runTyped[T any](ctx context.Context, e *Engine, m *core.Manager[T], codec ddio.Codec[T], j *Job, budget core.Budget) (*JobResult, *ErrorBody, core.Snapshot) {
 	m.SetBudget(budget)
-	m.ResetPeaks()
 	if j.req.Shots > 0 {
 		return runShots(ctx, m, j)
 	}

@@ -10,7 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/engine"
+	"repro/internal/load"
+	"repro/internal/qasm"
 )
 
 // ghzQASM is an n-qubit GHZ circuit in OpenQASM.
@@ -327,6 +330,59 @@ func TestTimeoutJob(t *testing.T) {
 	if view.Status != engine.StatusCancelled || eb.Kind != engine.KindTimeout {
 		t.Fatalf("view = %+v, error = %+v; want cancelled/timeout", view, eb)
 	}
+}
+
+// slowGSEQASM is a GSE circuit (4 phase bits, Solovay–Kitaev depth 2,
+// 6439 Clifford+T gates) lowered to OpenQASM. Its exact simulation takes
+// minutes, so any short timeout expires in the middle of the run.
+func slowGSEQASM(t *testing.T) string {
+	t.Helper()
+	p := bench.DefaultParams()
+	p.GSEPhaseBits, p.GSESKDepth = 4, 2
+	c, err := bench.GSECircuit(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	low, err := load.Lower(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := qasm.Write(&sb, low); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+// requireTimedOut asserts a job that ran out of time is reported as a
+// timeout on the wire, never as a budget refusal with a limit and peak.
+func requireTimedOut(t *testing.T, body string) {
+	t.Helper()
+	_, ts := newTestServer(t, Config{Workers: 1})
+	resp, view, eb := postJob(t, ts.URL, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	if view.Status != engine.StatusCancelled || eb.Kind != engine.KindTimeout {
+		t.Fatalf("view = %+v, error = %+v; want cancelled/timeout", view, eb)
+	}
+	t.Log(eb.Message)
+	if eb.Limit != "" || eb.Peak != nil {
+		t.Fatalf("timeout carries budget fields: limit %q, peak %+v", eb.Limit, eb.Peak)
+	}
+}
+
+// TestTimeoutMidRunGSE: a GSE job whose timeout_ms passes while a gate is
+// being applied ends cancelled/timeout.
+func TestTimeoutMidRunGSE(t *testing.T) {
+	requireTimedOut(t, fmt.Sprintf(`{"qasm": %q, "timeout_ms": 200, "wait": true}`, slowGSEQASM(t)))
+}
+
+// TestTimeoutMidRunShots: the same for a dynamic circuit in shots mode,
+// which replays the circuit per shot on the resimulate path.
+func TestTimeoutMidRunShots(t *testing.T) {
+	src := slowGSEQASM(t) + "creg m[1];\nmeasure q[0] -> m[0];\nif(m==1) x q[0];\n"
+	requireTimedOut(t, fmt.Sprintf(`{"qasm": %q, "shots": 4, "seed": 1, "timeout_ms": 200, "wait": true}`, src))
 }
 
 func TestVersionHealthzMetrics(t *testing.T) {

@@ -65,10 +65,10 @@ func freshApproxState() ApproxState { return ApproxState{Fidelity: 1, Exact: tru
 const approxRetries = 2
 
 // applyWithFallback is Apply plus the budget-pressure relief valve: when a
-// gate is refused on a memory limit (nodes, weights, bytes — never the
-// deadline, which approximation cannot buy back), the live state is
-// approximated within the remaining fidelity budget and the gate retried,
-// at most approxRetries times.
+// gate is refused on a memory limit (a *BudgetError: nodes, weights or
+// bytes — never a context error, which approximation cannot buy back), the
+// live state is approximated within the remaining fidelity budget and the
+// gate retried, at most approxRetries times.
 func (s *Simulator[T]) applyWithFallback(g circuit.Gate) error {
 	err := s.Apply(g)
 	if err == nil || s.approxPolicy.MinFidelity <= 0 {
@@ -76,7 +76,7 @@ func (s *Simulator[T]) applyWithFallback(g circuit.Gate) error {
 	}
 	for attempt := 1; attempt <= approxRetries; attempt++ {
 		var be *core.BudgetError
-		if !errors.As(err, &be) || be.Limit == "deadline" {
+		if !errors.As(err, &be) {
 			return err
 		}
 		if !s.shedLoad(attempt == approxRetries) {

@@ -1,11 +1,11 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"math/cmplx"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/core"
@@ -159,18 +159,32 @@ func TestApproximationResetClearsAccounting(t *testing.T) {
 	}
 }
 
+// expiresOnce reports an expired deadline on its first Err call only, so an
+// approximation the fallback might wrongly start would not itself be cut
+// short, and a retried gate would succeed.
+type expiresOnce struct {
+	context.Context
+	fired bool
+}
+
+func (c *expiresOnce) Err() error {
+	if c.fired {
+		return nil
+	}
+	c.fired = true
+	return context.DeadlineExceeded
+}
+
 // TestApproximationDeadlineNotAbsorbed: a deadline trip is a cancellation,
-// not memory pressure — the fallback must not eat it.
+// not memory pressure — the fallback must not eat it. The gate goes straight
+// to applyWithFallback: RunCtx's own poll before gate 0 would return before
+// the fallback is reached.
 func TestApproximationDeadlineNotAbsorbed(t *testing.T) {
-	const n = 10
-	c := clutterCircuit(n, 24, 5)
-	m := numM(0)
-	m.SetBudget(core.Budget{Deadline: time.Now().Add(-time.Second)})
-	s := New(m, n)
+	s, g := denseSim(&expiresOnce{Context: context.Background()}, 10)
 	s.EnableApproximation(ApproxPolicy{MinFidelity: 0.5})
-	err := s.Run(c, nil)
-	if !errors.Is(err, core.ErrBudgetExceeded) {
-		t.Fatalf("expired deadline: err = %v, want ErrBudgetExceeded", err)
+	err := s.applyWithFallback(g)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired deadline: err = %v, want context.DeadlineExceeded", err)
 	}
 	if st := s.Approximation(); st.Events != 0 {
 		t.Fatalf("deadline trip triggered %d approximation events", st.Events)

@@ -97,19 +97,39 @@ func TestApplyRestoresStateOnBudgetError(t *testing.T) {
 	}
 }
 
-// TestBudgetDeadlineTrips: an already-expired wall-clock deadline stops the
-// run via the throttled in-recursion check.
-func TestBudgetDeadlineTrips(t *testing.T) {
+// denseSim returns a simulator holding a random dense n-qubit state whose
+// manager polls ctx, plus a gate whose application creates far more nodes
+// than the poll's stride, so the poll inside the operation is reached.
+func denseSim(ctx context.Context, n int) (*Simulator[complex128], circuit.Gate) {
 	m := numM(0)
-	m.SetBudget(core.Budget{Deadline: time.Now().Add(-time.Second)})
-	s := New(m, 10)
-	err := s.Run(algorithms.Grover(10, 500, 0), nil)
-	if !errors.Is(err, core.ErrBudgetExceeded) {
-		t.Fatalf("want ErrBudgetExceeded, got %v", err)
+	r := rand.New(rand.NewSource(9))
+	amps := make([]complex128, 1<<n)
+	for i := range amps {
+		amps[i] = complex(r.NormFloat64(), r.NormFloat64())
 	}
-	var be *core.BudgetError
-	if !errors.As(err, &be) || be.Limit != "deadline" {
-		t.Fatalf("want deadline limit, got %v", err)
+	s := New(m, n)
+	s.State = m.FromVector(amps)
+	m.SetContext(ctx)
+	return s, circuit.Gate{Name: "h", Target: 0}
+}
+
+// TestBudgetDeadlineTrips: an expired context deadline stops a single gate
+// application through the manager's throttled in-operation poll, and the
+// state stays at its pre-gate value.
+func TestBudgetDeadlineTrips(t *testing.T) {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	s, g := denseSim(ctx, 10)
+	prev := s.State
+	err := s.Apply(g)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want context.DeadlineExceeded, got %v", err)
+	}
+	if errors.Is(err, core.ErrBudgetExceeded) {
+		t.Fatalf("deadline reported as a budget failure: %v", err)
+	}
+	if s.State != prev {
+		t.Fatal("state changed by the interrupted gate")
 	}
 }
 
@@ -139,20 +159,16 @@ func TestRunCtxCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestRunCtxDeadline: a context deadline is installed into the manager
-// budget for the duration of the run, so even one long Mul is interrupted;
-// afterwards the original budget is restored.
+// TestRunCtxDeadline: a run whose context deadline passes ends with
+// context.DeadlineExceeded, never a budget error.
 func TestRunCtxDeadline(t *testing.T) {
 	m := numM(0)
 	s := New(m, 10)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	err := s.RunCtx(ctx, algorithms.Grover(10, 500, 0), nil)
-	if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, core.ErrBudgetExceeded) {
-		t.Fatalf("want a deadline outcome, got %v", err)
-	}
-	if !m.Budget().Deadline.IsZero() {
-		t.Fatalf("manager budget still carries the run's deadline: %+v", m.Budget())
+	if !errors.Is(err, context.DeadlineExceeded) || !Governed(err) {
+		t.Fatalf("want a governed context.DeadlineExceeded, got %v", err)
 	}
 }
 

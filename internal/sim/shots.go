@@ -204,18 +204,10 @@ func resimulateShots[T any](ctx context.Context, m *core.Manager[T], c *circuit.
 	if opt.AutoPrune > 0 {
 		s.EnableAutoPrune(opt.AutoPrune)
 	}
-	// Install the context (and any deadline it carries) into the manager
-	// for the whole run, as RunCtx does per circuit.
+	// Install the context into the manager for the whole run, as RunCtx
+	// does per circuit.
 	m.SetContext(ctx)
 	defer m.SetContext(nil)
-	if dl, ok := ctx.Deadline(); ok {
-		b := m.Budget()
-		if b.Deadline.IsZero() || dl.Before(b.Deadline) {
-			defer m.SetBudget(m.Budget())
-			b.Deadline = dl
-			m.SetBudget(b)
-		}
-	}
 	t := c.TrailingMeasures()
 	measured := hasMeasure(c)
 	res := &ShotsResult{

@@ -222,8 +222,7 @@ func (s *Simulator[T]) Run(c *circuit.Circuit, hook func(i int, g circuit.Gate) 
 // individual operations — so both a slow gate stream and one giant Mul are
 // interruptible. On cancellation the context error is returned and the
 // state remains at the last completed gate, so partial statistics stay
-// readable. Deadlines carried by ctx are installed into the manager budget
-// for the duration of the run.
+// readable.
 func (s *Simulator[T]) RunCtx(ctx context.Context, c *circuit.Circuit, hook func(i int, g circuit.Gate) bool) error {
 	return s.RunFromCtx(ctx, c, 0, hook)
 }
@@ -234,6 +233,11 @@ func (s *Simulator[T]) RunCtx(ctx context.Context, c *circuit.Circuit, hook func
 // keyed by the circuit's chain link H_from. With from = 0 it is exactly
 // RunCtx. The hook still receives the original gate indices, so checkpoint
 // policies see the same positions a cold run would.
+//
+// ctx carries the run's only time limit: the manager polls it inside every
+// operation, so a deadline that passes mid-gate stops that gate, leaves the
+// state at the previous one and returns an error naming the gate that
+// matches context.DeadlineExceeded.
 func (s *Simulator[T]) RunFromCtx(ctx context.Context, c *circuit.Circuit, from int, hook func(i int, g circuit.Gate) bool) error {
 	if c.N != s.N {
 		return fmt.Errorf("sim: circuit has %d qubits, simulator has %d", c.N, s.N)
@@ -251,16 +255,6 @@ func (s *Simulator[T]) RunFromCtx(ctx context.Context, c *circuit.Circuit, from 
 	// context costs one nil-error read per few hundred node creations.
 	s.M.SetContext(ctx)
 	defer s.M.SetContext(nil)
-	ctxOwnsDeadline := false
-	if dl, ok := ctx.Deadline(); ok {
-		b := s.M.Budget()
-		if b.Deadline.IsZero() || dl.Before(b.Deadline) {
-			defer s.M.SetBudget(s.M.Budget())
-			b.Deadline = dl
-			s.M.SetBudget(b)
-			ctxOwnsDeadline = true
-		}
-	}
 	for i := from; i < len(c.Gates); i++ {
 		g := c.Gates[i]
 		if (i-from)%ctxCheckEvery == 0 {
@@ -269,18 +263,6 @@ func (s *Simulator[T]) RunFromCtx(ctx context.Context, c *circuit.Circuit, from 
 			}
 		}
 		if err := s.applyWithFallback(g); err != nil {
-			// A deadline carried by ctx trips inside the manager as a budget
-			// error; report it as the cancellation it is, so callers see one
-			// error shape for "the context ended this run". The explicit
-			// ctxOwnsDeadline test covers the instants where the budget clock
-			// has passed the deadline but ctx's timer has not yet fired.
-			if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, core.ErrBudgetExceeded) {
-				return fmt.Errorf("sim: cancelled at gate %d: %w", i, ctxErr)
-			}
-			var be *core.BudgetError
-			if ctxOwnsDeadline && errors.As(err, &be) && be.Limit == "deadline" {
-				return fmt.Errorf("sim: cancelled at gate %d: %w", i, context.DeadlineExceeded)
-			}
 			return fmt.Errorf("sim: gate %d (%s): %w", i, g, err)
 		}
 		if hook != nil && !hook(i, g) {

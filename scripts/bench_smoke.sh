@@ -20,6 +20,9 @@
 #    multi-controls, a doubly-controlled t) writes a file that qsim re-reads
 #    under -repr alg, and both runs print the same probability column (the
 #    re-read outcomes carry the clean ancillas as extra low bits).
+# 5. -timeout is a context deadline: a qsim GSE run and a qbench Fig-5 sweep
+#    that would each take minutes stop early, exit 0 and report the stop as
+#    a cancellation, never as a "deadline limit" budget failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -135,4 +138,16 @@ if [ -s "$outroot/bwt_reread.txt" ] && [ -n "$(probs "$outroot/bwt.txt")" ] &&
 else
   fail "qsim -writeqasm round trip changed the probability column"
 fi
+
+"$qsim" -alg gse -phasebits 4 -skdepth 2 -timeout 300ms >"$outroot/qsim_timeout.txt" 2>&1 ||
+  fail "qsim -timeout exited non-zero"
+grep -q 'run stopped early' "$outroot/qsim_timeout.txt" && grep -q 'context deadline exceeded' "$outroot/qsim_timeout.txt" ||
+  fail "qsim -timeout: no early stop on the context deadline"
+"$qbench" -fig 5 -phasebits 4 -skdepth 2 -noerror -parallel 1 -timeout 1s -out "$outroot/timeout" >"$outroot/qbench_timeout.txt" 2>&1 ||
+  fail "qbench -timeout exited non-zero"
+grep -q 'stopped early' "$outroot/qbench_timeout.txt" || fail "qbench -timeout: no early stop"
+if grep -q 'deadline limit' "$outroot/qsim_timeout.txt" "$outroot/qbench_timeout.txt"; then
+  fail "-timeout reported as a budget failure"
+fi
+[ "$status" -eq 0 ] && echo "bench smoke: qsim and qbench -timeout stop early as cancellations"
 exit "$status"
