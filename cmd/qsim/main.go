@@ -217,7 +217,7 @@ func runAndReport[T any](ctx context.Context, m *core.Manager[T], c *circuit.Cir
 	}
 	start := time.Now()
 	var stored, storedBytes int64
-	from, hook := prefix.Resume(ps, s, c, ckpt, func(n int) {
+	from, hook := prefix.Resume(ps, s, c, prefix.Plan{}, ckpt, func(n int) {
 		stored++
 		storedBytes += int64(n)
 	})

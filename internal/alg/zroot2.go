@@ -115,14 +115,15 @@ func (r Zroot2) Sign() int {
 func (r Zroot2) Float(prec uint) *big.Float {
 	u := new(big.Float).SetPrec(prec).SetInt(r.U)
 	v := new(big.Float).SetPrec(prec).SetInt(r.V)
-	v.Mul(v, sqrt2Float(prec))
+	v.Mul(v, sqrt2At(prec))
 	return u.Add(u, v)
 }
 
 func (r Zroot2) String() string { return fmt.Sprintf("(%v + %v·√2)", r.U, r.V) }
 
-// sqrt2Float returns √2 at the given precision (recomputed per call; the
-// callers cache at a higher level where it matters).
+// sqrt2Float computes √2 at the given precision. Every caller goes through
+// sqrt2At, which computes it once per precision; the computation itself
+// costs a big.Float square root.
 func sqrt2Float(prec uint) *big.Float {
 	two := new(big.Float).SetPrec(prec + 8).SetInt64(2)
 	return new(big.Float).SetPrec(prec).Sqrt(two)

@@ -2,6 +2,7 @@ package alg
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -94,5 +95,32 @@ func TestZroot2ZomegaEmbedding(t *testing.T) {
 	want, _ := r.Float(64).Float64()
 	if math.Abs(imF) > 1e-12 || math.Abs(reF-want) > 1e-9 {
 		t.Fatalf("embedding of %v gave %v + %vi", r, reF, imF)
+	}
+}
+
+// TestZroot2FloatMatchesUncached: Zroot2.Float reads √2 from the
+// per-precision cache, and must return exactly what the uncached form
+// u + v·sqrt2Float(prec) returns — same precision, same mantissa bits — at
+// the read-out precisions and one wider one.
+func TestZroot2FloatMatchesUncached(t *testing.T) {
+	r := rand.New(rand.NewSource(201))
+	vals := []Zroot2{NewZroot2(0, 0), NewZroot2(1, 0), NewZroot2(0, 1), NewZroot2(3, -2), NewZroot2(-7, 5)}
+	for i := 0; i < 50; i++ {
+		u := new(big.Int).Lsh(big.NewInt(r.Int63()-r.Int63()), uint(r.Intn(200)))
+		v := new(big.Int).Lsh(big.NewInt(r.Int63()-r.Int63()), uint(r.Intn(200)))
+		vals = append(vals, Zroot2{U: u, V: v})
+	}
+	for _, prec := range []uint{64, 96, 160} {
+		for _, z := range vals {
+			u := new(big.Float).SetPrec(prec).SetInt(z.U)
+			v := new(big.Float).SetPrec(prec).SetInt(z.V)
+			v.Mul(v, sqrt2Float(prec))
+			want := u.Add(u, v)
+			got := z.Float(prec)
+			if got.Prec() != want.Prec() || got.Text('p', 0) != want.Text('p', 0) {
+				t.Fatalf("%v at %d bits: cached %s (prec %d), uncached %s (prec %d)",
+					z, prec, got.Text('p', 0), got.Prec(), want.Text('p', 0), want.Prec())
+			}
+		}
 	}
 }

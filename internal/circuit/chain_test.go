@@ -109,3 +109,37 @@ func TestUnitaryPrefixLen(t *testing.T) {
 		t.Errorf("conditioned gate: UnitaryPrefixLen = %d, want 1", got)
 	}
 }
+
+// TestPrefixHasherCloneForks: a clone taken after the shared base continues
+// the chain from there, independently of the original and of other clones,
+// so base-then-clone links equal each full circuit's own Chain.
+func TestPrefixHasherCloneForks(t *testing.T) {
+	base := New("base", 3).H(0).CX(0, 1).T(1)
+	suffixes := [][]Gate{
+		New("s0", 3).S(2).H(2).Gates,
+		New("s1", 3).CX(1, 2).Gates,
+		nil,
+	}
+	p := NewPrefixHasher(base.N, base.Cbits)
+	links := p.Extend([]Digest{p.Link()}, base.Gates)
+	clones := make([]*PrefixHasher, len(suffixes))
+	for i := range suffixes {
+		clones[i] = p.Clone()
+	}
+	for i, sfx := range suffixes {
+		full := &Circuit{Name: "v", N: base.N, Gates: append(append([]Gate{}, base.Gates...), sfx...)}
+		got := clones[i].Extend(append([]Digest{}, links...), sfx)
+		want := Chain(full)
+		if len(got) != len(want) || clones[i].Len() != full.Len() {
+			t.Fatalf("suffix %d: %d links at position %d, want %d at %d", i, len(got), clones[i].Len(), len(want), full.Len())
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("suffix %d: link %d differs from Chain", i, k)
+			}
+		}
+	}
+	if p.Link() != links[len(links)-1] || p.Len() != base.Len() {
+		t.Fatal("extending the clones moved the original chain")
+	}
+}

@@ -3,6 +3,7 @@ package circuit
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"math"
 )
 
@@ -43,23 +44,47 @@ type PrefixHasher struct {
 	ctrls []Control
 }
 
-// hasher is the subset of hash.Hash the chain needs. sha256's Sum appends
+// hasher is the subset of sha256's digest the chain needs. Its Sum appends
 // to its argument without mutating internal state, which is what lets Link
-// snapshot every intermediate chain link from one running hash.
+// snapshot every intermediate chain link from one running hash; its binary
+// state is what lets Clone fork the chain.
 type hasher interface {
 	Write(p []byte) (int, error)
 	Sum(b []byte) []byte
+	MarshalBinary() ([]byte, error)
+	UnmarshalBinary(b []byte) error
 }
 
 // NewPrefixHasher starts a chain for circuits over `qubits` qubits and
 // `cbits` classical bits. The returned hasher is positioned at H₀.
 func NewPrefixHasher(qubits, cbits int) *PrefixHasher {
-	p := &PrefixHasher{h: sha256.New(), enc: make([]byte, 0, 128), ctrls: make([]Control, 0, 4)}
+	p := newPrefixHasher()
 	p.putStr("qmdd-circuit-v3") // domain separator / schema version
 	p.putInt(qubits)
 	p.putInt(cbits)
 	p.flush()
 	return p
+}
+
+func newPrefixHasher() *PrefixHasher {
+	return &PrefixHasher{h: sha256.New().(hasher), enc: make([]byte, 0, 128), ctrls: make([]Control, 0, 4)}
+}
+
+// Clone returns an independent copy of the chain at its current position
+// Hᵢ: absorbing into either continues from Hᵢ without touching the other.
+// A base+suffixes batch absorbs its shared base once and clones the result
+// for each suffix.
+func (p *PrefixHasher) Clone() *PrefixHasher {
+	state, err := p.h.MarshalBinary()
+	if err != nil {
+		panic(fmt.Sprintf("circuit: saving the chain hash: %v", err))
+	}
+	q := newPrefixHasher()
+	if err := q.h.UnmarshalBinary(state); err != nil {
+		panic(fmt.Sprintf("circuit: restoring the chain hash: %v", err))
+	}
+	q.k = p.k
+	return q
 }
 
 func (p *PrefixHasher) putU64(v uint64) { p.enc = binary.LittleEndian.AppendUint64(p.enc, v) }
@@ -139,18 +164,23 @@ func (p *PrefixHasher) Link() Digest {
 	return p.sum
 }
 
+// Extend absorbs gates in order, appending the link after each one to
+// links, and returns the extended slice.
+func (p *PrefixHasher) Extend(links []Digest, gates []Gate) []Digest {
+	for _, g := range gates {
+		p.Absorb(g)
+		links = append(links, p.Link())
+	}
+	return links
+}
+
 // Chain returns all n+1 links H₀ … Hₙ of the circuit's prefix-hash chain.
 // Chain(c)[i] keys the state after the first i ops; Chain(c)[len(c.Gates)]
 // equals Fingerprint(c).
 func Chain(c *Circuit) []Digest {
 	links := make([]Digest, 0, len(c.Gates)+1)
 	p := NewPrefixHasher(c.N, c.Cbits)
-	links = append(links, p.Link())
-	for _, g := range c.Gates {
-		p.Absorb(g)
-		links = append(links, p.Link())
-	}
-	return links
+	return p.Extend(append(links, p.Link()), c.Gates)
 }
 
 // SharedPrefixLen returns the length of the longest common gate prefix of
@@ -158,15 +188,24 @@ func Chain(c *Circuit) []Digest {
 // chain links, so it is exactly the "how far do these variants share
 // checkpoint keys" question.
 func SharedPrefixLen(circs ...*Circuit) int {
-	if len(circs) == 0 {
-		return 0
-	}
 	chains := make([][]Digest, len(circs))
-	k := len(circs[0].Gates)
 	for i, c := range circs {
 		chains[i] = Chain(c)
-		if len(c.Gates) < k {
-			k = len(c.Gates)
+	}
+	return SharedChainLen(chains...)
+}
+
+// SharedChainLen is SharedPrefixLen over chains already computed: the
+// largest k at which every chain has the same link H_k (0 when none has
+// a gate in common, or there are no chains).
+func SharedChainLen(chains ...[]Digest) int {
+	if len(chains) == 0 {
+		return 0
+	}
+	k := len(chains[0]) - 1
+	for _, ch := range chains[1:] {
+		if len(ch)-1 < k {
+			k = len(ch) - 1
 		}
 	}
 	for ; k > 0; k-- {

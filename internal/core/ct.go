@@ -81,14 +81,14 @@ func newComputeTable[T any](size int) *computeTable[T] {
 	for s := range t.shards {
 		t.shards[s].entries = make([]ctEntry[T], per)
 		t.shards[s].mask = uint64(per - 1)
-		t.shards[s].slotLog = newSlotLog(per)
+		t.shards[s].slotLog = newSlotLog(per / dirtyFraction)
 	}
 	return t
 }
 
-// dirtyFraction sizes a shard's dirty-slot list at 1/dirtyFraction of the
-// shard (both memo tables). A job that fills more than that pays one full
-// clear of the shard, which it has amortized over its own fills.
+// dirtyFraction sizes a compute-table shard's dirty-slot list at
+// 1/dirtyFraction of the shard. A job that fills more than that pays one
+// full clear of the shard, which it has amortized over its own fills.
 const dirtyFraction = 8
 
 // slotLog records which slots of one memo-table shard were filled since its
@@ -98,8 +98,9 @@ type slotLog struct {
 	dirty  []uint32 // their indices, while they fit the preallocated list
 }
 
-func newSlotLog(shardSize int) slotLog {
-	return slotLog{dirty: make([]uint32, 0, shardSize/dirtyFraction)}
+// newSlotLog returns a log whose dirty-slot list holds up to listLen slots.
+func newSlotLog(listLen int) slotLog {
+	return slotLog{dirty: make([]uint32, 0, listLen)}
 }
 
 // fill records that slot i went from free to occupied. It never allocates.

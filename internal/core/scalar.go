@@ -26,6 +26,15 @@ import "repro/internal/coeff"
 // shard on first use.
 const scalarTableSize = 1 << 14
 
+// scalarDirtyFraction sizes a scalar shard's dirty-slot list at
+// 1/scalarDirtyFraction of the shard, twice the compute table's ⅛: a
+// Grover-8 job fills up to about 160 of a shard's 1,024 slots (lowered, with
+// a batch suffix), so at ⅛ some shards overflowed the list and Reset zeroed
+// them whole (~170 KiB each). A scalar slot holds three Q[ω] values, three
+// cache lines, so zeroing listed slots one by one stops paying well before
+// the whole shard is listed.
+const scalarDirtyFraction = 4
+
 type scalarOp uint8
 
 const (
@@ -86,7 +95,7 @@ func (t *scalarTable[T]) put(op scalarOp, ha, hb uint64, a, b, r T) {
 	if sh.entries == nil {
 		const per = scalarTableSize / tableShardCount
 		sh.entries = make([]scalarEntry[T], per)
-		sh.slotLog = newSlotLog(per)
+		sh.slotLog = newSlotLog(per / scalarDirtyFraction)
 	}
 	i := h & uint64(len(sh.entries)-1)
 	e := &sh.entries[i]

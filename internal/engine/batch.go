@@ -259,7 +259,7 @@ func (e *Engine) SubmitBatch(req BatchRequest, rid string) (*Batch, *SubmitError
 		b.children[i].requestID = fmt.Sprintf("%s-/v%d", stem, i)
 	}
 	if prefixLen > 0 {
-		link := circuit.Chain(variants[0].circ)[prefixLen]
+		link := variants[0].plan.Links[prefixLen]
 		b.prefixKey = prefix.Key(link, template.Representation, template.Norm, template.Eps)
 	}
 	if !e.batches.add(b) {
@@ -322,9 +322,12 @@ func (e *Engine) validateBatch(req BatchRequest) (JobRequest, []jobCircuit, int,
 
 // batchCircuits parses and checks the batch's circuits, returning the
 // per-variant circuits (validated, read-out stripped — what each child job
-// runs) and the shared prefix length in gates. Every source goes through
-// the parse memo; a base+suffix variant is a new circuit whose gates are
-// copied out of the memoized ones.
+// runs) with their prefix plans, and the shared prefix length in gates.
+// Every source goes through the parse memo; a base+suffix variant is a new
+// circuit whose gates are copied out of the memoized ones. Each variant's
+// chain is hashed here, once: a base+suffix batch absorbs the base into
+// one chain and clones it per suffix, and a variant's fingerprint is its
+// chain's last link.
 func (e *Engine) batchCircuits(template *JobRequest, req BatchRequest) ([]jobCircuit, int, *SubmitError) {
 	invalid := func(format string, args ...any) *SubmitError {
 		return &SubmitError{Reason: RejectInvalid, Body: ErrorBody{
@@ -355,6 +358,8 @@ func (e *Engine) batchCircuits(template *JobRequest, req BatchRequest) ([]jobCir
 		if base.Cbits != 0 || !base.IsUnitary() {
 			return nil, 0, invalid("the base circuit is the shared prefix and must be purely unitary (no measure, reset or classical control)")
 		}
+		h := circuit.NewPrefixHasher(base.N, 0)
+		baseLinks := h.Extend([]circuit.Digest{h.Link()}, base.Gates)
 		variants := make([]jobCircuit, len(req.Suffixes))
 		for i, src := range req.Suffixes {
 			sp, serr := parse(src, fmt.Sprintf("suffix %d", i))
@@ -376,13 +381,21 @@ func (e *Engine) batchCircuits(template *JobRequest, req BatchRequest) ([]jobCir
 			if serr := check(v, i); serr != nil {
 				return nil, 0, serr
 			}
-			variants[i] = fingerprinted(v.StripReadout())
+			v = v.StripReadout()
+			links := make([]circuit.Digest, len(baseLinks), len(v.Gates)+1)
+			copy(links, baseLinks)
+			links = h.Clone().Extend(links, v.Gates[len(base.Gates):])
+			variants[i] = jobCircuit{
+				circ: v,
+				fp:   links[len(links)-1],
+				plan: prefix.Plan{Links: links, Boundary: v.UnitaryPrefixLen()},
+			}
 		}
 		return variants, len(base.Gates), nil
 	}
 
 	variants := make([]jobCircuit, len(req.Variants))
-	circs := make([]*circuit.Circuit, len(req.Variants))
+	chains := make([][]circuit.Digest, len(req.Variants))
 	for i, src := range req.Variants {
 		p, serr := parse(src, fmt.Sprintf("variant %d", i))
 		if serr != nil {
@@ -392,12 +405,13 @@ func (e *Engine) batchCircuits(template *JobRequest, req BatchRequest) ([]jobCir
 			return nil, 0, serr
 		}
 		c, fp := p.Stripped()
-		variants[i] = jobCircuit{circ: c, fp: fp}
-		circs[i] = c
+		plan := prefix.PlanOf(c)
+		variants[i] = jobCircuit{circ: c, fp: fp, plan: plan}
+		chains[i] = plan.Links
 	}
 	// The checked circuits are read-out stripped, hence fully unitary — the
 	// discovered shared prefix is automatically a sound checkpoint position.
-	return variants, circuit.SharedPrefixLen(circs...), nil
+	return variants, circuit.SharedChainLen(chains...), nil
 }
 
 // runBatch is the batch scheduler goroutine: simulate the shared prefix
@@ -413,9 +427,7 @@ func (e *Engine) runBatch(b *Batch, template JobRequest, stem string, variants [
 		preq.Output = "stats"
 		preq.TopK = 0
 		preq.Wait = false
-		v := variants[0].circ
-		pc := &circuit.Circuit{Name: "prefix", N: v.N, Gates: v.Gates[:b.prefixLen:b.prefixLen]}
-		if pj, serr := e.submit(preq, fingerprinted(pc), stem+"-/prefix"); serr == nil {
+		if pj, serr := e.submit(preq, prefixJob(variants[0], b.prefixLen), stem+"-/prefix"); serr == nil {
 			b.setPrefix(pj)
 			if hook := e.cfg.HookBatchChild; hook != nil {
 				hook(b, -1, pj)
@@ -444,4 +456,15 @@ func (e *Engine) runBatch(b *Batch, template JobRequest, stem string, variants [
 		<-j.Done()
 	}
 	b.finish()
+}
+
+// prefixJob is the batch's prefix job: the first k gates of variant v,
+// whose chain is the first k+1 links of v's.
+func prefixJob(v jobCircuit, k int) jobCircuit {
+	links := v.plan.Links[: k+1 : k+1]
+	return jobCircuit{
+		circ: &circuit.Circuit{Name: "prefix", N: v.circ.N, Gates: v.circ.Gates[:k:k]},
+		fp:   links[k],
+		plan: prefix.Plan{Links: links, Boundary: k},
+	}
 }

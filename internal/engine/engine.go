@@ -29,6 +29,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/parsememo"
+	"repro/internal/prefix"
 	"repro/internal/qasm"
 	"repro/internal/qcache"
 )
@@ -301,16 +302,13 @@ func (e *Engine) Submit(req JobRequest) (*Job, *SubmitError) {
 }
 
 // jobCircuit is the circuit a job runs and its fingerprint, the circuit
-// component of the job's cache key.
+// component of the job's cache key. A batch job also carries its prefix
+// plan, computed once at submit; a solo job's is the zero Plan, and the
+// worker computes it when checkpointing is on.
 type jobCircuit struct {
 	circ *circuit.Circuit
 	fp   [sha256.Size]byte
-}
-
-// fingerprinted pairs a circuit built outside the parse memo with its
-// fingerprint.
-func fingerprinted(c *circuit.Circuit) jobCircuit {
-	return jobCircuit{circ: c, fp: circuit.Fingerprint(c)}
+	plan prefix.Plan
 }
 
 // submit is Submit past validation, with the hook the batch scheduler
@@ -400,6 +398,7 @@ func (e *Engine) submit(req JobRequest, jc jobCircuit, rid string) (*Job, *Submi
 		id:        newJobID(),
 		req:       req,
 		circ:      jc.circ,
+		plan:      jc.plan,
 		requestID: rid,
 		done:      make(chan struct{}),
 		store:     e.store,

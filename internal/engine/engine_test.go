@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/circuit"
+	"repro/internal/prefix"
 	"repro/internal/qcache"
 )
 
@@ -193,6 +195,64 @@ func TestBatchVariantsFormDiscoversPrefix(t *testing.T) {
 	// With no transport request id the batch id is the stem.
 	if want := b.ID() + "-/v0"; v.Variants[0].RequestID != want {
 		t.Errorf("variant 0 request id = %q, want %q", v.Variants[0].RequestID, want)
+	}
+}
+
+// TestBatchVariantPlanMatchesPlanOf: the chain a batch hashes once at
+// submit (base absorbed once and cloned per suffix, or one chain per
+// variant) is the chain prefix.PlanOf computes from the variant's own
+// circuit, link for link, with the same unitary boundary, and its last link
+// is the variant's fingerprint. Covers both batch forms and a suffix whose
+// trailing measures StripReadout removes; the prefix job's plan is checked
+// the same way.
+func TestBatchVariantPlanMatchesPlanOf(t *testing.T) {
+	measured := "OPENQASM 2.0;\nqreg q[3];\ncreg c[2];\nt q[1];\nh q[0];\nmeasure q[0] -> c[0];\nmeasure q[1] -> c[1];\n"
+	withCreg := strings.Replace(testBase, "qreg q[3];\n", "qreg q[3];\ncreg c[1];\n", 1)
+	renamed := strings.ReplaceAll(testBase, "q[", "other[")
+	e := newTestEngine(t, Config{CacheBytes: 1 << 20})
+	for _, tc := range []struct {
+		name string
+		req  BatchRequest
+	}{
+		{"base+suffixes", BatchRequest{Base: testBase, Suffixes: []string{testSuffix(0), testSuffix(1), measured}}},
+		{"variants", BatchRequest{Variants: []string{
+			testBase + "t q[0];\n",
+			renamed + "h other[1];\n",
+			withCreg + "s q[2];\nmeasure q[2] -> c[0];\n",
+		}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, variants, prefixLen, serr := e.validateBatch(tc.req)
+			if serr != nil {
+				t.Fatal(serr)
+			}
+			if prefixLen != testBaseGates {
+				t.Fatalf("shared prefix = %d gates, want %d", prefixLen, testBaseGates)
+			}
+			check := func(name string, jc jobCircuit) {
+				t.Helper()
+				want := prefix.PlanOf(jc.circ)
+				if jc.plan.Boundary != want.Boundary || len(jc.plan.Links) != len(want.Links) {
+					t.Fatalf("%s: plan has %d links, boundary %d; PlanOf has %d, %d",
+						name, len(jc.plan.Links), jc.plan.Boundary, len(want.Links), want.Boundary)
+				}
+				for k := range want.Links {
+					if jc.plan.Links[k] != want.Links[k] {
+						t.Fatalf("%s: link %d differs from PlanOf", name, k)
+					}
+				}
+				if jc.fp != circuit.Fingerprint(jc.circ) {
+					t.Fatalf("%s: fingerprint is not the circuit's", name)
+				}
+			}
+			for i, v := range variants {
+				if v.circ.Cbits != 0 || !v.circ.IsUnitary() {
+					t.Fatalf("variant %d was not read-out stripped", i)
+				}
+				check(fmt.Sprintf("variant %d", i), v)
+			}
+			check("prefix job", prefixJob(variants[0], prefixLen))
+		})
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/prefix"
 	"repro/internal/qcache"
 )
 
@@ -188,6 +189,7 @@ type Job struct {
 	id   string
 	req  JobRequest
 	circ *circuit.Circuit
+	plan prefix.Plan // a batch job's prefix chain (prefix.Resume)
 	// requestID is the transport request id the job was submitted under
 	// ("" when the transport sent none). Batch children carry derived ids
 	// (<parent>-/v<i>), so a variant's engine-side record is traceable to
@@ -312,11 +314,13 @@ func (st *jobStore) markCached(j *Job) {
 }
 
 // finish moves j to a terminal status and wakes waiters. A finished record
-// keeps only what its views show: the circuit and its source are dropped,
-// so the job and batch stores retain results, not gate lists.
+// keeps only what its views show: the circuit, its plan and its source are
+// dropped, so the job and batch stores retain results, not gate lists or
+// chains.
 func (st *jobStore) finish(j *Job, status string, res *JobResult, errBody *ErrorBody) {
 	st.mu.Lock()
 	j.circ = nil
+	j.plan = prefix.Plan{}
 	j.req.QASM = ""
 	j.status = status
 	j.result = res

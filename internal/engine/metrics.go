@@ -132,6 +132,13 @@ func (m *metrics) observe(w int, busy time.Duration, snap core.Snapshot) {
 	wm.hasSnap = true
 }
 
+// addBusy adds worker w's between-job reset time to its busy time.
+func (m *metrics) addBusy(w int, d time.Duration) {
+	m.mu.Lock()
+	m.workers[w].busy += d
+	m.mu.Unlock()
+}
+
 // avgServiceSeconds estimates mean per-job service time across the pool —
 // the number a readiness probe reports so the router can turn queue depth
 // into an expected-wait estimate. Zero until the first job finishes.

@@ -99,4 +99,24 @@ func TestFinishedJobKeepsNoCircuit(t *testing.T) {
 			t.Errorf("submission %d: finished record keeps its circuit (%v) or source (%d bytes)", i, j.circ != nil, len(j.req.QASM))
 		}
 	}
+
+	// Batch jobs carry the prefix plan computed at submit; their finished
+	// records drop it with the circuit.
+	b, serr := e.SubmitBatch(BatchRequest{Base: testBase, Suffixes: []string{testSuffix(0), testSuffix(1)}}, "")
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	<-b.Done()
+	jobs := []*Job{b.prefixJob}
+	for _, c := range b.children {
+		jobs = append(jobs, c.job)
+	}
+	for i, j := range jobs {
+		if j == nil {
+			t.Fatalf("batch job %d was refused", i-1)
+		}
+		if j.circ != nil || j.plan.Links != nil {
+			t.Errorf("batch job %d: finished record keeps its circuit (%v) or plan (%d links)", i-1, j.circ != nil, len(j.plan.Links))
+		}
+	}
 }

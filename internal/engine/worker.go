@@ -81,9 +81,10 @@ func (e *Engine) worker(id int, started *sync.WaitGroup) {
 }
 
 // runJob executes one job end to end: mark running, install the governor,
-// simulate, classify the outcome, publish metrics, and reset the manager
-// for the next tenant (core.Manager.Reset: nothing one job leaves in a warm
-// manager can change the next job's envelope, stats included).
+// simulate, classify the outcome, publish metrics and the outcome, then
+// reset the manager for the next tenant (core.Manager.Reset: nothing one
+// job leaves in a warm manager can change the next job's envelope, stats
+// included).
 func (e *Engine) runJob(workerID int, ws *workerState, j *Job) {
 	// Past the drain deadline (or after a hard stop) accepted-but-unstarted
 	// jobs are cancelled, not run.
@@ -120,19 +121,19 @@ func (e *Engine) runJob(workerID int, ws *workerState, j *Job) {
 		res     *JobResult
 		errBody *ErrorBody
 		snap    core.Snapshot
+		reset   func()
 	)
 	switch j.req.Representation {
 	case "alg":
 		m := ws.algManager(j.norm())
 		res, errBody, snap = runTyped(ctx, e, m, ddio.AlgCodec{}, j, budget)
-		m.Reset()
+		reset = m.Reset
 	default: // "float", validated at submit
 		m := ws.floatManager(j.req.Eps, j.norm())
 		res, errBody, snap = runTyped(ctx, e, m, ddio.NumCodec{}, j, budget)
-		m.Reset()
+		reset = m.Reset
 	}
-	busy := time.Since(start)
-	e.met.observe(workerID, busy, snap)
+	e.met.observe(workerID, time.Since(start), snap)
 
 	// Count before finishJob publishes the outcome, so a client that saw
 	// its job finish also sees it in /metrics.
@@ -152,6 +153,13 @@ func (e *Engine) runJob(workerID int, ws *workerState, j *Job) {
 		e.met.failed.Add(1)
 		e.finishJob(j, StatusFailed, nil, errBody)
 	}
+
+	// Reset once the outcome is out, so no job's latency includes it (nor a
+	// batch's hand-off from its prefix job to the variants); the worker's
+	// busy time does.
+	resetStart := time.Now()
+	reset()
+	e.met.addBusy(workerID, time.Since(resetStart))
 }
 
 // finishJob is the terminal transition for every job that owns (or owned) a
@@ -220,7 +228,7 @@ func runTyped[T any](ctx context.Context, e *Engine, m *core.Manager[T], codec d
 	// byte-identical results — a checkpoint is the exact state, decoded into
 	// canonical diagrams.
 	pol := prefix.Policy{EveryK: e.cfg.CheckpointEvery, MaxBytes: e.cfg.CheckpointBytes}
-	from, hook := prefix.Resume(prefixStore(e, codec, j), simr, j.circ, pol, func(n int) {
+	from, hook := prefix.Resume(prefixStore(e, codec, j), simr, j.circ, j.plan, pol, func(n int) {
 		e.met.checkpointsStored.Add(1)
 		e.met.checkpointBytes.Add(uint64(n))
 	})
@@ -261,17 +269,15 @@ func runTyped[T any](ctx context.Context, e *Engine, m *core.Manager[T], codec d
 		}
 		res.DDIO = sb.String()
 	default: // "amplitudes"
-		idxs, probs := m.TopOutcomes(simr.State, j.circ.N, j.req.TopK)
-		for i, idx := range idxs {
-			amp := m.Amplitude(simr.State, j.circ.N, idx)
-			c := m.R.Complex128(amp)
+		for _, o := range m.TopAmplitudes(simr.State, j.circ.N, j.req.TopK) {
+			c := m.R.Complex128(o.Amp)
 			res.Amplitudes = append(res.Amplitudes, Amplitude{
-				Index: idx,
-				State: fmt.Sprintf("%0*b", j.circ.N, idx),
+				Index: o.Index,
+				State: fmt.Sprintf("%0*b", j.circ.N, o.Index),
 				Re:    real(c),
 				Im:    imag(c),
-				Prob:  probs[i],
-				Exact: codec.Encode(amp),
+				Prob:  o.Prob,
+				Exact: codec.Encode(o.Amp),
 			})
 		}
 	}

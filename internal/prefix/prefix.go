@@ -249,15 +249,19 @@ func (t *Tracker) Stored(nodes int) {
 // for the longest cached prefix of c and installs the restored state in s,
 // and returns the gate index the run resumes from (0 = cold start) and the
 // per-gate hook for sim.RunFromCtx that stores the prefixes pol selects.
-// stored is told each stored checkpoint's size. Checkpointing
+// plan is c's plan when the caller already has it (a batch computes its
+// variants' chains at submit); the zero Plan makes Resume compute
+// PlanOf(c). stored is told each stored checkpoint's size. Checkpointing
 // stops at the run's first approximation event: an approximate state is not
 // the exact function of its prefix key. A nil ps returns (0, nil).
-func Resume[T any](ps *Store[T], s *sim.Simulator[T], c *circuit.Circuit, pol Policy, stored func(bytes int)) (int, func(int, circuit.Gate) bool) {
+func Resume[T any](ps *Store[T], s *sim.Simulator[T], c *circuit.Circuit, plan Plan, pol Policy, stored func(bytes int)) (int, func(int, circuit.Gate) bool) {
 	if ps == nil {
 		return 0, nil
 	}
 	m := s.M
-	plan := PlanOf(c)
+	if plan.Links == nil {
+		plan = PlanOf(c)
+	}
 	from := 0
 	if k, e, ok := ps.Probe(m, plan, c.N); ok {
 		s.State = e

@@ -188,7 +188,7 @@ if(c==3) x q[2];
 		st := newStore(t, memCache(t))
 		s := sim.New(newManager(), tc.c.N)
 		stored := 0
-		from, hook := Resume(st, s, tc.c, Policy{EveryK: 1}, func(int) { stored++ })
+		from, hook := Resume(st, s, tc.c, plan, Policy{EveryK: 1}, func(int) { stored++ })
 		if from != 0 {
 			t.Fatalf("%s: empty store resumed at gate %d", tc.name, from)
 		}
@@ -347,7 +347,7 @@ func TestResumeStoresThenWarmStarts(t *testing.T) {
 
 	cold := sim.New(newManager(), c.N)
 	var stored, bytes int
-	from, hook := Resume(st, cold, c, pol, func(n int) { stored++; bytes += n })
+	from, hook := Resume(st, cold, c, Plan{}, pol, func(n int) { stored++; bytes += n })
 	if from != 0 || hook == nil {
 		t.Fatalf("cold: from = %d, hook nil = %v", from, hook == nil)
 	}
@@ -360,7 +360,7 @@ func TestResumeStoresThenWarmStarts(t *testing.T) {
 	}
 
 	warm := sim.New(newManager(), c.N)
-	from, _ = Resume(st, warm, c, pol, func(int) {})
+	from, _ = Resume(st, warm, c, Plan{}, pol, func(int) {})
 	if from != c.Len() {
 		t.Fatalf("warm: resumed at gate %d, want %d", from, c.Len())
 	}
@@ -371,7 +371,7 @@ func TestResumeStoresThenWarmStarts(t *testing.T) {
 		}
 	}
 
-	if from, hook := Resume[alg.Q](nil, sim.New(newManager(), c.N), c, pol, nil); from != 0 || hook != nil {
+	if from, hook := Resume[alg.Q](nil, sim.New(newManager(), c.N), c, Plan{}, pol, nil); from != 0 || hook != nil {
 		t.Fatalf("nil store: from = %d, hook nil = %v", from, hook == nil)
 	}
 }
