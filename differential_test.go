@@ -26,7 +26,7 @@ func randomCliffordT(r *rand.Rand, n, gates int) *circuit.Circuit {
 		case 1:
 			c.X(q)
 		case 2:
-			c.Z(q)
+			c.Append(circuit.Gate{Name: "z", Target: q})
 		case 3:
 			c.S(q)
 		case 4:

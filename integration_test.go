@@ -125,7 +125,8 @@ func TestEquivalenceAcrossNormSchemes(t *testing.T) {
 // back, and verify the two circuit unitaries coincide exactly.
 func TestQASMRoundTripThroughQMDD(t *testing.T) {
 	c := circuit.New("rt", 3)
-	c.H(0).T(1).CX(0, 1).CCX(0, 1, 2).S(2).CZ(1, 2).Tdg(0)
+	c.H(0).T(1).CX(0, 1).CCX(0, 1, 2).S(2).
+		Append(circuit.Gate{Name: "z", Target: 2, Controls: []circuit.Control{{Qubit: 1}}}).Tdg(0)
 	var sb strings.Builder
 	if err := qasm.Write(&sb, c); err != nil {
 		t.Fatal(err)

@@ -8,31 +8,18 @@
 package accuracy
 
 import (
-	"math"
 	"math/big"
 
 	"repro/internal/alg"
-	"repro/internal/core"
 )
 
 // Prec is the working precision (bits) of the comparison.
 const Prec = 96
 
-// StateError returns ‖v_num/‖v_num‖ − v_alg‖₂ for an n-qubit state.
-// When the numeric vector has collapsed to (near) zero — the paper's ε-too-
-// large failure mode — the distance to the exact unit vector is returned
-// (≈ 1), since no renormalization can recover it.
-func StateError(
-	mNum *core.Manager[complex128], vNum core.Edge[complex128],
-	mAlg *core.Manager[alg.Q], vAlg core.Edge[alg.Q],
-	n int,
-) float64 {
-	numAmps := mNum.ToVector(vNum, n)
-	algAmps := mAlg.ToVector(vAlg, n)
-	return VectorError(numAmps, algAmps)
-}
-
-// VectorError is StateError on already-expanded amplitude slices.
+// VectorError returns ‖v_num/‖v_num‖ − v_alg‖₂ for the amplitude vectors
+// of an n-qubit state. When the numeric vector has collapsed to (near) zero
+// — the paper's ε-too-large failure mode — the distance to the exact unit
+// vector is returned (≈ 1), since no renormalization can recover it.
 func VectorError(numAmps []complex128, algAmps []alg.Q) float64 {
 	if len(numAmps) != len(algAmps) {
 		panic("accuracy: dimension mismatch")
@@ -68,19 +55,4 @@ func VectorError(numAmps []complex128, algAmps []alg.Q) float64 {
 	d := new(big.Float).SetPrec(Prec).Sqrt(sum)
 	f, _ := d.Float64()
 	return f
-}
-
-// Norm2Float returns Σ|aᵢ|² of a complex slice in float64 (diagnostics).
-func Norm2Float(amps []complex128) float64 {
-	s := 0.0
-	for _, a := range amps {
-		s += real(a)*real(a) + imag(a)*imag(a)
-	}
-	return s
-}
-
-// IsCollapsed reports the paper's catastrophic failure mode: the state norm
-// has fallen below the given threshold (e.g. the zero vector at ε = 10⁻³).
-func IsCollapsed(amps []complex128, threshold float64) bool {
-	return math.Sqrt(Norm2Float(amps)) < threshold
 }

@@ -73,23 +73,11 @@ func TestStateErrorOnDiagrams(t *testing.T) {
 	mN := core.NewManager[complex128](num.NewRing(0), core.NormLeft)
 	vA := mA.BasisState(3, 5)
 	vN := mN.BasisState(3, 5)
-	if e := StateError(mN, vN, mA, vA, 3); e != 0 {
+	if e := VectorError(mN.ToVector(vN, 3), mA.ToVector(vA, 3)); e != 0 {
 		t.Fatalf("identical basis states differ by %v", e)
 	}
 	vN2 := mN.BasisState(3, 4)
-	if e := StateError(mN, vN2, mA, vA, 3); math.Abs(e-math.Sqrt2) > 1e-12 {
+	if e := VectorError(mN.ToVector(vN2, 3), mA.ToVector(vA, 3)); math.Abs(e-math.Sqrt2) > 1e-12 {
 		t.Fatalf("distinct basis states differ by %v, want √2", e)
-	}
-}
-
-func TestIsCollapsedAndNorm(t *testing.T) {
-	if !IsCollapsed([]complex128{1e-12, 0}, 1e-9) {
-		t.Fatal("near-zero vector not flagged")
-	}
-	if IsCollapsed([]complex128{0.5, 0.5}, 1e-9) {
-		t.Fatal("healthy vector flagged")
-	}
-	if n := Norm2Float([]complex128{complex(0, 2), 1}); n != 5 {
-		t.Fatalf("Norm2Float = %v", n)
 	}
 }

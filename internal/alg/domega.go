@@ -19,11 +19,6 @@ type D struct {
 	K int
 }
 
-// NewD builds the canonical representative of (1/√2)^k (aω³ + bω² + cω + d).
-func NewD(a, b, c, d int64, k int) D {
-	return CanonD(NewZomega(a, b, c, d), k)
-}
-
 // CanonD canonicalizes the pair (w, k) by Algorithm 1: while both parity
 // conditions hold, divide the coefficient vector by √2 and decrement k.
 // An already canonical w is returned as is; otherwise the reduction runs in
@@ -53,9 +48,6 @@ var (
 	DHalf     = D{ZomegaOne, 2}        // 1/2
 	DMinusOne = D{ZomegaOne.Neg(), 0}  // −1
 )
-
-// DFromInt returns the integer n as a D[ω] element.
-func DFromInt(n int64) D { return CanonD(NewZomega(0, 0, 0, n), 0) }
 
 // DOmegaPow returns ω^r (r taken mod 8).
 func DOmegaPow(r int) D { return CanonD(ZomegaOne.MulOmegaPow(r), 0) }
@@ -115,14 +107,6 @@ func (d D) Conj() D {
 	// Conjugation preserves the parity criterion (it only permutes/negates
 	// coefficients), so the result is already canonical.
 	return D{d.W.Conj(), d.K}
-}
-
-// MulSqrt2Pow returns d · √2^j for any j ∈ Z.
-func (d D) MulSqrt2Pow(j int) D {
-	if d.IsZero() {
-		return DZero
-	}
-	return CanonD(d.W, d.K-j)
 }
 
 // Norm returns the squared magnitude |d|² as an exact element of Z[√2]

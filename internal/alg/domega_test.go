@@ -17,11 +17,11 @@ func randD(r *rand.Rand, bound int64, kRange int) D {
 // (0,0,0,1) with k = −1.
 func TestAlgorithm1Examples(t *testing.T) {
 	// k = 1 representation: (1/√2)·2
-	d1 := NewD(0, 0, 0, 2, 1)
+	d1 := CanonD(NewZomega(0, 0, 0, 2), 1)
 	// k = 0 representation: −ω³ + ω
-	d2 := NewD(-1, 0, 1, 0, 0)
+	d2 := CanonD(NewZomega(-1, 0, 1, 0), 0)
 	// k = −1 representation: (1/√2)^{−1}·1 = √2
-	d3 := NewD(0, 0, 0, 1, -1)
+	d3 := CanonD(NewZomega(0, 0, 0, 1), -1)
 	if !d1.Equal(d3) || !d2.Equal(d3) {
 		t.Fatalf("√2 representations disagree: %v, %v, %v", d1, d2, d3)
 	}
@@ -132,7 +132,7 @@ func TestDivE(t *testing.T) {
 		}
 	}
 	// 1/3 is not in D[ω].
-	if _, ok := DOne.DivE(DFromInt(3)); ok {
+	if _, ok := DOne.DivE(CanonD(NewZomega(0, 0, 0, 3), 0)); ok {
 		t.Fatal("1/3 reported as exact in D[ω]")
 	}
 	// Division by zero fails cleanly.
@@ -140,7 +140,7 @@ func TestDivE(t *testing.T) {
 		t.Fatal("division by zero reported as exact")
 	}
 	// Dividing by a unit is always exact.
-	if _, ok := DFromInt(7).DivE(DInvSqrt2); !ok {
+	if _, ok := CanonD(NewZomega(0, 0, 0, 7), 0).DivE(DInvSqrt2); !ok {
 		t.Fatal("division by the unit 1/√2 not exact")
 	}
 }
@@ -157,18 +157,5 @@ func TestDKeyUniqueness(t *testing.T) {
 			continue
 		}
 		seen[d.Key()] = d
-	}
-}
-
-func TestMulSqrt2Pow(t *testing.T) {
-	x := DOne
-	if got := x.MulSqrt2Pow(2); !got.Equal(DFromInt(2)) {
-		t.Fatalf("√2² = %v, want 2", got)
-	}
-	if got := x.MulSqrt2Pow(-2); !got.Equal(DHalf) {
-		t.Fatalf("√2^{−2} = %v, want 1/2", got)
-	}
-	if got := DSqrt2.MulSqrt2Pow(-1); !got.Equal(DOne) {
-		t.Fatalf("√2·√2^{−1} = %v, want 1", got)
 	}
 }

@@ -21,18 +21,18 @@ func ExampleCanonD() {
 
 // Example 6 of the paper: √2 has representations with k ∈ {−1, 0, 1}; the
 // canonical one uses the smallest denominator exponent k = −1.
-func ExampleNewD() {
-	fmt.Println(alg.NewD(0, 0, 0, 2, 1))  // (1/√2)¹·2
-	fmt.Println(alg.NewD(-1, 0, 1, 0, 0)) // ω − ω³
+func ExampleCanonD_example6() {
+	fmt.Println(alg.CanonD(alg.NewZomega(0, 0, 0, 2), 1))  // (1/√2)¹·2
+	fmt.Println(alg.CanonD(alg.NewZomega(-1, 0, 1, 0), 0)) // ω − ω³
 	// Output:
 	// (1/√2)^-1·(0·ω³ + 0·ω² + 0·ω + 1)
 	// (1/√2)^-1·(0·ω³ + 0·ω² + 0·ω + 1)
 }
 
-// Example 8 of the paper: the inverse of 1 + i√2 in Q[ω].
-func ExampleQ_Inv() {
+// Example 8 of the paper: the inverse of 1 + i√2 in Q[ω], as 1/(1 + i√2).
+func ExampleQ_Div() {
 	z := alg.QFromD(alg.DOne.Add(alg.DI.Mul(alg.DSqrt2)))
-	inv := z.Inv()
+	inv := alg.QOne.Div(z)
 	fmt.Println(inv)
 	fmt.Println(z.Mul(inv).IsOne())
 	// Output:

@@ -1,7 +1,6 @@
 package alg
 
 import (
-	"math"
 	"math/big"
 	"sync"
 )
@@ -122,6 +121,3 @@ func (q Q) Abs2() float64 {
 
 // Abs2 returns |d|² as a float64.
 func (d D) Abs2() float64 { return QFromD(d).Abs2() }
-
-// Abs returns |q| as a float64.
-func (q Q) Abs() float64 { return math.Sqrt(q.Abs2()) }

@@ -1,6 +1,7 @@
 package alg
 
 import (
+	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -17,26 +18,26 @@ import (
 // mathematically correct values; the norm 42 − 9√2 matches the paper either
 // way, since conjugation preserves it.
 func TestExample9(t *testing.T) {
-	alpha := NewD(2, 3, 2, 4, 0)
+	alpha := CanonD(NewZomega(2, 3, 2, 4), 0)
 	n := alpha.W.Norm()
-	if !n.Equal(NewZroot2(33, 12)) {
+	if !n.Equal(Zroot2{big.NewInt(33), big.NewInt(12)}) {
 		t.Fatalf("N(α) = %v, want 33 + 12√2", n)
 	}
 	assoc := alpha.W.Mul(NewZomega(0, 0, 1, -1)) // α·(ω − 1)
 	if !assoc.Equal(NewZomega(1, -1, 2, -6)) {
 		t.Fatalf("α·(ω−1) = %v, want ω³ − ω² + 2ω − 6", assoc)
 	}
-	if !assoc.Norm().Equal(NewZroot2(42, -9)) {
+	if !assoc.Norm().Equal(Zroot2{big.NewInt(42), big.NewInt(-9)}) {
 		t.Fatalf("N(α·(ω−1)) = %v, want 42 − 9√2", assoc.Norm())
 	}
 	zc, unit := CanonicalAssociate(alpha)
 	// Rotation canonicalization of the minimal-norm associate: abs quadruple
 	// (1,1,2,6) with positive d picks −ω³ + ω² − 2ω + 6.
-	want := NewD(-1, 1, -2, 6, 0)
+	want := CanonD(NewZomega(-1, 1, -2, 6), 0)
 	if !zc.Equal(want) {
 		t.Fatalf("canonical associate = %v, want %v", zc, want)
 	}
-	if !zc.W.Norm().Equal(NewZroot2(42, -9)) {
+	if !zc.W.Norm().Equal(Zroot2{big.NewInt(42), big.NewInt(-9)}) {
 		t.Fatalf("canonical associate norm = %v, want 42 − 9√2", zc.W.Norm())
 	}
 	if !alpha.Mul(unit).Equal(zc) {

@@ -70,7 +70,7 @@ func checkCanonical(t *testing.T, what string, q Q) {
 // Equal, and leave their operands untouched.
 func checkArith(t *testing.T, x, y Q) {
 	t.Helper()
-	kx, ky := x.Key(), y.Key()
+	kx, ky := x.String(), y.String()
 	type op struct {
 		name      string
 		got, want func() Q
@@ -78,7 +78,6 @@ func checkArith(t *testing.T, x, y Q) {
 	ops := []op{
 		{"mul", func() Q { return x.Mul(y) }, func() Q { return refQMul(x, y) }},
 		{"add", func() Q { return x.Add(y) }, func() Q { return refQAdd(x, y) }},
-		{"sub", func() Q { return x.Sub(y) }, func() Q { return refQSub(x, y) }},
 	}
 	if !y.IsZero() {
 		ops = append(ops, op{"div", func() Q { return x.Div(y) }, func() Q { return refQDiv(x, y) }})
@@ -108,8 +107,8 @@ func checkArith(t *testing.T, x, y Q) {
 	if yx := y.Mul(x); yx.Hash() != x.Mul(y).Hash() {
 		t.Fatalf("x·y and y·x hash differently: %v", yx)
 	}
-	if x.Key() != kx || y.Key() != ky {
-		t.Fatalf("operands mutated: %s → %s, %s → %s", kx, x.Key(), ky, y.Key())
+	if x.String() != kx || y.String() != ky {
+		t.Fatalf("operands mutated: %s → %s, %s → %s", kx, x, ky, y)
 	}
 }
 
@@ -167,7 +166,7 @@ func TestQArithMatchesReference(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		x := randWideQ(r, 40)
 		y := randWideQ(r, 40)
-		checkArith(t, x.Mul(QFromInt(3)), y.Div(QFromInt(9)))
+		checkArith(t, x.Mul(NewQ(0, 0, 0, 3, 0, 1)), y.Div(NewQ(0, 0, 0, 9, 0, 1)))
 		checkArith(t, x.Div(y.Add(QOne)), y)
 	}
 }

@@ -32,9 +32,6 @@ var (
 // QFromD embeds a D[ω] element into Q[ω].
 func QFromD(d D) Q { return Q{d, big.NewInt(1)} }
 
-// QFromInt returns the integer n.
-func QFromInt(n int64) Q { return QFromD(DFromInt(n)) }
-
 // NewQ builds the canonical representative of
 // (1/√2)^k (aω³ + bω² + cω + d) / den for an arbitrary nonzero denominator.
 func NewQ(a, b, c, d int64, k int, den int64) Q {
@@ -81,27 +78,16 @@ func (q Q) Add(y Q) Q {
 	if y.IsZero() {
 		return q
 	}
-	return q.addSub(y, false)
+	return q.add(y)
 }
 
-// Sub returns q − y.
-func (q Q) Sub(y Q) Q {
-	if y.IsZero() {
-		return q
-	}
-	if q.IsZero() {
-		return y.Neg()
-	}
-	return q.addSub(y, true)
-}
-
-// addSub returns q ± y for nonzero operands, fused into one canonicalization:
+// add returns q + y for nonzero operands, fused into one canonicalization:
 //
-//	q ± y = (Nq·Ey ± Ny·Eq) / (Eq·Ey)
+//	q + y = (Nq·Ey + Ny·Eq) / (Eq·Ey)
 //
 // over the common exponent k = max(Kq, Ky). Denominators of 1 (all of D[ω],
 // the typical weight of a Clifford+T circuit) skip their multiplications.
-func (q Q) addSub(y Q, sub bool) Q {
+func (q Q) add(y Q) Q {
 	k := max(q.N.K, y.N.K)
 	var eq, ey *big.Int // nil: the denominator is 1
 	if !isOneInt(q.E) {
@@ -114,11 +100,7 @@ func (q Q) addSub(y Q, sub bool) Q {
 	scaleInto(&s.w, q.N.W, k-q.N.K, ey, &s.t)
 	scaleInto(&s.p, y.N.W, k-y.N.K, eq, &s.t)
 	for i := range s.w {
-		if sub {
-			s.w[i].Sub(&s.w[i], &s.p[i])
-		} else {
-			s.w[i].Add(&s.w[i], &s.p[i])
-		}
+		s.w[i].Add(&s.w[i], &s.p[i])
 	}
 	switch {
 	case eq == nil && ey == nil:
@@ -161,15 +143,6 @@ func (q Q) Mul(y Q) Q {
 
 // Conj returns the complex conjugate (sharing q's denominator).
 func (q Q) Conj() Q { return Q{q.N.Conj(), q.E} }
-
-// Inv returns the multiplicative inverse 1/q (see Div for the construction).
-// Inv panics on zero.
-func (q Q) Inv() Q {
-	if q.IsZero() {
-		panic("alg: inverse of zero in Q[ω]")
-	}
-	return QOne.Div(q)
-}
 
 // Div returns q / y, constructed from the inverse of the paper
 // (Section IV-B, Example 8): with y = (1/√2)^Ky·wy / Ey and
@@ -219,14 +192,6 @@ func (q Q) InD() (D, bool) {
 		return DZero, false
 	}
 	return q.N, true
-}
-
-// Key returns a canonical hash key; equal keys iff equal values.
-func (q Q) Key() string {
-	if q.E.Cmp(bigOne) == 0 {
-		return q.N.Key()
-	}
-	return q.N.Key() + "/" + q.E.Text(36)
 }
 
 // String renders q for humans.

@@ -162,10 +162,6 @@ func refQAdd(q, y Q) Q {
 	return refCanonQ(s.W, s.K, new(big.Int).Mul(q.E, y.E))
 }
 
-func refQSub(q, y Q) Q {
-	return refQAdd(q, Q{D{refZNeg(y.N.W), y.N.K}, y.E})
-}
-
 // MulInt returns z · n for an ordinary integer n.
 func (z Zomega) MulInt(n *big.Int) Zomega {
 	return Zomega{

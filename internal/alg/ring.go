@@ -15,17 +15,11 @@ func (Ring) One() Q { return QOne }
 // Add returns a + b.
 func (Ring) Add(a, b Q) Q { return a.Add(b) }
 
-// Sub returns a − b.
-func (Ring) Sub(a, b Q) Q { return a.Sub(b) }
-
 // Mul returns a · b.
 func (Ring) Mul(a, b Q) Q { return a.Mul(b) }
 
 // Div returns a / b (exact: Q[ω] is a field).
 func (Ring) Div(a, b Q) Q { return a.Div(b) }
-
-// Neg returns −a.
-func (Ring) Neg(a Q) Q { return a.Neg() }
 
 // Conj returns the complex conjugate.
 func (Ring) Conj(a Q) Q { return a.Conj() }
@@ -38,9 +32,6 @@ func (Ring) IsOne(a Q) bool { return a.IsOne() }
 
 // Equal reports exact value equality.
 func (Ring) Equal(a, b Q) bool { return a.Equal(b) }
-
-// Key returns the canonical hash key.
-func (Ring) Key(a Q) string { return a.Key() }
 
 // Exact reports that Q[ω] arithmetic is exact (coeff.ExactRing): every ring
 // operation returns the true algebraic value, so derived quantities like the

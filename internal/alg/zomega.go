@@ -122,10 +122,6 @@ func (z Zomega) Mul(y Zomega) Zomega {
 // conj maps (a, b, c, d) ↦ (−c, −b, −a, d).
 func (z Zomega) Conj() Zomega { return perm(0b0111, z.C, z.B, z.A, z.D) }
 
-// Conj2 returns the √2-conjugate: the Galois automorphism ω ↦ −ω, which
-// fixes i = ω² and sends √2 ↦ −√2. It maps (a, b, c, d) ↦ (−a, b, −c, d).
-func (z Zomega) Conj2() Zomega { return perm(0b0101, z.A, z.B, z.C, z.D) }
-
 // MulOmega returns z · ω (a rotation of the coefficient quadruple with one
 // sign flip: ω·(aω³+bω²+cω+d) = bω³ + cω² + dω − a).
 func (z Zomega) MulOmega() Zomega { return perm(0b1000, z.B, z.C, z.D, z.A) }

@@ -73,15 +73,9 @@ func TestConjInvolutionAndAutomorphism(t *testing.T) {
 		if !x.Conj().Conj().Equal(x) {
 			t.Fatalf("conj not an involution on %v", x)
 		}
-		if !x.Conj2().Conj2().Equal(x) {
-			t.Fatalf("conj2 not an involution on %v", x)
-		}
-		// Both conjugations are ring automorphisms.
+		// Conjugation is a ring automorphism.
 		if !x.Mul(y).Conj().Equal(x.Conj().Mul(y.Conj())) {
 			t.Fatalf("conj(xy) ≠ conj(x)conj(y) for %v, %v", x, y)
-		}
-		if !x.Mul(y).Conj2().Equal(x.Conj2().Mul(y.Conj2())) {
-			t.Fatalf("conj2(xy) ≠ conj2(x)conj2(y) for %v, %v", x, y)
 		}
 		if !x.Add(y).Conj().Equal(x.Conj().Add(y.Conj())) {
 			t.Fatalf("conj(x+y) ≠ conj(x)+conj(y)")

@@ -1,9 +1,6 @@
 package alg
 
-import (
-	"fmt"
-	"math/big"
-)
+import "math/big"
 
 // Zroot2 is an element u + v√2 of the real quadratic ring Z[√2]. It appears
 // as the codomain of the squared-magnitude norm N(z) = z·z̄ on Z[ω] and
@@ -13,32 +10,9 @@ type Zroot2 struct {
 	U, V *big.Int
 }
 
-// NewZroot2 returns u + v√2.
-func NewZroot2(u, v int64) Zroot2 {
-	return Zroot2{big.NewInt(u), big.NewInt(v)}
-}
-
-// IsZero reports whether r == 0.
-func (r Zroot2) IsZero() bool { return r.U.Sign() == 0 && r.V.Sign() == 0 }
-
 // Equal reports value equality (coefficient equality, as √2 is irrational).
 func (r Zroot2) Equal(s Zroot2) bool {
 	return r.U.Cmp(s.U) == 0 && r.V.Cmp(s.V) == 0
-}
-
-// Add returns r + s.
-func (r Zroot2) Add(s Zroot2) Zroot2 {
-	return Zroot2{new(big.Int).Add(r.U, s.U), new(big.Int).Add(r.V, s.V)}
-}
-
-// Sub returns r − s.
-func (r Zroot2) Sub(s Zroot2) Zroot2 {
-	return Zroot2{new(big.Int).Sub(r.U, s.U), new(big.Int).Sub(r.V, s.V)}
-}
-
-// Neg returns −r.
-func (r Zroot2) Neg() Zroot2 {
-	return Zroot2{new(big.Int).Neg(r.U), new(big.Int).Neg(r.V)}
 }
 
 // Mul returns r · s: (u₁ + v₁√2)(u₂ + v₂√2) = (u₁u₂ + 2v₁v₂) + (u₁v₂ + v₁u₂)√2.
@@ -81,36 +55,6 @@ func (r Zroot2) Zomega() Zomega {
 	}
 }
 
-// Sign reports the sign of the real number u + v√2: −1, 0 or +1.
-func (r Zroot2) Sign() int {
-	su, sv := r.U.Sign(), r.V.Sign()
-	switch {
-	case su == 0 && sv == 0:
-		return 0
-	case su >= 0 && sv >= 0:
-		return 1
-	case su <= 0 && sv <= 0:
-		return -1
-	}
-	// Mixed signs: compare u² with 2v². u + v√2 > 0 iff u > −v√2, and with
-	// mixed signs this reduces to comparing squares.
-	u2 := new(big.Int).Mul(r.U, r.U)
-	v2 := new(big.Int).Mul(r.V, r.V)
-	v2.Lsh(v2, 1)
-	c := u2.Cmp(v2)
-	if su > 0 { // u > 0, v < 0: positive iff u² > 2v²
-		if c > 0 {
-			return 1
-		}
-		return -1
-	}
-	// u < 0, v > 0: positive iff 2v² > u²
-	if c < 0 {
-		return 1
-	}
-	return -1
-}
-
 // Float returns u + v√2 as a big.Float with the given precision.
 func (r Zroot2) Float(prec uint) *big.Float {
 	u := new(big.Float).SetPrec(prec).SetInt(r.U)
@@ -118,8 +62,6 @@ func (r Zroot2) Float(prec uint) *big.Float {
 	v.Mul(v, sqrt2At(prec))
 	return u.Add(u, v)
 }
-
-func (r Zroot2) String() string { return fmt.Sprintf("(%v + %v·√2)", r.U, r.V) }
 
 // sqrt2Float computes √2 at the given precision. Every caller goes through
 // sqrt2At, which computes it once per precision; the computation itself

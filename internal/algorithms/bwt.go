@@ -157,16 +157,3 @@ func appendDecrement(c *circuit.Circuit, qs []int, extra circuit.Control) {
 		c.Append(circuit.Gate{Name: "x", Target: qs[i], Controls: ctrls})
 	}
 }
-
-// BWTColumns returns the number of walk columns for a given tree depth.
-func BWTColumns(depth int) int { return 2*depth + 2 }
-
-// BWTQubits returns the total qubit count of the generated circuit.
-func BWTQubits(depth int) int {
-	columns := BWTColumns(depth)
-	k := 1
-	for (1 << uint(k)) < columns {
-		k++
-	}
-	return 1 + k + defaultPathBits(depth)
-}

@@ -1,16 +1,10 @@
 package algorithms
 
-import (
-	"math"
-
-	"repro/internal/circuit"
-)
+import "repro/internal/circuit"
 
 // Further standard benchmark workloads from the QMDD literature. Deutsch–
 // Jozsa and Bernstein–Vazirani are pure Clifford(+multi-control) circuits —
-// exactly representable like Grover and BWT; the QFT carries π/2^k phase
-// rotations, which for k ≥ 3 leave D[ω] and require Clifford+T compilation,
-// making it a second GSE-class workload.
+// exactly representable like Grover and BWT.
 
 // DeutschJozsa builds the Deutsch–Jozsa circuit over n input qubits plus one
 // ancilla. The oracle is balanced iff mask ≠ 0: f(x) = parity(x & mask)
@@ -67,27 +61,6 @@ func BernsteinVazirani(n int, secret uint64) *circuit.Circuit {
 	}
 	for q := 0; q < n; q++ {
 		c.H(q)
-	}
-	return c
-}
-
-// QFT builds the quantum Fourier transform over n qubits (with the final
-// qubit-order swaps). The controlled-phase angles π/2^k are exactly
-// representable only for k ≤ 2 (CZ and CS); for n ≥ 4 the circuit requires
-// Clifford+T compilation on the exact ring (CompileCliffordT).
-func QFT(n int) *circuit.Circuit {
-	if n < 1 {
-		panic("algorithms: QFT needs at least one qubit")
-	}
-	c := circuit.New("qft", n)
-	for j := 0; j < n; j++ {
-		c.H(j)
-		for k := j + 1; k < n; k++ {
-			c.CP(math.Pi/float64(uint64(1)<<uint(k-j)), k, j)
-		}
-	}
-	for i := 0; i < n/2; i++ {
-		c.Swap(i, n-1-i)
 	}
 	return c
 }

@@ -2,11 +2,9 @@ package algorithms
 
 import (
 	"math"
-	"math/cmplx"
 	"testing"
 
 	"repro/internal/dense"
-	"repro/internal/synth"
 )
 
 func TestDeutschJozsaBalanced(t *testing.T) {
@@ -68,52 +66,11 @@ func TestBernsteinVaziraniRecoversSecret(t *testing.T) {
 	}
 }
 
-func TestQFTOnBasisState(t *testing.T) {
-	// QFT|x⟩ has amplitudes e^{2πi x y / 2^n} / √2^n.
-	n := 4
-	c := QFT(n)
-	x := uint64(5)
-	s := dense.New(n)
-	s.Amp[0] = 0
-	s.Amp[x] = 1
-	if err := s.Run(c); err != nil {
-		t.Fatal(err)
-	}
-	dim := 1 << uint(n)
-	norm := 1 / math.Sqrt(float64(dim))
-	for y := 0; y < dim; y++ {
-		want := cmplx.Exp(complex(0, 2*math.Pi*float64(x)*float64(y)/float64(dim))) *
-			complex(norm, 0)
-		if cmplx.Abs(s.Amp[y]-want) > 1e-12 {
-			t.Fatalf("QFT amp[%d] = %v, want %v", y, s.Amp[y], want)
-		}
-	}
-}
-
-func TestQFTCompilesToCliffordT(t *testing.T) {
-	c := QFT(4)
-	if c.IsCliffordT() {
-		t.Fatal("QFT(4) misreported as Clifford+T")
-	}
-	s := synth.New(10)
-	ct, _, err := CompileCliffordT(c, s, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ct.IsCliffordT() {
-		t.Fatal("compiled QFT still parametric")
-	}
-	if ct.Len() <= c.Len() {
-		t.Fatal("compilation did not expand the circuit")
-	}
-}
-
 func TestOracleValidation(t *testing.T) {
 	for i, f := range []func(){
 		func() { DeutschJozsa(0, 0) },
 		func() { DeutschJozsa(2, 4) },
 		func() { BernsteinVazirani(2, 4) },
-		func() { QFT(0) },
 	} {
 		func() {
 			defer func() {

@@ -29,12 +29,13 @@ func TestFig3ShapesGrover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algRun := res.RunByLabel("algebraic/left")
-	e0 := res.RunByLabel("eps=0")
-	eMid := res.RunByLabel("eps=1e-10")
-	eBig := res.RunByLabel("eps=1e-03")
+	runs := byLabel(res)
+	algRun := runs["algebraic/left"]
+	e0 := runs["eps=0"]
+	eMid := runs["eps=1e-10"]
+	eBig := runs["eps=1e-03"]
 	if algRun == nil || e0 == nil || eMid == nil || eBig == nil {
-		t.Fatalf("missing runs: %v", res.Labels())
+		t.Fatalf("missing runs: %v", runs)
 	}
 	peak := func(r *Run) int {
 		p := 0
@@ -79,10 +80,11 @@ func TestFig4ShapesBWT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algRun := res.RunByLabel("algebraic/left")
-	e0 := res.RunByLabel("eps=0")
+	runs := byLabel(res)
+	algRun := runs["algebraic/left"]
+	e0 := runs["eps=0"]
 	if algRun == nil || e0 == nil {
-		t.Fatalf("missing runs: %v", res.Labels())
+		t.Fatalf("missing runs: %v", runs)
 	}
 	if lastErr := e0.Samples[len(e0.Samples)-1].Error; lastErr > 1e-10 {
 		t.Fatalf("ε=0 BWT error unexpectedly large: %v", lastErr)
@@ -98,9 +100,10 @@ func TestFig2And5GSE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algRun := res.RunByLabel("algebraic/left")
+	runs := byLabel(res)
+	algRun := runs["algebraic/left"]
 	if algRun == nil {
-		t.Fatalf("missing algebraic run: %v", res.Labels())
+		t.Fatalf("missing algebraic run: %v", runs)
 	}
 	maxBits := 0
 	for _, s := range algRun.Samples {
@@ -253,4 +256,13 @@ func TestTuneFindsWorkableEpsilon(t *testing.T) {
 	if !strings.Contains(res.Report(), "ACCEPTED") {
 		t.Fatal("report missing verdicts")
 	}
+}
+
+// byLabel indexes a result's runs by their labels.
+func byLabel(res *Result) map[string]*Run {
+	runs := make(map[string]*Run, len(res.Runs))
+	for _, r := range res.Runs {
+		runs[r.Label] = r
+	}
+	return runs
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -143,24 +142,4 @@ func bucket(v float64) int {
 		b = 9
 	}
 	return b
-}
-
-// RunByLabel returns the run with the given label (nil if absent).
-func (r *Result) RunByLabel(label string) *Run {
-	for _, run := range r.Runs {
-		if run.Label == label {
-			return run
-		}
-	}
-	return nil
-}
-
-// Labels returns the sorted run labels.
-func (r *Result) Labels() []string {
-	out := make([]string, 0, len(r.Runs))
-	for _, run := range r.Runs {
-		out = append(out, run.Label)
-	}
-	sort.Strings(out)
-	return out
 }

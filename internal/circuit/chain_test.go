@@ -6,7 +6,7 @@ import "testing"
 // subsystem rests on: Chain(c)[i] is the fingerprint of the i-gate prefix,
 // and the last link is the whole-circuit Fingerprint.
 func TestChainFinalLinkIsFingerprint(t *testing.T) {
-	c := New("ghz+", 3).H(0).CX(0, 1).CX(1, 2).T(2).Rz(0.25, 0)
+	c := New("ghz+", 3).H(0).CX(0, 1).CX(1, 2).T(2).Append(Gate{Name: "rz", Target: 0, Params: []float64{0.25}})
 	links := Chain(c)
 	if len(links) != c.Len()+1 {
 		t.Fatalf("chain has %d links, want %d", len(links), c.Len()+1)
@@ -94,15 +94,15 @@ func TestUnitaryPrefixLen(t *testing.T) {
 	if got := unitary.UnitaryPrefixLen(); got != 2 {
 		t.Errorf("fully unitary circuit: UnitaryPrefixLen = %d, want 2", got)
 	}
-	measured := New("m", 2).H(0).Measure(0, 0).CX(0, 1)
+	measured := New("m", 2).H(0).Append(Gate{Name: OpMeasure, Target: 0, Clbit: 0}).CX(0, 1)
 	if got := measured.UnitaryPrefixLen(); got != 1 {
 		t.Errorf("mid-circuit measure: UnitaryPrefixLen = %d, want 1", got)
 	}
-	reset := New("r", 2).H(0).CX(0, 1).Reset(0)
+	reset := New("r", 2).H(0).CX(0, 1).Append(Gate{Name: OpReset, Target: 0})
 	if got := reset.UnitaryPrefixLen(); got != 2 {
 		t.Errorf("trailing reset: UnitaryPrefixLen = %d, want 2", got)
 	}
-	cond := New("c", 2).H(0).Measure(0, 0).Append(Gate{
+	cond := New("c", 2).H(0).Append(Gate{Name: OpMeasure, Target: 0, Clbit: 0}).Append(Gate{
 		Name: "x", Target: 1, Cond: &Cond{Offset: 0, Width: 1, Value: 1},
 	})
 	if got := cond.UnitaryPrefixLen(); got != 1 {
@@ -130,8 +130,8 @@ func TestPrefixHasherCloneForks(t *testing.T) {
 		full := &Circuit{Name: "v", N: base.N, Gates: append(append([]Gate{}, base.Gates...), sfx...)}
 		got := clones[i].Extend(append([]Digest{}, links...), sfx)
 		want := Chain(full)
-		if len(got) != len(want) || clones[i].Len() != full.Len() {
-			t.Fatalf("suffix %d: %d links at position %d, want %d at %d", i, len(got), clones[i].Len(), len(want), full.Len())
+		if len(got) != len(want) || clones[i].k != full.Len() {
+			t.Fatalf("suffix %d: %d links at position %d, want %d at %d", i, len(got), clones[i].k, len(want), full.Len())
 		}
 		for k := range want {
 			if got[k] != want[k] {
@@ -139,7 +139,7 @@ func TestPrefixHasherCloneForks(t *testing.T) {
 			}
 		}
 	}
-	if p.Link() != links[len(links)-1] || p.Len() != base.Len() {
+	if p.Link() != links[len(links)-1] || p.k != base.Len() {
 		t.Fatal("extending the clones moved the original chain")
 	}
 }

@@ -168,12 +168,6 @@ func (c *Circuit) H(q int) *Circuit { return c.add("h", q, nil) }
 // X applies a NOT to q.
 func (c *Circuit) X(q int) *Circuit { return c.add("x", q, nil) }
 
-// Y applies a Pauli-Y to q.
-func (c *Circuit) Y(q int) *Circuit { return c.add("y", q, nil) }
-
-// Z applies a Pauli-Z to q.
-func (c *Circuit) Z(q int) *Circuit { return c.add("z", q, nil) }
-
 // S applies the phase gate to q.
 func (c *Circuit) S(q int) *Circuit { return c.add("s", q, nil) }
 
@@ -191,23 +185,9 @@ func (c *Circuit) CX(ctl, tgt int) *Circuit {
 	return c.add("x", tgt, []Control{{Qubit: ctl}})
 }
 
-// CZ applies a controlled-Z.
-func (c *Circuit) CZ(ctl, tgt int) *Circuit {
-	return c.add("z", tgt, []Control{{Qubit: ctl}})
-}
-
 // CCX applies a Toffoli gate.
 func (c *Circuit) CCX(c1, c2, tgt int) *Circuit {
 	return c.add("x", tgt, []Control{{Qubit: c1}, {Qubit: c2}})
-}
-
-// MCX applies an X on tgt controlled on all ctrls being |1⟩.
-func (c *Circuit) MCX(ctrls []int, tgt int) *Circuit {
-	cs := make([]Control, len(ctrls))
-	for i, q := range ctrls {
-		cs[i] = Control{Qubit: q}
-	}
-	return c.add("x", tgt, cs)
 }
 
 // MCZ applies a Z on tgt controlled on all ctrls being |1⟩.
@@ -218,31 +198,6 @@ func (c *Circuit) MCZ(ctrls []int, tgt int) *Circuit {
 	}
 	return c.add("z", tgt, cs)
 }
-
-// Swap exchanges two qubits (three CNOTs).
-func (c *Circuit) Swap(a, b int) *Circuit {
-	return c.CX(a, b).CX(b, a).CX(a, b)
-}
-
-// Measure appends a projective measurement of qubit q into classical bit
-// clbit, growing Cbits as needed.
-func (c *Circuit) Measure(q, clbit int) *Circuit {
-	return c.Append(Gate{Name: OpMeasure, Target: q, Clbit: clbit})
-}
-
-// Reset appends a reset of qubit q to |0⟩ (measure, then flip on outcome 1).
-func (c *Circuit) Reset(q int) *Circuit {
-	return c.Append(Gate{Name: OpReset, Target: q})
-}
-
-// Rz applies Rz(θ) to q (parametric; not exactly representable).
-func (c *Circuit) Rz(theta float64, q int) *Circuit { return c.add("rz", q, nil, theta) }
-
-// Rx applies Rx(θ) to q.
-func (c *Circuit) Rx(theta float64, q int) *Circuit { return c.add("rx", q, nil, theta) }
-
-// Ry applies Ry(θ) to q.
-func (c *Circuit) Ry(theta float64, q int) *Circuit { return c.add("ry", q, nil, theta) }
 
 // P applies the phase rotation diag(1, e^{iθ}) to q.
 func (c *Circuit) P(theta float64, q int) *Circuit { return c.add("p", q, nil, theta) }
@@ -255,18 +210,6 @@ func (c *Circuit) CP(theta float64, ctl, tgt int) *Circuit {
 // CRz applies a controlled Rz.
 func (c *Circuit) CRz(theta float64, ctl, tgt int) *Circuit {
 	return c.add("rz", tgt, []Control{{Qubit: ctl}}, theta)
-}
-
-// AppendCircuit concatenates another circuit over the same qubit count.
-func (c *Circuit) AppendCircuit(other *Circuit) *Circuit {
-	if other.N != c.N {
-		panic("circuit: qubit count mismatch in AppendCircuit")
-	}
-	if other.Cbits > c.Cbits {
-		c.Cbits = other.Cbits
-	}
-	c.Gates = append(c.Gates, other.Gates...)
-	return c
 }
 
 // IsUnitary reports whether the circuit contains no measure, reset or
@@ -344,42 +287,6 @@ func (c *Circuit) StripReadout() *Circuit {
 	return &Circuit{Name: p.Name, N: p.N, Gates: p.Gates}
 }
 
-// Inverse returns the adjoint circuit (gates reversed and inverted).
-// It panics on gates whose inverse it does not know.
-func (c *Circuit) Inverse() *Circuit {
-	inv := New(c.Name+"_inv", c.N)
-	for i := len(c.Gates) - 1; i >= 0; i-- {
-		g := c.Gates[i]
-		if !g.IsUnitary() {
-			panic(fmt.Sprintf("circuit: cannot invert non-unitary op %q", g.String()))
-		}
-		ig := Gate{Target: g.Target, Controls: g.Controls}
-		switch g.Name {
-		case "h", "x", "y", "z", "id", "swap":
-			ig.Name = g.Name
-		case "s":
-			ig.Name = "sdg"
-		case "sdg":
-			ig.Name = "s"
-		case "t":
-			ig.Name = "tdg"
-		case "tdg":
-			ig.Name = "t"
-		case "sx":
-			ig.Name = "sxdg"
-		case "sxdg":
-			ig.Name = "sx"
-		case "rz", "rx", "ry", "p":
-			ig.Name = g.Name
-			ig.Params = []float64{-g.Params[0]}
-		default:
-			panic(fmt.Sprintf("circuit: cannot invert gate %q", g.Name))
-		}
-		inv.Append(ig)
-	}
-	return inv
-}
-
 // CountByName returns gate counts per base-operation name.
 func (c *Circuit) CountByName() map[string]int {
 	out := make(map[string]int)
@@ -387,23 +294,6 @@ func (c *Circuit) CountByName() map[string]int {
 		out[g.Name]++
 	}
 	return out
-}
-
-// IsCliffordT reports whether every gate is exactly representable in D[ω].
-// Non-unitary ops (measure, reset, conditioned gates) make this false: the
-// circuit is not a single unitary at all.
-func (c *Circuit) IsCliffordT() bool {
-	for _, g := range c.Gates {
-		if !g.IsUnitary() {
-			return false
-		}
-		switch g.Name {
-		case "h", "x", "y", "z", "s", "sdg", "t", "tdg", "sx", "sxdg", "id", "i":
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 // Validate checks structural invariants of a circuit (duplicate controls,

@@ -3,7 +3,9 @@ package circuit
 import "testing"
 
 func TestMeasureResetCondAppend(t *testing.T) {
-	c := New("t", 2).H(0).Measure(0, 0).Reset(1)
+	c := New("t", 2).H(0).
+		Append(Gate{Name: OpMeasure, Target: 0, Clbit: 0}).
+		Append(Gate{Name: OpReset, Target: 1})
 	c.Append(Gate{Name: "x", Target: 1, Cond: &Cond{Offset: 0, Width: 1, Value: 1}})
 	if c.Cbits != 1 {
 		t.Fatalf("Cbits = %d, want 1", c.Cbits)
@@ -14,7 +16,7 @@ func TestMeasureResetCondAppend(t *testing.T) {
 	if got := c.Gates[3].String(); got != "if(c[0:1]==1) x q1" {
 		t.Errorf("cond String = %q", got)
 	}
-	c.Measure(1, 5)
+	c.Append(Gate{Name: OpMeasure, Target: 1, Clbit: 5})
 	if c.Cbits != 6 {
 		t.Errorf("Cbits = %d after measure into c5, want 6", c.Cbits)
 	}
@@ -43,14 +45,16 @@ func TestDynamicAndTrailingMeasures(t *testing.T) {
 	}{
 		{"unitary", func() *Circuit { return New("c", 2).H(0).CX(0, 1) }, false, 2},
 		{"trailing-measures", func() *Circuit {
-			return New("c", 2).H(0).CX(0, 1).Measure(0, 0).Measure(1, 1)
+			return New("c", 2).H(0).CX(0, 1).
+				Append(Gate{Name: OpMeasure, Target: 0, Clbit: 0}).
+				Append(Gate{Name: OpMeasure, Target: 1, Clbit: 1})
 		}, false, 2},
 		{"mid-circuit-measure", func() *Circuit {
-			return New("c", 2).H(0).Measure(0, 0).X(1)
+			return New("c", 2).H(0).Append(Gate{Name: OpMeasure, Target: 0, Clbit: 0}).X(1)
 		}, true, 3},
-		{"reset", func() *Circuit { return New("c", 2).H(0).Reset(0) }, true, 2},
+		{"reset", func() *Circuit { return New("c", 2).H(0).Append(Gate{Name: OpReset, Target: 0}) }, true, 2},
 		{"conditioned", func() *Circuit {
-			c := New("c", 2).H(0).Measure(0, 0)
+			c := New("c", 2).H(0).Append(Gate{Name: OpMeasure, Target: 0, Clbit: 0})
 			return c.Append(Gate{Name: "x", Target: 1, Cond: &Cond{Offset: 0, Width: 1, Value: 1}})
 		}, true, 3},
 	}
@@ -66,7 +70,9 @@ func TestDynamicAndTrailingMeasures(t *testing.T) {
 }
 
 func TestUnitaryPrefix(t *testing.T) {
-	c := New("c", 2).H(0).CX(0, 1).Measure(0, 0).Measure(1, 1)
+	c := New("c", 2).H(0).CX(0, 1).
+		Append(Gate{Name: OpMeasure, Target: 0, Clbit: 0}).
+		Append(Gate{Name: OpMeasure, Target: 1, Clbit: 1})
 	p := c.UnitaryPrefix()
 	if p.Len() != 2 || !p.IsUnitary() {
 		t.Fatalf("UnitaryPrefix kept %d gates", p.Len())
@@ -84,25 +90,27 @@ func TestFingerprintCoversDynamicOps(t *testing.T) {
 	base := func() *Circuit { return New("c", 2).H(0).CX(0, 1) }
 	a := Fingerprint(base())
 	// The measure-free twin must not collide with any measured variant.
-	if Fingerprint(base().Measure(0, 0)) == a {
+	if Fingerprint(base().Append(Gate{Name: OpMeasure, Target: 0, Clbit: 0})) == a {
 		t.Error("trailing measure collided with measure-free twin")
 	}
-	mid := New("c", 2).H(0).Measure(0, 0).CX(0, 1)
+	mid := New("c", 2).H(0).Append(Gate{Name: OpMeasure, Target: 0, Clbit: 0}).CX(0, 1)
 	if Fingerprint(mid) == a {
 		t.Error("mid-circuit measure collided with measure-free twin")
 	}
-	if Fingerprint(base().Measure(0, 0)) == Fingerprint(base().Measure(0, 1)) {
+	toBit0 := base().Append(Gate{Name: OpMeasure, Target: 0, Clbit: 0})
+	toBit1 := base().Append(Gate{Name: OpMeasure, Target: 0, Clbit: 1})
+	if Fingerprint(toBit0) == Fingerprint(toBit1) {
 		t.Error("measure destination not hashed")
 	}
 	cond := func(v uint64) [32]byte {
-		c := New("c", 2).H(0).Measure(0, 0)
+		c := New("c", 2).H(0).Append(Gate{Name: OpMeasure, Target: 0, Clbit: 0})
 		c.Append(Gate{Name: "x", Target: 1, Cond: &Cond{Offset: 0, Width: 1, Value: v}})
 		return Fingerprint(c)
 	}
 	if cond(0) == cond(1) {
 		t.Error("condition value not hashed")
 	}
-	uncond := New("c", 2).H(0).Measure(0, 0).X(1)
+	uncond := New("c", 2).H(0).Append(Gate{Name: OpMeasure, Target: 0, Clbit: 0}).X(1)
 	if cond(1) == Fingerprint(uncond) {
 		t.Error("conditioned gate collided with unconditioned twin")
 	}

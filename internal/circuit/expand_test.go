@@ -79,7 +79,8 @@ func TestExpandPassThrough(t *testing.T) {
 func TestExpandMCX(t *testing.T) {
 	c := circuit.New("mcx", 5)
 	c.X(0).X(1).X(2).X(3) // set all controls
-	c.MCX([]int{0, 1, 2, 3}, 4)
+	c.Append(circuit.Gate{Name: "x", Target: 4,
+		Controls: []circuit.Control{{Qubit: 0}, {Qubit: 1}, {Qubit: 2}, {Qubit: 3}}})
 	exp := expandAgrees(t, c)
 	if exp.N <= c.N {
 		t.Fatal("MCX expansion needs ancillas")

@@ -154,9 +154,6 @@ func sortControls(cs []Control) []Control {
 	return cs
 }
 
-// Len returns the number of ops absorbed so far — the chain position i.
-func (p *PrefixHasher) Len() int { return p.k }
-
 // Link returns the current chain link Hᵢ without disturbing the chain:
 // further Absorb calls continue from the same position.
 func (p *PrefixHasher) Link() Digest {

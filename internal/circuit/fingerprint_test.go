@@ -22,7 +22,10 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 	if Fingerprint(New("other-name", 2).H(0).CX(0, 1)) != a {
 		t.Error("circuit name is presentational and must not affect the fingerprint")
 	}
-	if Fingerprint(New("rz", 2).Rz(0.5, 0)) == Fingerprint(New("rz", 2).Rz(0.5000000001, 0)) {
+	rz := func(theta float64) *Circuit {
+		return New("rz", 2).Append(Gate{Name: "rz", Target: 0, Params: []float64{theta}})
+	}
+	if Fingerprint(rz(0.5)) == Fingerprint(rz(0.5000000001)) {
 		t.Error("parameter bits collided")
 	}
 }
@@ -36,12 +39,12 @@ func mixedCircuit(n int) *Circuit {
 		case 0:
 			c.CCX(2, 0, 3)
 		case 1:
-			c.Rz(float64(i), 1)
+			c.Append(Gate{Name: "rz", Target: 1, Params: []float64{float64(i)}})
 		case 2:
 			c.Append(Gate{Name: "u", Target: 0, Params: []float64{1, 2, 3},
 				Cond: &Cond{Offset: 0, Width: 2, Value: 1}})
 		case 3:
-			c.Measure(i%4, 1)
+			c.Append(Gate{Name: OpMeasure, Target: i % 4, Clbit: 1})
 		default:
 			c.Append(Gate{Name: "x", Target: 1, Controls: []Control{{Qubit: 3, Neg: true}, {Qubit: 0}, {Qubit: 2}}})
 		}

@@ -24,6 +24,10 @@ func CheckRing[T any](r Ring[T], samples []T, tol float64) error {
 	if r.IsZero(r.One()) {
 		return fmt.Errorf("One() reported zero")
 	}
+	exact := false
+	if er, ok := any(r).(ExactRing); ok {
+		exact = er.Exact()
+	}
 	near := func(a, b complex128, scale float64) bool {
 		return cmplx.Abs(a-b) <= tol*(1+scale)+1e-15
 	}
@@ -39,28 +43,21 @@ func CheckRing[T any](r Ring[T], samples []T, tol float64) error {
 		return near(cx, cy, cmplx.Abs(cx)+cmplx.Abs(cy))
 	}
 	for i, a := range samples {
-		// Neutral elements and negation.
+		// Neutral elements.
 		if !r.Equal(r.Add(a, r.Zero()), a) {
 			return fmt.Errorf("sample %d: a + 0 ≠ a", i)
 		}
 		if !r.Equal(r.Mul(a, r.One()), a) {
 			return fmt.Errorf("sample %d: a · 1 ≠ a", i)
 		}
-		if !r.IsZero(r.Add(a, r.Neg(a))) {
-			return fmt.Errorf("sample %d: a + (−a) ≠ 0", i)
-		}
-		if !r.IsZero(r.Sub(a, a)) {
-			return fmt.Errorf("sample %d: a − a ≠ 0", i)
-		}
 		if !r.Equal(r.Conj(r.Conj(a)), a) {
 			return fmt.Errorf("sample %d: conj not involutive", i)
 		}
-		// Key ↔ Equal coherence.
-		if r.Key(a) != r.Key(a) {
-			return fmt.Errorf("sample %d: Key not deterministic", i)
-		}
 		if r.Hash(a) != r.Hash(a) {
 			return fmt.Errorf("sample %d: Hash not deterministic", i)
+		}
+		if b := r.Mul(a, r.One()); r.Hash(r.Mul(b, r.One())) != r.Hash(b) {
+			return fmt.Errorf("sample %d: re-interned copy hashes differently", i)
 		}
 		// Abs2 matches the complex view.
 		c := r.Complex128(a)
@@ -83,8 +80,10 @@ func CheckRing[T any](r Ring[T], samples []T, tol float64) error {
 			if r.Equal(a, b) != r.Equal(b, a) {
 				return fmt.Errorf("samples %d,%d: Equal not symmetric", i, j)
 			}
-			if r.Key(a) == r.Key(b) && r.Hash(a) != r.Hash(b) {
-				return fmt.Errorf("samples %d,%d: equal keys with different hashes", i, j)
+			// Only exact rings owe Equal ⇒ same Hash: a float ring's Equal
+			// is ε-tolerant while its Hash is bit-exact.
+			if exact && r.Equal(a, b) && r.Hash(a) != r.Hash(b) {
+				return fmt.Errorf("samples %d,%d: equal values with different hashes", i, j)
 			}
 			if !lawEqual(r.Add(a, b), r.Add(b, a)) {
 				return fmt.Errorf("samples %d,%d: addition not commutative", i, j)

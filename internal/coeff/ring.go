@@ -7,32 +7,25 @@ package coeff
 import "repro/internal/alg"
 
 // Ring is the set of operations the QMDD core needs from edge weights.
-// Implementations must be deterministic: Key and Hash must agree for values
-// the implementation considers equal, because node uniqueness (and hence
-// DD canonicity) is keyed on them.
+// Implementations must be deterministic: node uniqueness (and hence DD
+// canonicity) is keyed on Hash, so a value must always hash the same.
 type Ring[T any] interface {
 	Zero() T
 	One() T
 	Add(a, b T) T
-	Sub(a, b T) T
 	Mul(a, b T) T
 	// Div returns a/b. For field implementations b may be any nonzero value;
 	// implementations over rings may restrict it (see GCDRing.DivExact).
 	Div(a, b T) T
-	Neg(a T) T
 	Conj(a T) T
 	IsZero(a T) bool
 	IsOne(a T) bool
 	Equal(a, b T) bool
-	// Key is a canonical string key for a; the plain-DD reference
-	// implementation keys its tables on it.
-	Key(a T) string
 	// Hash is the weight hash the QMDD core's tables key on. It must be
-	// deterministic and consistent with Key: Key(a) == Key(b) implies
-	// Hash(a) == Hash(b) (for exact rings, where Key coincides with Equal,
-	// equal values hash equally). num hashes the complex128 bit patterns and
-	// alg hashes big.Int limbs directly, so node creation and operation
-	// memoization never build a string.
+	// deterministic and agree with value identity: bit-identical values
+	// (and, for exact rings, Equal values) hash equally. num hashes the
+	// complex128 bit patterns and alg hashes big.Int limbs directly, so node
+	// creation and operation memoization never build a string.
 	Hash(a T) uint64
 	// FromQ injects an exact Q[ω] value (possibly approximating it, for
 	// numerical implementations).

@@ -70,9 +70,6 @@ type LocalGate[T any] struct {
 	identity bool    // base block is exactly the ring identity
 }
 
-// Target returns the gate's target level.
-func (g *LocalGate[T]) Target() int { return g.target }
-
 // IsIdentity reports whether the gate is the identity operation — a base
 // block equal (in the ring's sense) to the 2×2 identity. Controls do not
 // matter: a controlled identity is still the identity. Callers may skip

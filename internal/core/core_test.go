@@ -25,7 +25,7 @@ func localH[T any](m *Manager[T], target int, ctrls []LocalControl) *LocalGate[T
 	if _, isQ := any(m.R).(alg.Ring); isQ {
 		inv = m.R.FromQ(alg.QInvSqrt2)
 	}
-	base := [2][2]T{{inv, inv}, {inv, m.R.Neg(inv)}}
+	base := [2][2]T{{inv, inv}, {inv, m.R.Mul(m.R.FromQ(alg.QMinusOne), inv)}}
 	return m.PrepareLocal(base, target, ctrls)
 }
 
@@ -77,7 +77,7 @@ func TestCanonicity(t *testing.T) {
 		v1 := m.FromVector(amps)
 		// Build the scaled vector 3·amps and check the node is shared.
 		scaled := make([]alg.Q, len(amps))
-		three := alg.QFromInt(3)
+		three := alg.NewQ(0, 0, 0, 3, 0, 1)
 		for i, a := range amps {
 			scaled[i] = a.Mul(three)
 		}
@@ -268,14 +268,6 @@ func TestAdjointMatchesDense(t *testing.T) {
 			}
 		}
 	}
-	gotT := m.ToMatrix(m.Transpose(m.FromMatrix(a)), 3)
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 8; j++ {
-			if !gotT[i][j].Equal(a[j][i]) {
-				t.Fatalf("Aᵀ[%d][%d] mismatch", i, j)
-			}
-		}
-	}
 }
 
 func TestBasisStateAndAmplitude(t *testing.T) {
@@ -297,23 +289,6 @@ func TestBasisStateAndAmplitude(t *testing.T) {
 		}
 		if v.NodeCount() != n {
 			t.Fatalf("basis state has %d nodes, want %d", v.NodeCount(), n)
-		}
-	}
-}
-
-func TestInnerProduct(t *testing.T) {
-	m := algManager(NormLeft)
-	r := rand.New(rand.NewSource(57))
-	for trial := 0; trial < 20; trial++ {
-		x := randQVals(r, 8)
-		y := randQVals(r, 8)
-		got := m.InnerProduct(m.FromVector(x), m.FromVector(y))
-		want := alg.QZero
-		for i := range x {
-			want = want.Add(x[i].Conj().Mul(y[i]))
-		}
-		if !got.Equal(want) {
-			t.Fatalf("⟨x|y⟩ = %v, want %v", got, want)
 		}
 	}
 }
@@ -342,7 +317,7 @@ func TestGCDNormalizationCanonicity(t *testing.T) {
 		amps := randQVals(r, 8)
 		v1 := m.FromVector(amps)
 		scaled := make([]alg.Q, len(amps))
-		factor := alg.QFromD(alg.NewD(1, 0, 1, 2, 1)) // some D[ω] scalar
+		factor := alg.QFromD(alg.CanonD(alg.NewZomega(1, 0, 1, 2), 1)) // some D[ω] scalar
 		for i, a := range amps {
 			scaled[i] = a.Mul(factor)
 		}
@@ -472,7 +447,7 @@ func TestStatsAndComputeTable(t *testing.T) {
 	if st.UniqueNodes == 0 || st.CTLookups == 0 {
 		t.Fatalf("stats not collected: %+v", st)
 	}
-	m.ClearComputeTable()
+	m.ct.clear()
 	if s := m.Stats(); s.CTLookups != 0 {
 		t.Fatalf("compute table not cleared")
 	}
@@ -483,22 +458,5 @@ func TestTrivialWeightFraction(t *testing.T) {
 	id := m.Identity(3)
 	if f := m.TrivialWeightFraction(id); f != 1 {
 		t.Fatalf("identity trivial-weight fraction = %v, want 1", f)
-	}
-}
-
-func TestNodeProfile(t *testing.T) {
-	m := algManager(NormLeft)
-	id := m.Identity(4)
-	prof := m.NodeProfile(id)
-	if len(prof) != 4 {
-		t.Fatalf("profile length %d", len(prof))
-	}
-	for l, c := range prof {
-		if c != 1 {
-			t.Fatalf("identity has %d nodes at level %d", c, l+1)
-		}
-	}
-	if m.NodeProfile(m.ZeroEdge()) != nil {
-		t.Fatal("zero edge has a profile")
 	}
 }

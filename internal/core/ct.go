@@ -30,8 +30,8 @@ const (
 	ctMul
 	ctKron
 	ctAdjoint
-	ctTranspose
-	ctInner
+	_          // retired tags: the slot hash mixes the tag, so the tags
+	_          // after them keep their values and the collision pattern
 	ctApply    // local gate application (apply.go); aID = node, bID = gate ID
 	ctProject  // below-target control projector (apply.go)
 	ctProjectC // complement of ctProject: the controls-not-all-satisfied part

@@ -87,18 +87,3 @@ func (m *Manager[T]) TrivialWeightFraction(e Edge[T]) float64 {
 	}
 	return float64(ones) / float64(nonzero)
 }
-
-// NodeProfile returns the number of distinct nodes per level (index 0 =
-// level 1, the bottom), a finer-grained size view than NodeCount that shows
-// where in the diagram the blowup of a bad tolerance concentrates.
-func (m *Manager[T]) NodeProfile(e Edge[T]) []int {
-	levels := e.Level()
-	if levels == 0 {
-		return nil
-	}
-	prof := make([]int, levels)
-	for _, n := range e.Nodes() {
-		prof[n.Level-1]++
-	}
-	return prof
-}

@@ -3,7 +3,7 @@ package core
 // Hashing and open-addressed tables for the allocation-free QMDD core.
 //
 // Node uniqueness and operation memoization used to be keyed on canonical
-// strings built with Ring.Key on every call, so the hot path was dominated by
+// weight strings built on every call, so the hot path was dominated by
 // string formatting rather than ring arithmetic. The core now interns every
 // distinct edge weight once per manager, assigning it a dense uint32 weight
 // ID (WID), and all table keys are fixed-size integer tuples: node keys hash
@@ -123,12 +123,6 @@ func (t *internTable[T]) intern(w T, h uint64, equal func(a, b T) bool) (uint32,
 		sh.grow()
 	}
 	return encodeWID(shardOf(h), local), w, true
-}
-
-// lookup resolves a nonzero WID to its canonical representative.
-func (t *internTable[T]) lookup(wid uint32) T {
-	v := wid - 1
-	return t.shards[v&(tableShardCount-1)].weights[v>>tableShardBits]
 }
 
 func (sh *wtShard[T]) grow() {

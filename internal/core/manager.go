@@ -191,15 +191,6 @@ func (m *Manager[T]) WID(w T) uint32 {
 	return wid
 }
 
-// Weight returns the canonical representative interned under the given
-// weight ID (WID 0 is the ring's zero).
-func (m *Manager[T]) Weight(wid uint32) T {
-	if wid == 0 {
-		return m.zeroW
-	}
-	return m.wt.lookup(wid)
-}
-
 // Stats returns a snapshot of the manager counters.
 func (m *Manager[T]) Stats() Stats {
 	s := m.stats
@@ -214,10 +205,6 @@ func (m *Manager[T]) Stats() Stats {
 	}
 	return s
 }
-
-// ClearComputeTable drops all memoized operation results (the unique table —
-// and with it diagram identity — is preserved).
-func (m *Manager[T]) ClearComputeTable() { m.ct.clear() }
 
 // Reset returns the manager to its freshly constructed state, so that what
 // it computes next does not depend on anything it computed before: every

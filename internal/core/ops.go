@@ -191,63 +191,3 @@ func (m *Manager[T]) adjointNode(n *Node[T]) Edge[T] {
 	m.ct.put(k, res)
 	return res
 }
-
-// Transpose returns the transpose of a matrix diagram (no conjugation).
-func (m *Manager[T]) Transpose(x Edge[T]) Edge[T] {
-	if x.N == nil {
-		return x
-	}
-	sub := m.transposeNode(x.N)
-	return m.Scale(sub, x.W)
-}
-
-func (m *Manager[T]) transposeNode(n *Node[T]) Edge[T] {
-	k := ctKey{op: ctTranspose, aID: n.ID}
-	if r, ok := m.ct.get(k); ok {
-		return r
-	}
-	var res Edge[T]
-	if len(n.E) == MatrixArity {
-		var es [MatrixArity]Edge[T]
-		for i := 0; i < 2; i++ {
-			for j := 0; j < 2; j++ {
-				es[2*i+j] = m.Transpose(n.E[2*j+i])
-			}
-		}
-		res = m.MakeNode(n.Level, es[:])
-	} else {
-		var es [VectorArity]Edge[T]
-		copy(es[:], n.E)
-		res = m.MakeNode(n.Level, es[:])
-	}
-	m.ct.put(k, res)
-	return res
-}
-
-// InnerProduct returns ⟨x|y⟩ = Σᵢ conj(xᵢ)·yᵢ for two vector diagrams.
-func (m *Manager[T]) InnerProduct(x, y Edge[T]) T {
-	return m.ipEdges(x, y, max(x.Level(), y.Level()))
-}
-
-func (m *Manager[T]) ipEdges(a, b Edge[T], level int) T {
-	if m.IsZero(a) || m.IsZero(b) {
-		return m.R.Zero()
-	}
-	if level == 0 {
-		return m.R.Mul(m.R.Conj(a.W), b.W)
-	}
-	if a.N == nil || b.N == nil {
-		panic("core: malformed diagram in InnerProduct")
-	}
-	w := m.R.Mul(m.R.Conj(a.W), b.W)
-	k := ctKey{op: ctInner, aID: a.N.ID, bID: b.N.ID}
-	if r, ok := m.ct.get(k); ok {
-		return m.R.Mul(w, r.W)
-	}
-	s := m.R.Zero()
-	for i := range a.N.E {
-		s = m.R.Add(s, m.ipEdges(a.N.E[i], b.N.E[i], level-1))
-	}
-	m.ct.put(k, m.Terminal(s))
-	return m.R.Mul(w, s)
-}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 )
 
 // Project applies the projector |outcome⟩⟨outcome| on the given qubit
@@ -86,17 +85,4 @@ func (m *Manager[T]) projectRec(e Edge[T], level, outcome int, memo map[*Node[T]
 	sub := m.MakeNode(e.N.Level, es)
 	memo[e.N] = sub
 	return m.Scale(sub, e.W), nil
-}
-
-// Fidelity returns |⟨u|v⟩|² / (‖u‖²·‖v‖²) — 1 iff the two vector diagrams
-// represent the same physical state (up to global phase and length).
-func (m *Manager[T]) Fidelity(u, v Edge[T]) float64 {
-	nu, nv := m.Norm2(u), m.Norm2(v)
-	if nu == 0 || nv == 0 {
-		return 0
-	}
-	ip := m.R.Abs2(m.InnerProduct(u, v))
-	f := ip / (nu * nv)
-	// Guard against float round-up just above 1.
-	return math.Min(f, 1)
 }

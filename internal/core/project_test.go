@@ -95,31 +95,6 @@ func TestProjectZeroVector(t *testing.T) {
 	}
 }
 
-func TestFidelity(t *testing.T) {
-	m := algManager(NormLeft)
-	s := alg.QInvSqrt2
-	bell := m.FromVector([]alg.Q{s, alg.QZero, alg.QZero, s})
-	if f := m.Fidelity(bell, bell); math.Abs(f-1) > 1e-12 {
-		t.Fatalf("self fidelity %v", f)
-	}
-	// Global phase i and scaling by 3 must not matter.
-	phased := m.Scale(bell, alg.QI.Mul(alg.QFromInt(3)))
-	if f := m.Fidelity(bell, phased); math.Abs(f-1) > 1e-12 {
-		t.Fatalf("phase/scale fidelity %v", f)
-	}
-	orth := m.FromVector([]alg.Q{alg.QZero, s, s, alg.QZero})
-	if f := m.Fidelity(bell, orth); f > 1e-12 {
-		t.Fatalf("orthogonal fidelity %v", f)
-	}
-	plus := m.FromVector([]alg.Q{s.Mul(s), s.Mul(s), s.Mul(s), s.Mul(s)})
-	if f := m.Fidelity(bell, plus); math.Abs(f-0.5) > 1e-12 {
-		t.Fatalf("bell/plus fidelity %v, want 0.5", f)
-	}
-	if f := m.Fidelity(bell, m.ZeroEdge()); f != 0 {
-		t.Fatalf("fidelity with zero vector %v", f)
-	}
-}
-
 func TestPruneKeepsLiveDropsDead(t *testing.T) {
 	m := algManager(NormLeft)
 	// Build a state, then churn intermediates.
@@ -172,9 +147,9 @@ func TestProjectMemoizesTargetLevel(t *testing.T) {
 	// single shared (1,2) node, while every level-2 node above it is distinct.
 	amps := make([]alg.Q, 1<<n)
 	for k := 0; k < 1<<(n-1); k++ {
-		c := alg.QFromInt(int64(k + 1))
+		c := alg.NewQ(0, 0, 0, int64(k+1), 0, 1)
 		amps[2*k] = c
-		amps[2*k+1] = c.Mul(alg.QFromInt(2))
+		amps[2*k+1] = c.Mul(alg.NewQ(0, 0, 0, 2, 0, 1))
 	}
 	v := m.FromVector(amps)
 	nodes := v.NodeCount()

@@ -20,7 +20,7 @@ var ErrZeroVector = errors.New("core: cannot sample a zero-mass vector diagram")
 // vector diagram (skipped levels, matrix nodes, terminals above level 0).
 var ErrMalformedDiagram = errors.New("core: malformed vector diagram")
 
-// ErrStaleSampler is returned by Draw and Mass when the manager has been
+// ErrStaleSampler is returned by Draw when the manager has been
 // pruned or reset since the sampler was built: the sampler's node pointers
 // and mass memo may reference swept nodes, so using them would read garbage.
 // Build a fresh Sampler from the live state.
@@ -35,7 +35,7 @@ var ErrStaleSampler = errors.New("core: sampler invalidated by a Prune or Reset;
 //
 // A Sampler holds node pointers into its manager; it is invalidated by
 // Prune and Reset (it captures the manager's prune generation at
-// construction, and Draw/Mass return ErrStaleSampler once the generations
+// construction, and Draw returns ErrStaleSampler once the generations
 // diverge). It is not safe for concurrent use (the draws advance the
 // caller's RNG anyway).
 type Sampler[T any] struct {
@@ -150,14 +150,4 @@ func (s *Sampler[T]) Draw(rng Rand01) (uint64, error) {
 		e = e.N.E[i]
 	}
 	return idx, nil
-}
-
-// Mass returns the diagram's total probability mass Σ|amplitude|² (equal to
-// Norm2 of the root), as computed at construction. Like Draw, it fails with
-// ErrStaleSampler once the manager has been pruned.
-func (s *Sampler[T]) Mass() (float64, error) {
-	if s.gen != s.m.pruneGen {
-		return 0, ErrStaleSampler
-	}
-	return s.branchMass(s.root), nil
 }

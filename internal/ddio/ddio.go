@@ -162,7 +162,7 @@ func writeBody[T any](bw *bufio.Writer, c Codec[T], e core.Edge[T]) error {
 	return bw.Flush()
 }
 
-// Limits bounds what ReadLimited accepts — the defense against hostile
+// Limits bounds what ReadMeta accepts — the defense against hostile
 // input now that diagrams arrive over the network (qmddd). The zero value
 // of any field selects its default.
 type Limits struct {
@@ -176,7 +176,7 @@ type Limits struct {
 	MaxQubits int
 }
 
-// Default caps applied by Read and by ReadLimited for zero Limits fields.
+// Default caps ReadMeta applies for zero Limits fields.
 const (
 	DefaultMaxNodes     = 1 << 20
 	DefaultMaxLineBytes = 1 << 24
@@ -196,32 +196,21 @@ func (l Limits) withDefaults() Limits {
 	return l
 }
 
-// Read deserializes a diagram into the manager (re-normalizing through
+// ReadMeta deserializes a diagram into the manager (re-normalizing through
 // MakeNode, so the result is canonical in the target manager regardless of
-// the writer's normalization scheme). It returns the root edge and the
-// qubit count recorded in the header. Input is validated under the default
-// Limits; use ReadLimited to tighten them.
-func Read[T any](r io.Reader, m *core.Manager[T], c Codec[T]) (core.Edge[T], int, error) {
-	return ReadLimited(r, m, c, Limits{})
-}
-
-// ReadLimited is Read under explicit input caps. Malformed input — duplicate
-// or out-of-order node indices, references to undefined indices, children at
+// the writer's normalization scheme). It returns the root edge, the qubit
+// count recorded in the header and the file's provenance stamp (Version
+// FormatV1 with zero fields for headerless v1 files). Input is validated
+// under lim (zero fields take the defaults): malformed input — duplicate or
+// out-of-order node indices, references to undefined indices, children at
 // a level not strictly below their parent, mixed vector/matrix arities, or
 // input exceeding the caps — is rejected with a descriptive error. Panics
 // from the diagram core (e.g. a manager budget tripping mid-decode) are
 // converted to errors, so a network front end never crashes on a payload.
-func ReadLimited[T any](r io.Reader, m *core.Manager[T], c Codec[T], lim Limits) (core.Edge[T], int, error) {
-	e, qubits, _, err := ReadMeta(r, m, c, lim, nil)
-	return e, qubits, err
-}
-
-// ReadMeta is ReadLimited plus metadata handling: it returns the file's
-// provenance stamp (Version FormatV1 with zero fields for headerless v1
-// files) and, when want is non-nil, refuses a diagram whose stamped
-// repr/norm/ε contradicts the requirement with a *MismatchError — a v1
-// file fails such a check outright, since it certifies nothing. This is
-// the validation gate of the qcache disk tier.
+// When want is non-nil, a diagram whose stamped repr/norm/ε contradicts
+// the requirement is refused with a *MismatchError — a v1 file fails such
+// a check outright, since it certifies nothing. This is the validation
+// gate of the qcache disk tier and of peer fetches.
 func ReadMeta[T any](r io.Reader, m *core.Manager[T], c Codec[T], lim Limits, want *Meta) (_ core.Edge[T], _ int, meta Meta, err error) {
 	defer core.RecoverTo(&err)
 	lim = lim.withDefaults()

@@ -25,7 +25,7 @@ func TestAlgRoundTripState(t *testing.T) {
 	if err := Write(&sb, m, AlgCodec{}, s.State, 6); err != nil {
 		t.Fatal(err)
 	}
-	got, qubits, err := Read(strings.NewReader(sb.String()), m, AlgCodec{})
+	got, qubits, _, err := ReadMeta(strings.NewReader(sb.String()), m, AlgCodec{}, Limits{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestAlgRoundTripMatrixIntoFreshManager(t *testing.T) {
 	// Import into a manager with a *different* normalization scheme: the
 	// semantics must survive re-canonicalization.
 	m2 := core.NewManager[alg.Q](alg.Ring{}, core.NormGCD)
-	got, _, err := Read(strings.NewReader(sb.String()), m2, AlgCodec{})
+	got, _, _, err := ReadMeta(strings.NewReader(sb.String()), m2, AlgCodec{}, Limits{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,16 +66,16 @@ func TestAlgRoundTripMatrixIntoFreshManager(t *testing.T) {
 
 func TestNumRoundTrip(t *testing.T) {
 	m := core.NewManager[complex128](num.NewRing(0), core.NormMax)
-	c := algorithms.QFT(4)
-	s := sim.New(m, 4)
+	c := algorithms.BWT(2, 5)
+	s := sim.New(m, c.N)
 	if err := s.Run(c, nil); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := Write(&sb, m, NumCodec{}, s.State, 4); err != nil {
+	if err := Write(&sb, m, NumCodec{}, s.State, c.N); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Read(strings.NewReader(sb.String()), m, NumCodec{})
+	got, _, _, err := ReadMeta(strings.NewReader(sb.String()), m, NumCodec{}, Limits{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +86,12 @@ func TestNumRoundTrip(t *testing.T) {
 
 func TestZeroAndScalarDiagrams(t *testing.T) {
 	m := core.NewManager[alg.Q](alg.Ring{}, core.NormLeft)
-	for _, e := range []core.Edge[alg.Q]{m.ZeroEdge(), m.Terminal(alg.QFromInt(3))} {
+	for _, e := range []core.Edge[alg.Q]{m.ZeroEdge(), m.Terminal(alg.NewQ(0, 0, 0, 3, 0, 1))} {
 		var sb strings.Builder
 		if err := Write(&sb, m, AlgCodec{}, e, 0); err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := Read(strings.NewReader(sb.String()), m, AlgCodec{})
+		got, _, _, err := ReadMeta(strings.NewReader(sb.String()), m, AlgCodec{}, Limits{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestReadRejectsGarbage(t *testing.T) {
 		"qmdd v1 qomega 2\nroot 0,0,0,1,0,1:7\n",                // dangling ref
 	}
 	for _, src := range cases {
-		if _, _, err := Read(strings.NewReader(src), m, AlgCodec{}); err == nil {
+		if _, _, _, err := ReadMeta(strings.NewReader(src), m, AlgCodec{}, Limits{}, nil); err == nil {
 			t.Fatalf("no error for %q", src)
 		}
 	}
@@ -262,7 +262,7 @@ func TestReadHardening(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m := core.NewManager[alg.Q](alg.Ring{}, core.NormLeft)
-			_, _, err := ReadLimited(strings.NewReader(tc.src), m, AlgCodec{}, tc.lim)
+			_, _, _, err := ReadMeta(strings.NewReader(tc.src), m, AlgCodec{}, tc.lim, nil)
 			if err == nil {
 				t.Fatalf("no error for %q", tc.src)
 			}
@@ -274,13 +274,13 @@ func TestReadHardening(t *testing.T) {
 }
 
 // TestReadBudgetedManager pins the panic-free contract: a manager whose
-// budget trips mid-decode yields a *core.BudgetError from ReadLimited, not a
+// budget trips mid-decode yields a *core.BudgetError from ReadMeta, not a
 // panic escaping into the server.
 func TestReadBudgetedManager(t *testing.T) {
 	src := buildGroverDump(t)
 	m := core.NewManager[alg.Q](alg.Ring{}, core.NormLeft)
 	m.SetBudget(core.Budget{MaxNodes: 2})
-	_, _, err := Read(strings.NewReader(src), m, AlgCodec{})
+	_, _, _, err := ReadMeta(strings.NewReader(src), m, AlgCodec{}, Limits{}, nil)
 	if err == nil {
 		t.Fatal("no error under a 2-node budget")
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // FuzzRead drives the network-facing decode path with arbitrary bytes under
-// tight limits and a small manager budget: whatever arrives, ReadLimited
+// tight limits and a small manager budget: whatever arrives, ReadMeta
 // must return an error or a diagram — never panic, never allocate past the
 // caps. Inputs that decode successfully must re-encode and decode to the
 // identical root (decode/encode/decode fixpoint).
@@ -28,7 +28,7 @@ func FuzzRead(f *testing.F) {
 			func() error {
 				m := core.NewManager[alg.Q](alg.Ring{}, core.NormLeft)
 				m.SetBudget(core.Budget{MaxNodes: 512, MaxWeights: 2048})
-				root, qubits, err := ReadLimited(strings.NewReader(src), m, AlgCodec{}, lim)
+				root, qubits, _, err := ReadMeta(strings.NewReader(src), m, AlgCodec{}, lim, nil)
 				if err != nil {
 					return err
 				}
@@ -36,7 +36,7 @@ func FuzzRead(f *testing.F) {
 				if err := Write(&sb, m, AlgCodec{}, root, qubits); err != nil {
 					t.Fatalf("re-encode of accepted input failed: %v", err)
 				}
-				root2, q2, err := ReadLimited(strings.NewReader(sb.String()), m, AlgCodec{}, lim)
+				root2, q2, _, err := ReadMeta(strings.NewReader(sb.String()), m, AlgCodec{}, lim, nil)
 				if err != nil {
 					t.Fatalf("re-decode of accepted input failed: %v\ninput: %q\nre-encoded: %q", err, src, sb.String())
 				}
@@ -48,7 +48,7 @@ func FuzzRead(f *testing.F) {
 			func() error {
 				m := core.NewManager[complex128](num.NewRing(0), core.NormMax)
 				m.SetBudget(core.Budget{MaxNodes: 512, MaxWeights: 2048})
-				_, _, err := ReadLimited(strings.NewReader(src), m, NumCodec{}, lim)
+				_, _, _, err := ReadMeta(strings.NewReader(src), m, NumCodec{}, lim, nil)
 				return err
 			},
 		} {

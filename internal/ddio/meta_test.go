@@ -52,7 +52,7 @@ func TestMetaRoundTrip(t *testing.T) {
 	}
 
 	// Plain Read still accepts v2 files (meta ignored).
-	got2, _, err := Read(strings.NewReader(sb.String()), m, AlgCodec{})
+	got2, _, _, err := ReadMeta(strings.NewReader(sb.String()), m, AlgCodec{}, Limits{}, nil)
 	if err != nil || !m.RootsEqual(got2, state) {
 		t.Fatalf("Read on v2 file: %v", err)
 	}

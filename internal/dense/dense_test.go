@@ -60,7 +60,9 @@ func TestControlsRespectPolarity(t *testing.T) {
 
 func TestUnitarityOnRandomish(t *testing.T) {
 	c := circuit.New("mix", 3)
-	c.H(0).T(1).CX(0, 2).Ry(0.7, 1).CCX(0, 1, 2).Rz(-1.1, 0).P(0.4, 2)
+	c.H(0).T(1).CX(0, 2).Append(circuit.Gate{Name: "ry", Target: 1, Params: []float64{0.7}}).
+		CCX(0, 1, 2).Append(circuit.Gate{Name: "rz", Target: 0, Params: []float64{-1.1}}).
+		P(0.4, 2)
 	s := New(3)
 	if err := s.Run(c); err != nil {
 		t.Fatal(err)

@@ -109,10 +109,6 @@ func (b *Batch) ID() string { return b.id }
 // Done returns a channel closed when every child job is terminal.
 func (b *Batch) Done() <-chan struct{} { return b.done }
 
-// PrefixKey returns the cache key the shared prefix's checkpoint lands
-// under (zero when the batch has no shared prefix).
-func (b *Batch) PrefixKey() qcache.Key { return b.prefixKey }
-
 // childRequestID is safe without the lock: requestID is written before the
 // scheduler goroutine starts and never mutated.
 func (b *Batch) childRequestID(i int) string { return b.children[i].requestID }

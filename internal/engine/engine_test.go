@@ -327,10 +327,10 @@ func TestBatchPrefixKeyIsCheckpointKey(t *testing.T) {
 			if v.Status != StatusDone {
 				t.Fatalf("batch finished %q", v.Status)
 			}
-			if v.PrefixKey != b.PrefixKey().String() {
-				t.Fatalf("view prefix_key %q, batch key %s", v.PrefixKey, b.PrefixKey())
+			if v.PrefixKey != b.prefixKey.String() {
+				t.Fatalf("view prefix_key %q, batch key %s", v.PrefixKey, b.prefixKey)
 			}
-			if _, ok := e.cache.Get(b.PrefixKey(), qcache.Stamp{}); !ok {
+			if _, ok := e.cache.Get(b.prefixKey, qcache.Stamp{}); !ok {
 				t.Fatalf("no checkpoint under prefix_key %s", v.PrefixKey)
 			}
 			if hits := e.PrefixHits(); hits != 2 {

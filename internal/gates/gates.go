@@ -178,10 +178,3 @@ func U3(theta, phi, lambda float64) [2][2]complex128 {
 			cmplx.Exp(complex(0, phi+lambda)) * complex(c, 0)},
 	}
 }
-
-// IsExact reports whether the named gate is exactly representable in D[ω]
-// (i.e., in the Clifford+T family this package provides).
-func IsExact(name string) bool {
-	_, ok := Exact(name)
-	return ok
-}

@@ -142,7 +142,7 @@ func TestBuildDDCNOT(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
-			if !got[i][j].Equal(alg.QFromInt(want[i][j])) {
+			if !got[i][j].Equal(alg.NewQ(0, 0, 0, want[i][j], 0, 1)) {
 				t.Fatalf("CNOT[%d][%d] = %v, want %v", i, j, got[i][j], want[i][j])
 			}
 		}
@@ -163,7 +163,7 @@ func TestBuildDDControlBelowTarget(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
-			if !got[i][j].Equal(alg.QFromInt(want[i][j])) {
+			if !got[i][j].Equal(alg.NewQ(0, 0, 0, want[i][j], 0, 1)) {
 				t.Fatalf("upward CNOT[%d][%d] = %v, want %v", i, j, got[i][j], want[i][j])
 			}
 		}
@@ -183,7 +183,7 @@ func TestBuildDDNegativeControl(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
-			if !got[i][j].Equal(alg.QFromInt(want[i][j])) {
+			if !got[i][j].Equal(alg.NewQ(0, 0, 0, want[i][j], 0, 1)) {
 				t.Fatalf("neg-CNOT[%d][%d] = %v", i, j, got[i][j])
 			}
 		}

@@ -99,12 +99,12 @@ func TestRotationComposition(t *testing.T) {
 
 func TestIsExact(t *testing.T) {
 	for _, name := range []string{"h", "x", "t", "sdg", "sx"} {
-		if !IsExact(name) {
+		if _, ok := Exact(name); !ok {
 			t.Fatalf("%s not reported exact", name)
 		}
 	}
 	for _, name := range []string{"rz", "u", "p", "nonsense"} {
-		if IsExact(name) {
+		if _, ok := Exact(name); ok {
 			t.Fatalf("%s wrongly reported exact", name)
 		}
 	}

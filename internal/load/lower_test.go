@@ -120,7 +120,9 @@ func TestLowerControlledPhase(t *testing.T) {
 func TestLowerPassthrough(t *testing.T) {
 	unitary := circuit.New("plain", 3).H(0).CX(0, 1).CCX(0, 1, 2).T(2)
 	assertLoweredEquivalent(t, unitary)
-	measured := circuit.New("plain", 3).H(0).CX(0, 1).CCX(0, 1, 2).T(2).Measure(0, 0).Measure(1, 1)
+	measured := circuit.New("plain", 3).H(0).CX(0, 1).CCX(0, 1, 2).T(2).
+		Append(circuit.Gate{Name: circuit.OpMeasure, Target: 0, Clbit: 0}).
+		Append(circuit.Gate{Name: circuit.OpMeasure, Target: 1, Clbit: 1})
 	for _, c := range []*circuit.Circuit{unitary, measured} {
 		low, err := Lower(c)
 		if err != nil {
@@ -164,13 +166,13 @@ func TestLowerMCZAndMCT(t *testing.T) {
 // carries its condition, and the if survives Write→Parse.
 func TestLowerPreservesDynamicOps(t *testing.T) {
 	cond := circuit.Cond{Offset: 0, Width: 1, Value: 1}
-	c := circuit.New("c", 3).H(0).Measure(0, 0)
+	c := circuit.New("c", 3).H(0).Append(circuit.Gate{Name: circuit.OpMeasure, Target: 0, Clbit: 0})
 	c.Append(circuit.Gate{
 		Name: "x", Target: 2,
 		Controls: []circuit.Control{{Qubit: 0}, {Qubit: 1, Neg: true}},
 		Cond:     &cond,
 	})
-	c.Reset(1)
+	c.Append(circuit.Gate{Name: circuit.OpReset, Target: 1})
 	out, err := Lower(c)
 	if err != nil {
 		t.Fatal(err)

@@ -73,15 +73,13 @@ func TestQuickNearProperties(t *testing.T) {
 	}
 }
 
-// TestQuickKeyConsistency: equal representatives have equal keys.
+// TestQuickKeyConsistency: equal representatives have equal hashes, the
+// key the QMDD core's tables use.
 func TestQuickKeyConsistency(t *testing.T) {
-	tb := NewTable(1e-10)
+	r := NewRing(1e-10)
 	if err := quick.Check(func(a, b qcC) bool {
-		ra, rb := tb.Lookup(a.V), tb.Lookup(b.V)
-		if ra == rb {
-			return KeyOf(ra) == KeyOf(rb)
-		}
-		return KeyOf(ra) != KeyOf(rb)
+		ra, rb := r.T.Lookup(a.V), r.T.Lookup(b.V)
+		return ra != rb || r.Hash(ra) == r.Hash(rb)
 	}, qcCfg); err != nil {
 		t.Error(err)
 	}
@@ -100,7 +98,7 @@ func TestQuickRingClosedUnderOps(t *testing.T) {
 			return true
 		}
 		if !finite(r.Add(a.V, b.V)) || !finite(r.Mul(a.V, b.V)) ||
-			!finite(r.Neg(a.V)) || !finite(r.Conj(a.V)) {
+			!finite(r.Conj(a.V)) {
 			return false
 		}
 		if !r.IsZero(b.V) {

@@ -18,9 +18,6 @@ type Ring struct {
 // NewRing returns a numerical coefficient ring with comparison tolerance ε.
 func NewRing(eps float64) *Ring { return &Ring{T: NewTable(eps)} }
 
-// Eps returns the configured tolerance.
-func (r *Ring) Eps() float64 { return r.T.Tol }
-
 // Exact reports that complex128 arithmetic is not exact (coeff.ExactRing):
 // results carry float rounding, and at ε > 0 the interning tolerance folds
 // nearby values together. Fidelity figures derived in this ring are
@@ -42,17 +39,11 @@ func (r *Ring) One() complex128 { return 1 }
 // Add returns the interned sum a + b.
 func (r *Ring) Add(a, b complex128) complex128 { return r.intern(a + b) }
 
-// Sub returns the interned difference a − b.
-func (r *Ring) Sub(a, b complex128) complex128 { return r.intern(a - b) }
-
 // Mul returns the interned product a · b.
 func (r *Ring) Mul(a, b complex128) complex128 { return r.intern(a * b) }
 
 // Div returns the interned quotient a / b.
 func (r *Ring) Div(a, b complex128) complex128 { return r.intern(a / b) }
-
-// Neg returns −a.
-func (r *Ring) Neg(a complex128) complex128 { return r.intern(-a) }
 
 // Conj returns the complex conjugate.
 func (r *Ring) Conj(a complex128) complex128 { return r.intern(cmplx.Conj(a)) }
@@ -66,11 +57,7 @@ func (r *Ring) IsOne(a complex128) bool { return Near(a, 1, r.T.Tol) }
 // Equal reports component-wise equality within the tolerance.
 func (r *Ring) Equal(a, b complex128) bool { return Near(a, b, r.T.Tol) }
 
-// Key returns the bit-exact key of the (already interned) value.
-func (r *Ring) Key(a complex128) string { return KeyOf(a) }
-
-// Hash returns a 64-bit hash of the exact bit pattern of a, consistent
-// with Key and allocation-free.
+// Hash returns a 64-bit hash of the exact bit pattern of a, allocation-free.
 func (r *Ring) Hash(a complex128) uint64 {
 	const (
 		offset uint64 = 14695981039346656037

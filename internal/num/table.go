@@ -6,7 +6,6 @@ package num
 
 import (
 	"math"
-	"strconv"
 )
 
 // Table interns complex values so that numbers differing by at most Tol in
@@ -136,11 +135,4 @@ func Near(a, b complex128, tol float64) bool {
 		return a == b
 	}
 	return math.Abs(real(a)-real(b)) <= tol && math.Abs(imag(a)-imag(b)) <= tol
-}
-
-// KeyOf formats the exact bits of a complex value; used as the hash key of
-// interned representatives.
-func KeyOf(v complex128) string {
-	return strconv.FormatUint(math.Float64bits(real(v)), 36) + "," +
-		strconv.FormatUint(math.Float64bits(imag(v)), 36)
 }

@@ -25,25 +25,28 @@ type Node[T any] struct {
 
 // Manager hash-conses plain-DD nodes.
 type Manager[T any] struct {
-	R      coeff.Ring[T]
-	unique map[string]*Node[T]
-	nextID uint64
+	R         coeff.Ring[T]
+	unique    map[string]*Node[T]
+	terminals map[uint64][]*Node[T] // by R.Hash; R.Equal picks within a bucket
+	nextID    uint64
 }
 
 // NewManager returns an empty plain-DD manager over the given value ring.
 func NewManager[T any](r coeff.Ring[T]) *Manager[T] {
-	return &Manager[T]{R: r, unique: make(map[string]*Node[T])}
+	return &Manager[T]{R: r, unique: make(map[string]*Node[T]), terminals: make(map[uint64][]*Node[T])}
 }
 
 // Terminal returns the hash-consed terminal for a value.
 func (m *Manager[T]) Terminal(v T) *Node[T] {
-	key := "t:" + m.R.Key(v)
-	if n, ok := m.unique[key]; ok {
-		return n
+	h := m.R.Hash(v)
+	for _, n := range m.terminals[h] {
+		if m.R.Equal(n.Val, v) {
+			return n
+		}
 	}
 	m.nextID++
 	n := &Node[T]{ID: m.nextID, Level: 0, Val: v}
-	m.unique[key] = n
+	m.terminals[h] = append(m.terminals[h], n)
 	return n
 }
 
@@ -75,7 +78,13 @@ func FromQMDD[T any](m *Manager[T], qm *core.Manager[T], e core.Edge[T], n int) 
 	if e.N != nil {
 		arity = len(e.N.E)
 	}
-	memo := make(map[string]*Node[T])
+	// The memo names an accumulated weight by its terminal's ID; terminals
+	// made only for that are unreachable from the result and never counted.
+	type memoKey struct {
+		node, weight uint64
+		level        int
+	}
+	memo := make(map[memoKey]*Node[T])
 	var build func(e core.Edge[T], level int, w T) *Node[T]
 	build = func(e core.Edge[T], level int, w T) *Node[T] {
 		cw := qm.R.Mul(w, e.W)
@@ -97,7 +106,7 @@ func FromQMDD[T any](m *Manager[T], qm *core.Manager[T], e core.Edge[T], n int) 
 		if e.N == nil {
 			panic("plaindd: malformed QMDD (nonzero terminal above level 0)")
 		}
-		key := strconv.FormatUint(e.N.ID, 36) + "|" + qm.R.Key(cw) + "|" + strconv.Itoa(level)
+		key := memoKey{e.N.ID, m.Terminal(cw).ID, level}
 		if n, ok := memo[key]; ok {
 			return n
 		}

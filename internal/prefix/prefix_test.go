@@ -167,15 +167,16 @@ if(c==3) x q[2];
 	if err != nil {
 		t.Fatal(err)
 	}
+	measure0 := circuit.Gate{Name: circuit.OpMeasure, Target: 0, Clbit: 0}
 	cases := []struct {
 		name     string
 		c        *circuit.Circuit
 		boundary int
 	}{
 		{"teleport", teleport, 4},
-		{"measure", circuit.New("m", 2).H(0).Measure(0, 0).CX(0, 1), 1},
-		{"reset", circuit.New("r", 2).H(0).Reset(0).H(1), 1},
-		{"conditioned", circuit.New("c", 2).H(0).Measure(0, 0).Append(circuit.Gate{
+		{"measure", circuit.New("m", 2).H(0).Append(measure0).CX(0, 1), 1},
+		{"reset", circuit.New("r", 2).H(0).Append(circuit.Gate{Name: circuit.OpReset, Target: 0}).H(1), 1},
+		{"conditioned", circuit.New("c", 2).H(0).Append(measure0).Append(circuit.Gate{
 			Name: "x", Target: 1, Cond: &circuit.Cond{Offset: 0, Width: 1, Value: 1},
 		}), 1},
 	}
@@ -216,7 +217,10 @@ if(c==3) x q[2];
 
 	// The read-out-stripped twin of a dynamic circuit is unitary end to end:
 	// every position is a checkpoint position.
-	stripped := circuit.New("bell", 2).H(0).CX(0, 1).Measure(0, 0).Measure(1, 1).StripReadout()
+	stripped := circuit.New("bell", 2).H(0).CX(0, 1).
+		Append(circuit.Gate{Name: circuit.OpMeasure, Target: 0, Clbit: 0}).
+		Append(circuit.Gate{Name: circuit.OpMeasure, Target: 1, Clbit: 1}).
+		StripReadout()
 	if plan := PlanOf(stripped); plan.Boundary != stripped.Len() {
 		t.Errorf("stripped twin: boundary = %d, want %d", plan.Boundary, stripped.Len())
 	}

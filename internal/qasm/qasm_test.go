@@ -139,7 +139,9 @@ func TestParseErrors(t *testing.T) {
 
 func TestWriteRoundTrip(t *testing.T) {
 	c := circuit.New("rt", 3)
-	c.H(0).CX(0, 1).T(2).CCX(0, 1, 2).Rz(0.25, 1).CP(0.5, 0, 2).Swap(0, 2)
+	c.H(0).CX(0, 1).T(2).CCX(0, 1, 2).
+		Append(circuit.Gate{Name: "rz", Target: 1, Params: []float64{0.25}}).CP(0.5, 0, 2).
+		CX(0, 2).CX(2, 0).CX(0, 2)
 	var sb strings.Builder
 	if err := Write(&sb, c); err != nil {
 		t.Fatal(err)
@@ -172,7 +174,8 @@ func TestWriteRejectsInexpressible(t *testing.T) {
 		t.Fatal("negative control written without error")
 	}
 	c2 := circuit.New("mcx", 4)
-	c2.MCX([]int{0, 1, 2}, 3)
+	c2.Append(circuit.Gate{Name: "x", Target: 3,
+		Controls: []circuit.Control{{Qubit: 0}, {Qubit: 1}, {Qubit: 2}}})
 	if err := Write(&sb, c2); err == nil {
 		t.Fatal("3-control gate written without error")
 	}
@@ -207,7 +210,10 @@ func TestExpressibleAgreesWithWrite(t *testing.T) {
 	if accepted != len(names)+7 {
 		t.Errorf("%d one-gate circuits writable, want %d", accepted, len(names)+7)
 	}
-	for _, g := range circuit.New("m", 1).Measure(0, 0).Reset(0).Gates {
+	ops := circuit.New("m", 1).
+		Append(circuit.Gate{Name: circuit.OpMeasure, Target: 0, Clbit: 0}).
+		Append(circuit.Gate{Name: circuit.OpReset, Target: 0})
+	for _, g := range ops.Gates {
 		if !Expressible(g) {
 			t.Errorf("%s: not Expressible", g.String())
 		}
@@ -375,8 +381,9 @@ func TestGateDefinitions(t *testing.T) {
 	}
 	// Semantics check against a hand-expanded circuit.
 	manual := circuit.New("manual", 3)
-	manual.CX(2, 1).CX(2, 0).CCX(0, 1, 2).Rz(math.Pi/2, 1)
-	manual.H(1).Rz(-math.Pi/2, 1)
+	manual.CX(2, 1).CX(2, 0).CCX(0, 1, 2).
+		Append(circuit.Gate{Name: "rz", Target: 1, Params: []float64{math.Pi / 2}})
+	manual.H(1).Append(circuit.Gate{Name: "rz", Target: 1, Params: []float64{-math.Pi / 2}})
 	s1, s2 := dense.New(3), dense.New(3)
 	if err := s1.Run(c); err != nil {
 		t.Fatal(err)

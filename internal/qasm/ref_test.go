@@ -349,9 +349,9 @@ func (op refPendingOp) lower(c *circuit.Circuit) error {
 	start := c.Len()
 	switch op.kind {
 	case refOpMeasure:
-		c.Measure(op.qubit, op.clbit)
+		c.Append(circuit.Gate{Name: circuit.OpMeasure, Target: op.qubit, Clbit: op.clbit})
 	case refOpReset:
-		c.Reset(op.qubit)
+		c.Append(circuit.Gate{Name: circuit.OpReset, Target: op.qubit})
 	default:
 		if err := refApplyGate(c, op.gate); err != nil {
 			return err
@@ -780,7 +780,7 @@ func refApplyGate(c *circuit.Circuit, g refPendingGate) error {
 		if err := need(2, 0); err != nil {
 			return err
 		}
-		c.Swap(g.args[0], g.args[1])
+		c.CX(g.args[0], g.args[1]).CX(g.args[1], g.args[0]).CX(g.args[0], g.args[1])
 	case "cswap":
 		if err := need(3, 0); err != nil {
 			return err

@@ -54,9 +54,6 @@ func OpenDisk(dir string, maxBytes int64) (*Disk, error) {
 	return &Disk{dir: dir, maxBytes: maxBytes}, nil
 }
 
-// Dir returns the cache directory.
-func (d *Disk) Dir() string { return d.dir }
-
 // Evictions returns how many entries the byte cap has removed.
 func (d *Disk) Evictions() uint64 { return d.evictions.Load() }
 
@@ -193,19 +190,4 @@ func (d *Disk) Remove(k Key) error {
 		return nil
 	}
 	return err
-}
-
-// Len counts the complete entries on disk (diagnostics; O(dir)).
-func (d *Disk) Len() (int, error) {
-	entries, err := os.ReadDir(d.dir)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".qc") {
-			n++
-		}
-	}
-	return n, nil
 }

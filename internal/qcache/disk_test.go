@@ -33,9 +33,6 @@ func TestDiskRoundTripAndRestart(t *testing.T) {
 	if err != nil || !ok || !bytes.Equal(got, payload) {
 		t.Fatalf("get after reopen: %q %v %v", got, ok, err)
 	}
-	if n, _ := d2.Len(); n != 1 {
-		t.Fatalf("len = %d", n)
-	}
 
 	// Missing key is a silent miss.
 	if _, ok, err := d2.Get(key(8), st); ok || err != nil {

@@ -1,9 +1,6 @@
 package qcache
 
-import (
-	"context"
-	"sync"
-)
+import "sync"
 
 // Flight collapses concurrent identical work: the first Join for a key
 // becomes the leader and actually runs; followers joining before the leader
@@ -75,14 +72,3 @@ func (c *Call[V]) Done() <-chan struct{} { return c.done }
 
 // Outcome returns the published value; valid only after Done is closed.
 func (c *Call[V]) Outcome() (V, bool) { return c.val, c.ok }
-
-// Wait blocks until the call completes or ctx is done.
-func (c *Call[V]) Wait(ctx context.Context) (V, bool, error) {
-	select {
-	case <-c.done:
-		return c.val, c.ok, nil
-	case <-ctx.Done():
-		var zero V
-		return zero, false, ctx.Err()
-	}
-}

@@ -1,7 +1,6 @@
 package qcache
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -30,9 +29,10 @@ func TestFlightSingleLeader(t *testing.T) {
 				joined.Wait()
 				c.Complete("the-result", true)
 			}
-			v, ok, err := c.Wait(context.Background())
-			if err != nil || !ok {
-				t.Errorf("wait: %v %v", ok, err)
+			<-c.Done()
+			v, ok := c.Outcome()
+			if !ok {
+				t.Errorf("follower saw a failed call")
 			}
 			results[i] = v
 		}(i)
@@ -79,23 +79,9 @@ func TestFlightFailurePropagates(t *testing.T) {
 		t.Fatal("second join became leader")
 	}
 	c.Complete("budget_exceeded", false)
-	v, ok, err := follower.Wait(context.Background())
-	if err != nil || ok || v != "budget_exceeded" {
-		t.Fatalf("follower saw %q ok=%v err=%v", v, ok, err)
-	}
-}
-
-func TestFlightWaitHonorsContext(t *testing.T) {
-	f := NewFlight[string]()
-	c, _ := f.Join(key(1))
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := c.Wait(ctx); err != context.Canceled {
-		t.Fatalf("err = %v", err)
-	}
-	c.Complete("late", true) // leader still completes; no panic, key released
-	if f.Inflight() != 0 {
-		t.Fatal("key not released")
+	<-follower.Done()
+	if v, ok := follower.Outcome(); ok || v != "budget_exceeded" {
+		t.Fatalf("follower saw %q ok=%v", v, ok)
 	}
 }
 
@@ -157,9 +143,10 @@ func TestConcurrentHammer(t *testing.T) {
 					cache.Put(k, p, stamp)
 					c.Complete(p, true)
 				} else {
-					got, ok, err := c.Wait(context.Background())
-					if err != nil || !ok {
-						t.Errorf("follower wait: %v %v", ok, err)
+					<-c.Done()
+					got, ok := c.Outcome()
+					if !ok {
+						t.Errorf("follower saw a failed call for key %d", kid)
 						return
 					}
 					for _, b := range got {
@@ -193,7 +180,8 @@ func ExampleFlight() {
 	if leader {
 		c.Complete("simulated once", true)
 	}
-	v, _, _ := c.Wait(context.Background())
+	<-c.Done()
+	v, _ := c.Outcome()
 	fmt.Println(v)
 	// Output: simulated once
 }

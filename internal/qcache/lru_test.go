@@ -56,9 +56,6 @@ func TestDiskLRUEviction(t *testing.T) {
 			t.Fatalf("key(%d) was evicted: %v %v", i, ok, err)
 		}
 	}
-	if n, _ := d.Len(); n != 3 {
-		t.Fatalf("len after eviction = %d, want 3", n)
-	}
 }
 
 // TestDiskUnboundedNeverEvicts: without a cap the tier grows monotonically.
@@ -74,8 +71,10 @@ func TestDiskUnboundedNeverEvicts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n, _ := d.Len(); n != 5 {
-		t.Fatalf("len = %d, want 5", n)
+	for i := 0; i < 5; i++ {
+		if _, ok, err := d.Get(key(byte(i)), st); !ok || err != nil {
+			t.Fatalf("key(%d) missing: %v %v", i, ok, err)
+		}
 	}
 	if d.Evictions() != 0 {
 		t.Fatalf("evictions = %d, want 0", d.Evictions())

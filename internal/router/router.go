@@ -615,9 +615,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	httpx.LabelledFamily(w, "qrouter_worker_queue_depth", "gauge", "Worker queue depth at last probe.", "worker", depth)
 }
 
-// Rerouted reports submissions that skipped ≥1 worker (test introspection).
-func (rt *Router) Rerouted() uint64 { return rt.met.rerouted.Load() }
-
 // OwnerOf returns the ring owner for a raw QASM source — which worker a
 // direct submission of that circuit would route to (diagnostics and tests).
 func (rt *Router) OwnerOf(qasmSrc string) string {

@@ -187,7 +187,7 @@ func TestRerouteOnWorkerDeath(t *testing.T) {
 	if got := b.jobs.Load(); got != 1 {
 		t.Fatalf("survivor served %d jobs, want 1", got)
 	}
-	if got := rt.Rerouted(); got != 1 {
+	if got := rt.met.rerouted.Load(); got != 1 {
 		t.Fatalf("rerouted = %d, want 1", got)
 	}
 	if rt.healthOf(a.ts.URL).Ready {
@@ -199,7 +199,7 @@ func TestRerouteOnWorkerDeath(t *testing.T) {
 	resp = submit(t, ts.URL, src, nil)
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if got := rt.Rerouted(); got != 1 {
+	if got := rt.met.rerouted.Load(); got != 1 {
 		t.Fatalf("second submit reroutes again (%d), dead worker not remembered", got)
 	}
 }

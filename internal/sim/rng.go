@@ -14,17 +14,14 @@ package sim
 // goldenGamma is the splitmix64 state increment (2^64 / φ, odd).
 const goldenGamma = 0x9e3779b97f4a7c15
 
-// RNG is a splitmix64 generator. The zero value is a valid generator
-// (stream of seed 0); NewRNG and ForkRNG are the intended constructors.
+// RNG is a splitmix64 generator; ForkRNG is its constructor.
 type RNG struct {
 	state uint64
 }
 
-// NewRNG returns the generator for a whole-run stream.
-func NewRNG(seed int64) *RNG { return &RNG{state: uint64(seed)} }
-
 // ForkRNG returns the generator for one shot's private stream. The +1
-// keeps shot 0 of seed s distinct from the whole-run stream NewRNG(s).
+// keeps shot 0 of seed s off the bare seed state; the formula fixes every
+// histogram, so it must not change.
 func ForkRNG(seed int64, shot int) *RNG {
 	return &RNG{state: uint64(seed) + (uint64(shot)+1)*goldenGamma}
 }

@@ -96,11 +96,6 @@ func ResolveStrategy(c *circuit.Circuit, requested string) (string, error) {
 	return "", fmt.Errorf("sim: unknown shot strategy %q", requested)
 }
 
-// SampleShots is SampleShotsCtx under the background context.
-func SampleShots[T any](m *core.Manager[T], c *circuit.Circuit, opt ShotOptions) (*ShotsResult, error) {
-	return SampleShotsCtx(context.Background(), m, c, opt)
-}
-
 // SampleShotsCtx runs the shots pipeline for a circuit on a fresh
 // simulator over m. Cancellation is polled between shots (and, via the
 // manager, inside long diagram operations); budget errors from the

@@ -22,35 +22,32 @@ func teleportCircuit() *circuit.Circuit {
 	c.X(0)          // payload |1⟩
 	c.H(1).CX(1, 2) // Bell pair on (q1, q2)
 	c.CX(0, 1).H(0) // Bell-basis rotation of (q0, q1)
-	c.Measure(0, 0)
-	c.Measure(1, 1)
+	c.Append(circuit.Gate{Name: circuit.OpMeasure, Target: 0, Clbit: 0})
+	c.Append(circuit.Gate{Name: circuit.OpMeasure, Target: 1, Clbit: 1})
 	c.Append(circuit.Gate{Name: "x", Target: 2,
 		Cond: &circuit.Cond{Offset: 1, Width: 1, Value: 1}})
 	c.Append(circuit.Gate{Name: "z", Target: 2,
 		Cond: &circuit.Cond{Offset: 0, Width: 1, Value: 1}})
-	c.Measure(2, 2)
+	c.Append(circuit.Gate{Name: circuit.OpMeasure, Target: 2, Clbit: 2})
 	return c
 }
 
 // TestRNGDeterminism pins the splitmix64 streams: reproducible, seed- and
 // shot-sensitive, and Float64 in [0, 1).
 func TestRNGDeterminism(t *testing.T) {
-	a, b := NewRNG(42), NewRNG(42)
+	a, b := ForkRNG(42, 0), ForkRNG(42, 0)
 	for i := 0; i < 100; i++ {
 		if a.Uint64() != b.Uint64() {
 			t.Fatalf("same seed diverged at draw %d", i)
 		}
 	}
-	if NewRNG(1).Uint64() == NewRNG(2).Uint64() {
+	if ForkRNG(1, 0).Uint64() == ForkRNG(2, 0).Uint64() {
 		t.Error("different seeds produced the same first draw")
 	}
 	if ForkRNG(7, 0).Uint64() == ForkRNG(7, 1).Uint64() {
 		t.Error("different shots produced the same first draw")
 	}
-	if ForkRNG(7, 0).Uint64() == NewRNG(7).Uint64() {
-		t.Error("shot 0 collides with the whole-run stream")
-	}
-	r := NewRNG(3)
+	r := ForkRNG(3, 0)
 	for i := 0; i < 1000; i++ {
 		if u := r.Float64(); u < 0 || u >= 1 {
 			t.Fatalf("Float64 out of [0,1): %v", u)
@@ -96,11 +93,11 @@ func TestTeleportationShots(t *testing.T) {
 	}
 	opt := ShotOptions{Shots: 400, Seed: 11}
 	t.Run("alg", func(t *testing.T) {
-		res, err := SampleShots(algM(core.NormLeft), c, opt)
+		res, err := SampleShotsCtx(context.Background(), algM(core.NormLeft), c, opt)
 		run(t, res, err)
 	})
 	t.Run("num", func(t *testing.T) {
-		res, err := SampleShots(numM(1e-12), c, opt)
+		res, err := SampleShotsCtx(context.Background(), numM(1e-12), c, opt)
 		run(t, res, err)
 	})
 }
@@ -110,11 +107,11 @@ func TestTeleportationShots(t *testing.T) {
 func TestShotsDeterministic(t *testing.T) {
 	c := teleportCircuit()
 	opt := ShotOptions{Shots: 200, Seed: 5}
-	a, err := SampleShots(algM(core.NormLeft), c, opt)
+	a, err := SampleShotsCtx(context.Background(), algM(core.NormLeft), c, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SampleShots(algM(core.NormLeft), c, opt)
+	b, err := SampleShotsCtx(context.Background(), algM(core.NormLeft), c, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,17 +126,17 @@ func TestShotsDeterministic(t *testing.T) {
 // (q0→c1, q1→c0) to exercise the read-out bit routing.
 func TestCrossStrategyIdentity(t *testing.T) {
 	c := circuit.New("bell", 2).H(0).CX(0, 1)
-	c.Measure(0, 1)
-	c.Measure(1, 0)
+	c.Append(circuit.Gate{Name: circuit.OpMeasure, Target: 0, Clbit: 1})
+	c.Append(circuit.Gate{Name: circuit.OpMeasure, Target: 1, Clbit: 0})
 	if c.Dynamic() {
 		t.Fatal("bell+readout should not be dynamic")
 	}
 	m := algM(core.NormLeft)
-	samp, err := SampleShots(m, c, ShotOptions{Shots: 300, Seed: 9, Strategy: StrategySample})
+	samp, err := SampleShotsCtx(context.Background(), m, c, ShotOptions{Shots: 300, Seed: 9, Strategy: StrategySample})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resim, err := SampleShots(algM(core.NormLeft), c, ShotOptions{Shots: 300, Seed: 9, Strategy: StrategyResimulate})
+	resim, err := SampleShotsCtx(context.Background(), algM(core.NormLeft), c, ShotOptions{Shots: 300, Seed: 9, Strategy: StrategyResimulate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +161,7 @@ func TestCrossStrategyIdentity(t *testing.T) {
 // full basis index (qubit 0 leftmost).
 func TestShotsNoMeasure(t *testing.T) {
 	c := circuit.New("ghz", 3).H(0).CX(0, 1).CX(1, 2)
-	res, err := SampleShots(algM(core.NormLeft), c, ShotOptions{Shots: 128, Seed: 3})
+	res, err := SampleShotsCtx(context.Background(), algM(core.NormLeft), c, ShotOptions{Shots: 128, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +183,10 @@ func TestShotsNoMeasure(t *testing.T) {
 func TestShotsReset(t *testing.T) {
 	c := circuit.New("reset", 1)
 	c.H(0)
-	c.Measure(0, 0)
-	c.Reset(0)
-	c.Measure(0, 1)
-	res, err := SampleShots(numM(1e-12), c, ShotOptions{Shots: 100, Seed: 1})
+	c.Append(circuit.Gate{Name: circuit.OpMeasure, Target: 0, Clbit: 0})
+	c.Append(circuit.Gate{Name: circuit.OpReset, Target: 0})
+	c.Append(circuit.Gate{Name: circuit.OpMeasure, Target: 0, Clbit: 1})
+	res, err := SampleShotsCtx(context.Background(), numM(1e-12), c, ShotOptions{Shots: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,21 +205,21 @@ func TestShotsReset(t *testing.T) {
 func TestShotsValidation(t *testing.T) {
 	m := algM(core.NormLeft)
 	bell := circuit.New("bell", 2).H(0).CX(0, 1)
-	if _, err := SampleShots(m, bell, ShotOptions{Shots: 0, Seed: 1}); err == nil {
+	if _, err := SampleShotsCtx(context.Background(), m, bell, ShotOptions{Shots: 0, Seed: 1}); err == nil {
 		t.Error("shots=0 accepted")
 	}
-	if _, err := SampleShots(m, bell, ShotOptions{Shots: 10, Strategy: "bogus"}); err == nil {
+	if _, err := SampleShotsCtx(context.Background(), m, bell, ShotOptions{Shots: 10, Strategy: "bogus"}); err == nil {
 		t.Error("unknown strategy accepted")
 	}
 	dyn := circuit.New("dyn", 1).H(0)
-	dyn.Measure(0, 0)
-	dyn.Reset(0)
-	if _, err := SampleShots(m, dyn, ShotOptions{Shots: 10, Strategy: StrategySample}); err == nil {
+	dyn.Append(circuit.Gate{Name: circuit.OpMeasure, Target: 0, Clbit: 0})
+	dyn.Append(circuit.Gate{Name: circuit.OpReset, Target: 0})
+	if _, err := SampleShotsCtx(context.Background(), m, dyn, ShotOptions{Shots: 10, Strategy: StrategySample}); err == nil {
 		t.Error("sample strategy accepted for a dynamic circuit")
 	}
 	wide := circuit.New("wide", 1)
-	wide.Measure(0, 70)
-	if _, err := SampleShots(m, wide, ShotOptions{Shots: 1}); err == nil {
+	wide.Append(circuit.Gate{Name: circuit.OpMeasure, Target: 0, Clbit: 70})
+	if _, err := SampleShotsCtx(context.Background(), m, wide, ShotOptions{Shots: 1}); err == nil {
 		t.Error("creg wider than 64 bits accepted")
 	}
 }

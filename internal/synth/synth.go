@@ -135,18 +135,6 @@ func (w Word) Simplify() Word {
 	}
 }
 
-// TCount returns the number of T/T† gates after run compression (a standard
-// cost metric for fault-tolerant circuits).
-func (w Word) TCount() int {
-	t := 0
-	for _, g := range w.Gates(0) {
-		if g.Name == "t" || g.Name == "tdg" {
-			t++
-		}
-	}
-	return t
-}
-
 type entry struct {
 	q su2.Quat
 	w Word
@@ -214,9 +202,6 @@ func New(maxLen int) *Synth {
 	})
 	return s
 }
-
-// NetSize returns the number of distinct base group elements.
-func (s *Synth) NetSize() int { return len(s.net) }
 
 // BaseApprox returns the net element closest to u.
 func (s *Synth) BaseApprox(u su2.Quat) Word {

@@ -71,8 +71,8 @@ func TestWordGatesMatchQuat(t *testing.T) {
 func TestNetGrowsAndDeduplicates(t *testing.T) {
 	s4 := New(4)
 	s8 := New(8)
-	if s4.NetSize() >= s8.NetSize() {
-		t.Fatalf("net did not grow: %d vs %d", s4.NetSize(), s8.NetSize())
+	if len(s4.net) >= len(s8.net) {
+		t.Fatalf("net did not grow: %d vs %d", len(s4.net), len(s8.net))
 	}
 	// H² = I must have been deduplicated: net size is far below 2^maxLen
 	// would not hold for tiny maxLen, but duplicates like HH ≡ "" must not
@@ -194,15 +194,6 @@ func TestRzGatesEndToEnd(t *testing.T) {
 		}
 	}
 	_ = cmplx.Abs
-}
-
-func TestTCount(t *testing.T) {
-	if got := Word("TTTT").TCount(); got != 0 { // compresses to Z
-		t.Fatalf("TCount(TTTT) = %d, want 0", got)
-	}
-	if got := Word("THT").TCount(); got != 2 {
-		t.Fatalf("TCount(THT) = %d, want 2", got)
-	}
 }
 
 func TestSimplify(t *testing.T) {
