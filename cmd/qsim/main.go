@@ -72,7 +72,7 @@ func cmdSimulate(args []string) {
 		seed      = fs.Int64("seed", 1, "deterministic RNG seed for -shots (same seed, same histogram)")
 		topK      = fs.Int("top", 8, "print the K most probable outcomes")
 		stats     = fs.Bool("stats", false, "print manager statistics")
-		ctSize    = fs.Int("ctsize", core.DefaultCTSize, "compute-table slots (rounded up to a power of two)")
+		ctSize    = fs.Int("ctsize", core.DefaultCTSize, "compute-table logical slots (rounded up to a power of two, at most 2^36); the table's memory grows with the slots a run fills")
 		prune     = fs.Int("prune", 0, "garbage-collect when the unique table exceeds this many nodes (0 = never)")
 		minFid    = fs.Float64("min-fidelity", 0, "degrade gracefully under budget pressure: approximate the state (shedding lowest-contribution amplitudes) as long as retained fidelity stays above this floor (0 = fail fast, exact only)")
 		verify    = fs.Bool("verify", false, "cross-check against the dense array simulator (n ≤ 16)")
@@ -112,8 +112,8 @@ func cmdSimulate(args []string) {
 		ampCirc = c.StripReadout()
 	}
 
-	if *ctSize < 1 {
-		fatal(fmt.Errorf("-ctsize must be positive, got %d", *ctSize))
+	if *ctSize < 1 || *ctSize > 1<<36 {
+		fatal(fmt.Errorf("-ctsize must be in [1, 2^36], got %d", *ctSize))
 	}
 	// The run governor: a resource budget installed into the manager plus a
 	// context cancelled by SIGINT or -timeout. Either way the run ends with

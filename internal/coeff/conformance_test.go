@@ -69,17 +69,17 @@ func TestCheckRingDetectsViolations(t *testing.T) {
 
 // TestFloatsAreNotDistributive documents the paper's Section III point at
 // the law level: with ε = 0 (bit-exact comparison), complex128 arithmetic
-// is not even distributive — the exact algebraic ring is.
+// is not even distributive — the exact algebraic ring is. In float64,
+// 0.1·(0.1+0.3) = 0.04000000000000001 but 0.1·0.1 + 0.1·0.3 = 0.04.
 func TestFloatsAreNotDistributive(t *testing.T) {
 	r := num.NewRing(0)
-	s := complex(0.7071067811865476, 0) // float64(1/√2)
-	a, b, c := s, s, complex(0.1, 0)
+	a, b, c := complex(0.1, 0), complex(0.1, 0), complex(0.3, 0)
 	lhs := r.Mul(a, r.Add(b, c))
 	rhs := r.Add(r.Mul(a, b), r.Mul(a, c))
 	if r.Equal(lhs, rhs) {
-		t.Skip("this particular triple happened to distribute; the law still fails in general")
+		t.Fatalf("a·(b+c) = %v equals a·b + a·c = %v at ε = 0; the triple should not distribute", lhs, rhs)
 	}
-	// The exact ring distributes for the corresponding exact values.
+	// The exact ring distributes.
 	x := alg.QInvSqrt2
 	y := alg.NewQ(0, 0, 0, 1, 0, 5) // 1/5 (any exact value)
 	l := x.Mul(x.Add(y))

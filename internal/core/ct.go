@@ -1,7 +1,7 @@
 package core
 
 // computeTable memoizes operation results. Like classic DD packages it is a
-// fixed-size hash table with overwrite-on-collision: bounded memory, O(1)
+// direct-mapped hash table with overwrite-on-collision: bounded memory, O(1)
 // access, and stale entries simply fall out. Keys are fixed-size integer
 // tuples — an operation tag plus the operand node IDs and interned weight
 // IDs — so a lookup neither formats nor allocates; entries are verified by
@@ -9,15 +9,28 @@ package core
 // recomputation, never a wrong result.
 //
 // The table is striped like the unique and intern tables (hash.go): the top
-// hash bits pick a shard, the low bits a slot. The split is kept for its
-// collision pattern, which ε > 0 results depend on: which entries evict
+// hash bits pick a shard, the low bits a logical slot. The split is kept for
+// its collision pattern, which ε > 0 results depend on: which entries evict
 // which decides what gets recomputed, and a recomputation under tolerance
 // interning can land on a different representative (hash.go, DESIGN.md §5.6).
 //
+// The logical slots are what the table promises; the storage behind them
+// costs what a job fills. Each shard stores its occupied slots in an
+// open-addressed array keyed by the logical slot (linear probing from the
+// slot's low bits), which starts at ctInitialShard entries and doubles at
+// half load up to the shard's logical size; there it is the direct-mapped
+// array itself, with every slot at its own index. A slot holds at most one
+// entry either way, so every lookup hits, misses and evicts exactly as in
+// the direct-mapped table. The logical slot rides in the key's padding, so
+// an entry is no larger than a direct-mapped one. The array never shrinks:
+// clears keep it, so a warm manager stops allocating once it has run its
+// largest job.
+//
 // Clearing costs what was used, not what was allocated: each shard lists the
-// slots it filled since its last clear, in a list preallocated at
-// 1/dirtyFraction of the shard, and clear zeroes just those — or the whole
-// shard once the list has overflowed. Either way every slot ends up as in a
+// array indices it filled since its last clear, in a preallocated list
+// (dirtyLen), and clear zeroes just those — or the whole array once the
+// list has overflowed or the array grew since the last clear (growth moves
+// entries and restarts the list). Either way every slot ends up as in a
 // fresh table, so the collision pattern after a clear is a fresh table's.
 
 // ctOp tags the operation a compute-table entry memoizes. ctFree marks an
@@ -43,6 +56,7 @@ type ctKey struct {
 	aID, bID   uint64
 	aWID, bWID uint32
 	op         ctOp
+	slot       uint32 // logical slot within the shard; get and put set it from the hash
 }
 
 func (k ctKey) hash() uint64 {
@@ -57,9 +71,10 @@ type ctEntry[T any] struct {
 }
 
 type ctShard[T any] struct {
-	mask    uint64
-	entries []ctEntry[T]
-	slotLog // occupied slots (load-factor reporting) and where they are
+	mask    uint64       // logical slots − 1
+	entries []ctEntry[T] // open-addressed by logical slot; len is a power of two ≤ mask+1
+	slotLog              // occupied slots (load-factor reporting) and where they are
+	grows   int          // times entries doubled
 
 	lookups, hits uint64
 }
@@ -68,28 +83,35 @@ type computeTable[T any] struct {
 	shards [tableShardCount]ctShard[T]
 }
 
-// newComputeTable splits size total slots across the shards.
+// ctInitialShard is the entry count a shard's storage starts at (or the
+// shard's logical size, if that is smaller).
+const ctInitialShard = 64
+
+// newComputeTable splits size total logical slots across the shards. A
+// shard's slots must fit the key's 32-bit slot field.
 func newComputeTable[T any](size int) *computeTable[T] {
-	if size <= 0 || size&(size-1) != 0 {
-		panic("core: compute table size must be a positive power of two")
-	}
-	per := size / tableShardCount
-	if per < 2 {
-		per = 2
+	per := max(size/tableShardCount, 2)
+	if size <= 0 || size&(size-1) != 0 || uint64(per) > 1<<32 {
+		panic("core: compute table size must be a power of two of at most 2^36")
 	}
 	t := &computeTable[T]{}
 	for s := range t.shards {
-		t.shards[s].entries = make([]ctEntry[T], per)
-		t.shards[s].mask = uint64(per - 1)
-		t.shards[s].slotLog = newSlotLog(per / dirtyFraction)
+		sh := &t.shards[s]
+		sh.entries = make([]ctEntry[T], min(per, ctInitialShard))
+		sh.mask = uint64(per - 1)
+		sh.slotLog = newSlotLog(sh.dirtyLen())
 	}
 	return t
 }
 
-// dirtyFraction sizes a compute-table shard's dirty-slot list at
-// 1/dirtyFraction of the shard. A job that fills more than that pays one
-// full clear of the shard, which it has amortized over its own fills.
-const dirtyFraction = 8
+// dirtyLen sizes a shard's dirty-slot list for its current array: half the
+// array, every fill it takes before it doubles, but at most an eighth of
+// the shard's logical slots, so a full-size array lists what the
+// direct-mapped table did. A job that overflows the list pays one full
+// clear of the array, which it has amortized over its own fills.
+func (sh *ctShard[T]) dirtyLen() int {
+	return min(len(sh.entries)/2, int(sh.mask+1)/8)
+}
 
 // slotLog records which slots of one memo-table shard were filled since its
 // last clear.
@@ -151,19 +173,34 @@ func (t *computeTable[T]) filledTotal() int {
 	return n
 }
 
+// capacity returns the logical slot count, whatever the storage holds.
 func (t *computeTable[T]) capacity() int {
 	n := 0
 	for s := range t.shards {
-		n += len(t.shards[s].entries)
+		n += int(t.shards[s].mask) + 1
 	}
 	return n
+}
+
+// find returns the array index of the entry holding logical slot slot, or
+// of the free entry where it belongs. The array is never full below the
+// logical size (it doubles at half load), and at the logical size every
+// slot sits at its own index, so the probe always ends.
+func (sh *ctShard[T]) find(slot uint32) uint64 {
+	pmask := uint64(len(sh.entries) - 1)
+	for i := uint64(slot) & pmask; ; i = (i + 1) & pmask {
+		if k := &sh.entries[i].key; k.slot == slot || k.op == ctFree {
+			return i
+		}
+	}
 }
 
 func (t *computeTable[T]) get(k ctKey) (Edge[T], bool) {
 	h := k.hash()
 	sh := &t.shards[shardOf(h)]
 	sh.lookups++
-	e := &sh.entries[h&sh.mask]
+	k.slot = uint32(h & sh.mask)
+	e := &sh.entries[sh.find(k.slot)]
 	if e.key == k {
 		sh.hits++
 		return e.val, true
@@ -175,10 +212,30 @@ func (t *computeTable[T]) get(k ctKey) (Edge[T], bool) {
 func (t *computeTable[T]) put(k ctKey, val Edge[T]) {
 	h := k.hash()
 	sh := &t.shards[shardOf(h)]
-	i := h & sh.mask
+	k.slot = uint32(h & sh.mask)
+	i := sh.find(k.slot)
 	e := &sh.entries[i]
 	if e.key.op == ctFree {
 		sh.fill(i)
 	}
 	e.key, e.val = k, val
+	if 2*sh.filled > len(sh.entries) && uint64(len(sh.entries)) <= sh.mask {
+		sh.grow()
+	}
+}
+
+// grow doubles the shard's array and moves every entry to its new index.
+// The dirty-slot list restarts empty at the new array's bound, so the
+// shard's fill count now exceeds it and the next clear zeroes the whole
+// array.
+func (sh *ctShard[T]) grow() {
+	old := sh.entries
+	sh.entries = make([]ctEntry[T], 2*len(old))
+	for i := range old {
+		if old[i].key.op != ctFree {
+			sh.entries[sh.find(old[i].key.slot)] = old[i]
+		}
+	}
+	sh.dirty = make([]uint32, 0, sh.dirtyLen())
+	sh.grows++
 }

@@ -125,4 +125,5 @@ func TestComputeTableCollisionSafety(t *testing.T) {
 func TestComputeTableSizeValidation(t *testing.T) {
 	mustPanic(t, "non-power-of-two compute table", func() { newComputeTable[int](3) })
 	mustPanic(t, "zero-size compute table", func() { newComputeTable[int](0) })
+	mustPanic(t, "compute table past the 32-bit slot field", func() { newComputeTable[int](1 << 37) })
 }

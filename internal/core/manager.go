@@ -62,7 +62,7 @@ type Stats struct {
 	CTLookups       uint64
 	CTHits          uint64
 	CTEntries       int    // occupied compute-table slots
-	CTCapacity      int    // compute-table slot count
+	CTCapacity      int    // compute-table logical slot count
 	ScalarLookups   uint64 // nontrivial weight Mul/Div calls that reached the scalar table (exact rings only)
 	ScalarHits      uint64 // ... of which were answered from it
 	InternedWeights int    // distinct weights in the intern table
@@ -128,14 +128,16 @@ type managerOptions struct {
 	ctSize int
 }
 
-// DefaultCTSize is the compute-table slot count used when no
+// DefaultCTSize is the compute-table logical slot count used when no
 // WithComputeTableSize option is given.
 const DefaultCTSize = 1 << 18
 
-// WithComputeTableSize sets the number of compute-table slots (rounded up to
-// a power of two). Smaller tables bound memory at the cost of more
-// overwrite collisions; results stay correct either way because every entry
-// verifies its stored operands on lookup.
+// WithComputeTableSize sets the number of compute-table logical slots
+// (rounded up to a power of two, at most 2³⁶). The slot count fixes which
+// entries evict each other; the table's memory grows with the slots a
+// manager fills, up to the full size. Smaller tables bound memory at the
+// cost of more overwrite collisions; results stay correct either way
+// because every entry verifies its stored operands on lookup.
 func WithComputeTableSize(n int) Option {
 	if n < 1 {
 		panic("core: compute table size must be positive")

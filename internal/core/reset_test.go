@@ -11,7 +11,9 @@ import (
 )
 
 // memoFill reports the largest per-shard count of occupied slots of the
-// compute and scalar tables, each as a fraction of its shard size.
+// compute and scalar tables, each as a fraction of the shard's array: the
+// storage a clear zeroes and the dirty-slot list is sized against (for the
+// compute table, the physical array, not the logical slot count).
 func memoFill[T any](m *Manager[T]) (ct, scalar float64) {
 	for s := range m.ct.shards {
 		sh := &m.ct.shards[s]
@@ -38,10 +40,24 @@ func memoFill[T any](m *Manager[T]) (ct, scalar float64) {
 	return ct, scalar
 }
 
-// TestMemoTableClearRestoresFreshSlots fills both memo tables once below and
-// once past an eighth of a shard (the dirty-slot list's bound), clears them,
-// and checks every slot against the zero entry and every counter against 0:
-// a cleared table is a fresh one, whichever way the clear went.
+// wholeClears reports whether some shard of the compute and of the scalar
+// table will be cleared whole rather than slot by slot: its fills overflowed
+// the dirty-slot list, or (compute table) its array grew since the last
+// clear, which restarts the list.
+func wholeClears[T any](m *Manager[T]) (ct, scalar bool) {
+	for s := range m.ct.shards {
+		ct = ct || m.ct.shards[s].filled > len(m.ct.shards[s].dirty)
+	}
+	for s := range m.st.shards {
+		scalar = scalar || m.st.shards[s].filled > len(m.st.shards[s].dirty)
+	}
+	return ct, scalar
+}
+
+// TestMemoTableClearRestoresFreshSlots fills both memo tables once within
+// and once past what their dirty-slot lists hold, clears them, and checks
+// every slot against the zero entry and every counter against 0: a cleared
+// table is a fresh one, whichever way the clear went.
 func TestMemoTableClearRestoresFreshSlots(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -65,10 +81,10 @@ func TestMemoTableClearRestoresFreshSlots(t *testing.T) {
 				v := randQVals(r, 2)
 				m.arith.Mul(v[0], v[1])
 			}
-			ctFill, stFill := memoFill(m)
-			if tc.past != (ctFill > 1.0/8) || tc.past != (stFill > 1.0/8) {
-				t.Fatalf("fill %.3f (compute) and %.3f (scalar) of the fullest shard, want both past ⅛: %v",
-					ctFill, stFill, tc.past)
+			if ctWhole, stWhole := wholeClears(m); tc.past != ctWhole || tc.past != stWhole {
+				ctFill, stFill := memoFill(m)
+				t.Fatalf("whole-array clears pending: %v (compute, fullest shard %.3f) and %v (scalar, %.3f), want %v",
+					ctWhole, ctFill, stWhole, stFill, tc.past)
 			}
 			if st := m.Stats(); st.CTEntries == 0 || st.CTLookups == 0 || st.ScalarLookups == 0 {
 				t.Fatalf("workload left the tables empty: %+v", st)
@@ -98,9 +114,13 @@ func TestMemoTableClearRestoresFreshSlots(t *testing.T) {
 	}
 }
 
-// TestMemoPutAllocationFree: storing into either memo table allocates
-// nothing, whether the slot was free or occupied, and also once a shard has
-// filled more slots than its dirty-slot list holds.
+// TestMemoPutAllocationFree: storing into either memo table at its
+// steady-state size allocates nothing, whether the slot was free or
+// occupied, and also once a shard has filled more slots than its dirty-slot
+// list holds. The compute table's arrays grow to the largest fill a manager
+// has seen and keep that size through clears, so the table is first grown
+// to its full size and cleared; growth is then checked directly, since
+// AllocsPerRun's integer division could hide it.
 func TestMemoPutAllocationFree(t *testing.T) {
 	m := algManager(NormLeft)
 	val := m.OneEdge()
@@ -114,6 +134,18 @@ func TestMemoPutAllocationFree(t *testing.T) {
 	for i := 0; i < 1<<10; i++ {
 		freshScalar() // allocate every scalar shard before measuring
 	}
+	for i := 0; i < m.ct.capacity(); i++ {
+		fresh()
+	}
+	grows := 0
+	for s := range m.ct.shards {
+		sh := &m.ct.shards[s]
+		if uint64(len(sh.entries)) != sh.mask+1 {
+			t.Fatalf("shard %d holds %d entries after %d puts, not its %d slots", s, len(sh.entries), id, sh.mask+1)
+		}
+		grows += sh.grows
+	}
+	m.ct.clear()
 	check := func(phase string) {
 		t.Helper()
 		for _, c := range []struct {
@@ -136,6 +168,12 @@ func TestMemoPutAllocationFree(t *testing.T) {
 		t.Fatalf("fill %.3f (compute) and %.3f (scalar): not past the dirty-list bound", ctFill, stFill)
 	}
 	check("past the dirty-list bound")
+	for s := range m.ct.shards {
+		grows -= m.ct.shards[s].grows
+	}
+	if grows != 0 {
+		t.Errorf("puts into the steady-state table doubled its arrays %d times", -grows)
+	}
 }
 
 // TestResetRefusesStaleLocalGate: gate IDs restart at Reset, so a gate
