@@ -88,7 +88,10 @@ func (m *Manager[T]) Approximate(v Edge[T], n int, minFidelity float64) (approx 
 	}
 
 	// Deterministic DFS pre-order over the diagram: the visit order depends
-	// only on the diagram's shape, never on allocation order.
+	// only on the diagram's shape, never on allocation order. This is the
+	// one read-only node pass that does not use walk: the pre-order index
+	// is the documented tie-break among equal contributions, and walk's
+	// children-first order would rank, and so zero, different edges.
 	nodes := make([]*Node[T], 0, 64)
 	ord := make(map[*Node[T]]int)
 	stack := []*Node[T]{v.N}
@@ -124,7 +127,7 @@ func (m *Manager[T]) Approximate(v Edge[T], n int, minFidelity float64) (approx 
 	}
 	inc := make(map[*Node[T]]float64, len(nodes))
 	inc[v.N] = m.R.Abs2(v.W)
-	total := m.R.Abs2(v.W) * s.mass[v.N]
+	total := m.edgeMass(v, s.pos, s.mass)
 	cands := make([]approxCand[T], 0, 2*len(nodes))
 	for level := n; level >= 1; level-- {
 		for _, nd := range byLevel[level] {
@@ -136,7 +139,7 @@ func (m *Manager[T]) Approximate(v Edge[T], n int, minFidelity float64) (approx 
 				w2 := m.R.Abs2(c.W)
 				childMass := 1.0
 				if c.N != nil {
-					childMass = s.mass[c.N]
+					childMass = s.mass[s.pos[c.N]]
 					inc[c.N] += p * w2
 				}
 				cands = append(cands, approxCand[T]{
@@ -257,8 +260,10 @@ func (m *Manager[T]) Approximate(v Edge[T], n int, minFidelity float64) (approx 
 }
 
 // exactMass returns Σ|amplitude|² of the sub-vector hanging off e as an
-// exact ring element (|W|² times the memoized node mass; the memo may be
-// shared between diagrams — hash-consed shared nodes have one mass).
+// exact ring element (|W|² times the memoized node mass). It keeps its own
+// memo instead of a walk: Approximate shares one memo across the input and
+// every rebuilt candidate of its restore loop, and hash-consed shared nodes
+// have one mass, so each call only visits the nodes the last rebuild made.
 func (m *Manager[T]) exactMass(e Edge[T], memo map[*Node[T]]T) T {
 	if m.R.IsZero(e.W) {
 		return m.R.Zero()

@@ -12,7 +12,7 @@ func (m *Manager[T]) DOT(w io.Writer, e Edge[T], name string) error {
 	if _, err := fmt.Fprintf(w, "digraph %q {\n  rankdir=TB;\n  node [shape=circle];\n", name); err != nil {
 		return err
 	}
-	nodes := e.Nodes()
+	nodes, _ := e.Nodes()
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
 	fmt.Fprintf(w, "  t [shape=box,label=\"1\"];\n")
 	fmt.Fprintf(w, "  root [shape=point];\n")
@@ -51,7 +51,8 @@ func (m *Manager[T]) DOT(w io.Writer, e Edge[T], name string) error {
 // paper uses to explain the algebraic overhead on GSE.
 func (m *Manager[T]) MaxWeightBitLen(e Edge[T]) int {
 	best := m.R.BitLen(e.W)
-	for _, n := range e.Nodes() {
+	nodes, _ := e.Nodes()
+	for _, n := range nodes {
 		for _, c := range n.E {
 			if b := m.R.BitLen(c.W); b > best {
 				best = b
@@ -77,7 +78,8 @@ func (m *Manager[T]) TrivialWeightFraction(e Edge[T]) float64 {
 		}
 	}
 	count(e.W)
-	for _, n := range e.Nodes() {
+	nodes, _ := e.Nodes()
+	for _, n := range nodes {
 		for _, c := range n.E {
 			count(c.W)
 		}

@@ -65,18 +65,30 @@ func TestProjectValidation(t *testing.T) {
 	}
 }
 
+// TestSampleValidation: NewSampler, and Approximate through it, refuse
+// zero-mass and structurally invalid vector diagrams with a sentinel error.
 func TestSampleValidation(t *testing.T) {
 	m := algManager(NormLeft)
-	if _, err := m.NewSampler(m.ZeroEdge(), 2); !errors.Is(err, ErrZeroVector) {
-		t.Errorf("NewSampler of zero vector: err = %v, want ErrZeroVector", err)
-	}
-	if _, err := m.NewSampler(m.Identity(2), 2); !errors.Is(err, ErrMalformedDiagram) {
-		t.Errorf("NewSampler of matrix diagram: err = %v, want ErrMalformedDiagram", err)
-	}
-	// Claiming more qubits than the diagram has levels must error, not walk
-	// off the terminal.
-	if _, err := m.NewSampler(m.BasisState(1, 0), 3); !errors.Is(err, ErrMalformedDiagram) {
-		t.Errorf("NewSampler of shallow diagram: err = %v, want ErrMalformedDiagram", err)
+	for _, tc := range []struct {
+		name string
+		v    Edge[alg.Q]
+		n    int
+		want error
+	}{
+		{"zero vector", m.ZeroEdge(), 2, ErrZeroVector},
+		{"matrix diagram", m.Identity(2), 2, ErrMalformedDiagram},
+		// Claiming more qubits than the diagram has levels must error, not
+		// walk off the terminal.
+		{"shallow diagram", m.BasisState(1, 0), 3, ErrMalformedDiagram},
+		// A level-3 node whose nonzero child sits at level 1.
+		{"level-skipping diagram", m.MakeVectorNode(3, m.BasisState(1, 0), m.ZeroEdge()), 3, ErrMalformedDiagram},
+	} {
+		if _, err := m.NewSampler(tc.v, tc.n); !errors.Is(err, tc.want) {
+			t.Errorf("NewSampler of %s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		if _, _, err := m.Approximate(tc.v, tc.n, 0.5); !errors.Is(err, tc.want) {
+			t.Errorf("Approximate of %s: err = %v, want %v", tc.name, err, tc.want)
+		}
 	}
 	if _, err := m.NewSampler(m.BasisState(2, 0), 0); err == nil {
 		t.Error("NewSampler with zero qubits did not error")

@@ -19,30 +19,9 @@ package core
 // number of nodes removed. Call it between operations (the sim/bench layers
 // prune between gates).
 func (m *Manager[T]) Prune(roots ...Edge[T]) int {
-	// Mark with an explicit worklist: the recursion this replaces overflowed
-	// the goroutine stack on deep (≥1e5-level) vector diagrams.
-	live := make(map[*Node[T]]struct{})
-	stack := make([]*Node[T], 0, 64)
-	push := func(n *Node[T]) {
-		if n == nil {
-			return
-		}
-		if _, ok := live[n]; ok {
-			return
-		}
-		live[n] = struct{}{}
-		stack = append(stack, n)
-	}
-	for _, r := range roots {
-		push(r.N)
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, c := range n.E {
-			push(c.N)
-		}
-	}
+	// Mark: the shared walk keeps its own stack, so deep (≥1e5-level)
+	// vector diagrams do not overflow the goroutine stack.
+	_, live := walk(roots...)
 	removed := m.ut.count() - len(live)
 
 	// Suspend the budget while rebuilding: the survivor re-interning below
@@ -55,6 +34,9 @@ func (m *Manager[T]) Prune(roots ...Edge[T]) int {
 	// WID 0 stays pinned to zero. Every live node is re-interned (its weights
 	// collapse onto the new canonical representatives), rehashed, and
 	// reinserted into right-sized unique-table shards.
+	// Survivors are re-interned in unique-table order, not walk order: under
+	// a float ε > 0 the first weight interned in a tolerance class becomes
+	// its representative, so the order is part of every later result.
 	survivors := make([]*Node[T], 0, len(live))
 	m.ut.forEach(func(n *Node[T]) {
 		if _, ok := live[n]; ok {
@@ -82,8 +64,8 @@ func (m *Manager[T]) Prune(roots ...Edge[T]) int {
 	if m.st != nil {
 		m.st.clear()
 	}
-	// Invalidate outstanding Samplers: their node pointers and mass memos
-	// may reference swept nodes (sampler.go returns ErrStaleSampler).
+	// Invalidate outstanding Samplers: their node pointers and masses may
+	// reference swept nodes (sampler.go returns ErrStaleSampler).
 	m.pruneGen++
 	m.stats.Prunes++
 	m.stats.PrunedNodes += uint64(removed)

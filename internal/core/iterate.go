@@ -36,31 +36,25 @@ func (m *Manager[T]) ForEachAmplitude(v Edge[T], n int, f func(idx uint64, amp T
 // (Nonzero in the representation: a numerically tiny-but-nonzero amplitude
 // counts; an exactly cancelled one does not.)
 func (m *Manager[T]) SupportSize(v Edge[T], n int) uint64 {
-	// Count paths via per-node memoization rather than enumeration, so dense
-	// states over many qubits stay cheap.
-	if m.IsZero(v) {
-		return 0
-	}
-	memo := make(map[*Node[T]]uint64)
-	var count func(e Edge[T], level int) uint64
-	count = func(e Edge[T], level int) uint64 {
-		if m.IsZero(e) {
+	// Count paths per node rather than enumerating them, so dense states
+	// over many qubits stay cheap.
+	order, pos := walk(v)
+	paths := make([]uint64, len(order))
+	count := func(e Edge[T]) uint64 {
+		switch {
+		case m.IsZero(e):
 			return 0
-		}
-		if level == 0 {
+		case e.N == nil:
 			return 1
 		}
-		if c, ok := memo[e.N]; ok {
-			return c
-		}
-		var total uint64
-		for _, c := range e.N.E {
-			total += count(c, level-1)
-		}
-		memo[e.N] = total
-		return total
+		return paths[pos[e.N]]
 	}
-	return count(v, n)
+	for i, nd := range order {
+		for _, c := range nd.E {
+			paths[i] += count(c)
+		}
+	}
+	return count(v)
 }
 
 // Outcome is one read-out winner: a basis state, its probability and its

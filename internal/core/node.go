@@ -61,43 +61,49 @@ const (
 // NodeCount returns the number of distinct non-terminal nodes reachable from
 // e — the "size of the QMDD" metric of the paper's figures.
 func (e Edge[T]) NodeCount() int {
-	seen := make(map[*Node[T]]struct{})
-	var walk func(*Node[T])
-	walk = func(n *Node[T]) {
-		if n == nil {
-			return
-		}
-		if _, ok := seen[n]; ok {
-			return
-		}
-		seen[n] = struct{}{}
-		for _, c := range n.E {
-			walk(c.N)
-		}
-	}
-	walk(e.N)
-	return len(seen)
+	order, _ := walk(e)
+	return len(order)
 }
 
-// Nodes returns all distinct non-terminal nodes reachable from e, in an
-// unspecified order.
-func (e Edge[T]) Nodes() []*Node[T] {
-	seen := make(map[*Node[T]]struct{})
-	var out []*Node[T]
-	var walk func(*Node[T])
-	walk = func(n *Node[T]) {
-		if n == nil {
-			return
-		}
-		if _, ok := seen[n]; ok {
-			return
-		}
-		seen[n] = struct{}{}
-		out = append(out, n)
-		for _, c := range n.E {
-			walk(c.N)
+// Nodes returns the distinct non-terminal nodes reachable from e, each after
+// all of its children (children in edge order, the root last), and each
+// node's index in that slice.
+func (e Edge[T]) Nodes() (order []*Node[T], pos map[*Node[T]]int) {
+	return walk(e)
+}
+
+// walk is the one traversal of a diagram's distinct nodes: it returns the
+// nodes reachable from the roots children-first (children in edge order,
+// roots in argument order) and pos[n], n's index in order, so a pass can
+// keep its per-node values in a slice. Its stack is its own, so diagrams of
+// any depth stay off the goroutine stack.
+func walk[T any](roots ...Edge[T]) (order []*Node[T], pos map[*Node[T]]int) {
+	type frame struct {
+		n    *Node[T]
+		next int // index of the next child edge to descend
+	}
+	pos = make(map[*Node[T]]int)
+	var stack []frame
+	// A node enters pos only once placed: the nodes on the stack form one
+	// root path, and a DAG never reaches a node on its own path again.
+	push := func(n *Node[T]) {
+		if _, ok := pos[n]; n != nil && !ok {
+			stack = append(stack, frame{n: n})
 		}
 	}
-	walk(e.N)
-	return out
+	for _, r := range roots {
+		push(r.N)
+		for len(stack) > 0 {
+			top := &stack[len(stack)-1]
+			if top.next < len(top.n.E) {
+				top.next++
+				push(top.n.E[top.next-1].N)
+				continue
+			}
+			pos[top.n] = len(order)
+			order = append(order, top.n)
+			stack = stack[:len(stack)-1]
+		}
+	}
+	return order, pos
 }

@@ -10,7 +10,8 @@
 //	n <idx> <level> <w>:<child> …      child = earlier idx or "t"
 //	root <w>:<idx|t>
 //
-// Nodes appear children-first; weights are ring-specific opaque tokens.
+// Nodes appear children-first, children in edge order (core's Edge.Nodes);
+// weights are ring-specific opaque tokens.
 //
 // Version 2 (WriteMeta) inserts one metadata record after the header:
 //
@@ -122,43 +123,26 @@ func WriteMeta[T any](w io.Writer, m *core.Manager[T], c Codec[T], e core.Edge[T
 	return writeBody(bw, c, e)
 }
 
-// writeBody emits the node and root records (shared by both versions).
+// writeBody emits the node and root records (shared by both versions), in
+// the order of core's node walk: children first, in edge order. That order
+// is part of the format's bytes, which cached diagrams and checkpoints
+// carry.
 func writeBody[T any](bw *bufio.Writer, c Codec[T], e core.Edge[T]) error {
-	idx := map[*core.Node[T]]int{}
-	var emit func(n *core.Node[T]) error
-	emit = func(n *core.Node[T]) error {
+	nodes, pos := e.Nodes()
+	ref := func(n *core.Node[T]) string {
 		if n == nil {
-			return nil
+			return "t"
 		}
-		if _, ok := idx[n]; ok {
-			return nil
-		}
+		return strconv.Itoa(pos[n])
+	}
+	for i, n := range nodes {
+		fmt.Fprintf(bw, "n %d %d", i, n.Level)
 		for _, ch := range n.E {
-			if err := emit(ch.N); err != nil {
-				return err
-			}
-		}
-		id := len(idx)
-		idx[n] = id
-		fmt.Fprintf(bw, "n %d %d", id, n.Level)
-		for _, ch := range n.E {
-			child := "t"
-			if ch.N != nil {
-				child = strconv.Itoa(idx[ch.N])
-			}
-			fmt.Fprintf(bw, " %s:%s", c.Encode(ch.W), child)
+			fmt.Fprintf(bw, " %s:%s", c.Encode(ch.W), ref(ch.N))
 		}
 		fmt.Fprintln(bw)
-		return nil
 	}
-	if err := emit(e.N); err != nil {
-		return err
-	}
-	rootChild := "t"
-	if e.N != nil {
-		rootChild = strconv.Itoa(idx[e.N])
-	}
-	fmt.Fprintf(bw, "root %s:%s\n", c.Encode(e.W), rootChild)
+	fmt.Fprintf(bw, "root %s:%s\n", c.Encode(e.W), ref(e.N))
 	return bw.Flush()
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -303,4 +304,27 @@ func buildGroverDump(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return sb.String()
+}
+
+// TestWriteDeepChain writes a 150,000-level chain under an 8 MiB goroutine
+// stack ceiling: the writer's node order comes from core's iterative walk,
+// where a per-level recursion overflowed the stack.
+func TestWriteDeepChain(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(8 << 20))
+
+	const depth = 150_000
+	m := core.NewManager[alg.Q](alg.Ring{}, core.NormLeft)
+	e := m.OneEdge()
+	for l := 1; l <= depth; l++ {
+		e = m.MakeVectorNode(l, e, m.ZeroEdge())
+	}
+	var sb strings.Builder
+	if err := Write(&sb, m, AlgCodec{}, e, depth); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")
+	if len(lines) != depth+2 || !strings.HasPrefix(lines[1], "n 0 1 ") || lines[len(lines)-1] != fmt.Sprintf("root %s:%d", AlgCodec{}.Encode(alg.QOne), depth-1) {
+		t.Fatalf("wrote %d lines (first node %q, root %q), want %d with level 1 first and the root on node %d",
+			len(lines), lines[1], lines[len(lines)-1], depth+2, depth-1)
+	}
 }

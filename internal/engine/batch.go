@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"fmt"
 	"strings"
 	"sync"
@@ -170,55 +168,6 @@ func (b *Batch) View(withResults bool) BatchView {
 	return v
 }
 
-// batchStore retains batch records for polling, bounded like the job store:
-// once full, the oldest finished batch is evicted per new submission.
-type batchStore struct {
-	mu    sync.Mutex
-	cap   int
-	items map[string]*Batch
-	order []string
-}
-
-func newBatchStore(capacity int) *batchStore {
-	return &batchStore{cap: capacity, items: make(map[string]*Batch)}
-}
-
-func newBatchID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(fmt.Sprintf("engine: batch id entropy: %v", err))
-	}
-	return "b" + hex.EncodeToString(b[:])
-}
-
-func (st *batchStore) add(b *Batch) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if len(st.order) >= st.cap && !st.evictLocked() {
-		return false
-	}
-	st.items[b.id] = b
-	st.order = append(st.order, b.id)
-	return true
-}
-
-func (st *batchStore) evictLocked() bool {
-	for i, id := range st.order {
-		if st.items[id].finished() {
-			delete(st.items, id)
-			st.order = append(st.order[:i], st.order[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-func (st *batchStore) get(id string) *Batch {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.items[id]
-}
-
 // Batch returns the retained batch record for id, or nil.
 func (e *Engine) Batch(id string) *Batch { return e.batches.get(id) }
 
@@ -239,7 +188,7 @@ func (e *Engine) SubmitBatch(req BatchRequest, rid string) (*Batch, *SubmitError
 	}
 
 	b := &Batch{
-		id:        newBatchID(),
+		id:        newID("b"),
 		requestID: rid,
 		createdAt: time.Now(),
 		prefixLen: prefixLen,
@@ -258,7 +207,7 @@ func (e *Engine) SubmitBatch(req BatchRequest, rid string) (*Batch, *SubmitError
 		link := variants[0].plan.Links[prefixLen]
 		b.prefixKey = prefix.Key(link, template.Representation, template.Norm, template.Eps)
 	}
-	if !e.batches.add(b) {
+	if !e.batches.add(b.id, b) {
 		return nil, &SubmitError{Reason: RejectBusy, Body: ErrorBody{
 			Kind: KindQueueFull, Message: "batch store is full of unfinished batches",
 		}}

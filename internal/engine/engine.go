@@ -180,7 +180,7 @@ type Engine struct {
 	queue   chan *Job
 	cache   *qcache.Cache // nil when both tiers are disabled (nil-safe API)
 	flight  *qcache.Flight[flightOutcome]
-	batches *batchStore
+	batches *recordStore[*Batch]
 	memo    *parsememo.Memo // request source → parse and fingerprints
 
 	mu     sync.Mutex // guards closed + queue sends vs. close(queue)
@@ -208,7 +208,7 @@ func New(cfg Config) (*Engine, error) {
 		queue:   make(chan *Job, cfg.QueueSize),
 		cache:   cache,
 		flight:  qcache.NewFlight[flightOutcome](),
-		batches: newBatchStore(256),
+		batches: newRecordStore(256, (*Batch).finished),
 		memo:    parsememo.New(),
 	}
 	e.runCtx, e.cancelRun = context.WithCancel(context.Background())
@@ -395,7 +395,7 @@ func (e *Engine) submit(req JobRequest, jc jobCircuit, rid string) (*Job, *Submi
 	}
 
 	j := &Job{
-		id:        newJobID(),
+		id:        newID("j"),
 		req:       req,
 		circ:      jc.circ,
 		plan:      jc.plan,
@@ -425,7 +425,7 @@ func (e *Engine) submit(req JobRequest, jc jobCircuit, rid string) (*Job, *Submi
 		}
 		return nil, &SubmitError{Reason: RejectDraining, Body: body}
 	}
-	if !e.store.add(j) {
+	if !e.store.add(j.id, j) {
 		e.mu.Unlock()
 		e.met.rejected.Add(1)
 		body := ErrorBody{Kind: KindQueueFull, Message: "job store is full of unfinished jobs"}
@@ -494,7 +494,7 @@ func (e *Engine) cachedJob(req JobRequest, res *JobResult, rid string) *Job {
 	req.QASM = "" // a finished record keeps no source (jobStore.finish)
 	now := time.Now()
 	j := &Job{
-		id:         newJobID(),
+		id:         newID("j"),
 		req:        req,
 		requestID:  rid,
 		done:       make(chan struct{}),
@@ -508,7 +508,7 @@ func (e *Engine) cachedJob(req JobRequest, res *JobResult, rid string) *Job {
 	close(j.done)
 	e.mu.Lock()
 	if !e.closed {
-		e.store.add(j)
+		e.store.add(j.id, j)
 	}
 	e.mu.Unlock()
 	return j

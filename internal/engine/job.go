@@ -229,26 +229,72 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 // View snapshots the job's wire form; withResult attaches the payload.
 func (j *Job) View(withResult bool) JobView { return j.store.view(j, withResult) }
 
-// jobStore retains job records for polling, bounded at cap: once full,
-// the oldest finished job is evicted per new submission (queued/running
-// jobs are never evicted — a worker holds their pointer).
-type jobStore struct {
-	mu    sync.Mutex
-	cap   int
-	jobs  map[string]*Job
-	order []string // insertion order, for eviction
+// recordStore retains records for polling, bounded at cap: once full, the
+// oldest finished record is evicted per new submission (unfinished ones are
+// never evicted — a worker or scheduler holds their pointer). finished is
+// called with mu held.
+type recordStore[V any] struct {
+	mu       sync.Mutex
+	cap      int
+	items    map[string]V
+	order    []string // insertion order, for eviction
+	finished func(V) bool
 }
+
+func newRecordStore[V any](capacity int, finished func(V) bool) *recordStore[V] {
+	return &recordStore[V]{cap: capacity, items: make(map[string]V), finished: finished}
+}
+
+// add registers a new record; it fails only when the store is full of
+// unfinished ones.
+func (st *recordStore[V]) add(id string, v V) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if len(st.order) >= st.cap && !st.evictLocked() {
+		return false
+	}
+	st.items[id] = v
+	st.order = append(st.order, id)
+	return true
+}
+
+// evictLocked removes the oldest finished record, reporting whether one
+// existed.
+func (st *recordStore[V]) evictLocked() bool {
+	for i, id := range st.order {
+		if st.finished(st.items[id]) {
+			delete(st.items, id)
+			st.order = append(st.order[:i], st.order[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+func (st *recordStore[V]) get(id string) V {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.items[id]
+}
+
+// jobStore is the job records' store; its mutex also guards every job's
+// mutable fields.
+type jobStore struct{ *recordStore[*Job] }
 
 func newJobStore(capacity int) *jobStore {
-	return &jobStore{cap: capacity, jobs: make(map[string]*Job)}
+	return &jobStore{newRecordStore(capacity, func(j *Job) bool {
+		return j.status == StatusDone || j.status == StatusFailed || j.status == StatusCancelled
+	})}
 }
 
-func newJobID() string {
+// newID mints a record id: the kind letter ("j" job, "b" batch) and 64
+// random bits in hex.
+func newID(kind string) string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
-		panic(fmt.Sprintf("engine: job id entropy: %v", err))
+		panic(fmt.Sprintf("engine: id entropy: %v", err))
 	}
-	return "j" + hex.EncodeToString(b[:])
+	return kind + hex.EncodeToString(b[:])
 }
 
 // randomSeed draws the non-zero seed of an unseeded shots job (zero is the
@@ -263,38 +309,6 @@ func randomSeed() int64 {
 			return s
 		}
 	}
-}
-
-// add registers a new queued job; it fails only when the store is full of
-// unfinished jobs.
-func (st *jobStore) add(j *Job) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if len(st.order) >= st.cap && !st.evictLocked() {
-		return false
-	}
-	st.jobs[j.id] = j
-	st.order = append(st.order, j.id)
-	return true
-}
-
-// evictLocked removes the oldest finished job, reporting whether one existed.
-func (st *jobStore) evictLocked() bool {
-	for i, id := range st.order {
-		k := st.jobs[id]
-		if k.status == StatusDone || k.status == StatusFailed || k.status == StatusCancelled {
-			delete(st.jobs, id)
-			st.order = append(st.order[:i], st.order[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-func (st *jobStore) get(id string) *Job {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.jobs[id]
 }
 
 func (st *jobStore) setRunning(j *Job) {

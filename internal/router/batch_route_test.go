@@ -52,6 +52,27 @@ func TestBatchRouteKeyColocatesWithPrefix(t *testing.T) {
 	}
 }
 
+// TestRouteKeyMeasureFreeTwin: an amplitude job is cached under its
+// read-out-stripped circuit's fingerprint, so a circuit ending in
+// measurements routes to the worker holding its measure-free twin. A shots
+// job keeps the full circuit's key, as its cache identity does.
+func TestRouteKeyMeasureFreeTwin(t *testing.T) {
+	rt := memoRouter()
+	measured := routeBase + "creg c[2];\nmeasure q[0] -> c[0];\nmeasure q[1] -> c[1];\n"
+	twin := rt.routeKey(marshalBody(t, map[string]any{"qasm": routeBase}))
+	if got := rt.routeKey(marshalBody(t, map[string]any{"qasm": measured})); !bytes.Equal(got, twin) {
+		t.Error("amplitude job with a trailing read-out routes away from its measure-free twin")
+	}
+	c, err := qasm.Parse(measured, "measured")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := circuit.Fingerprint(c)
+	if got := rt.routeKey(marshalBody(t, map[string]any{"qasm": measured, "shots": 100})); !bytes.Equal(got, fp[:]) {
+		t.Error("shots job does not route by its full circuit's fingerprint")
+	}
+}
+
 // TestBatchRouteKeyVariantsForm: the variants form keys by the chain link of
 // the discovered shared prefix, invariant under textual variation.
 func TestBatchRouteKeyVariantsForm(t *testing.T) {

@@ -20,7 +20,8 @@ import (
 	"repro/internal/server"
 )
 
-// TestRouteKeyMemoMatchesParse: for every corpus program, routeKey and both
+// TestRouteKeyMemoMatchesParse: for every corpus program, routeKey (with and
+// without shots) and both
 // forms of batchRouteKey derive the same ring key on a parse-memo miss, on
 // a hit, and from a fresh qasm.Parse; a source that does not parse falls
 // back to the body hash every time and never enters the memo.
@@ -34,15 +35,19 @@ func TestRouteKeyMemoMatchesParse(t *testing.T) {
 				stripped = fresh.StripReadout()
 			}
 			solo := marshalBody(t, map[string]any{"qasm": src})
+			shots := marshalBody(t, map[string]any{"qasm": src, "shots": 10})
 			base := marshalBody(t, map[string]any{"base": src, "suffixes": []string{src}})
 			variants := marshalBody(t, map[string]any{"variants": []string{src, src}})
 			hashOf := func(body []byte) []byte { sum := sha256.Sum256(body); return sum[:] }
 
-			wantSolo, wantBase, wantVariants := hashOf(solo), hashOf(base), hashOf(variants)
+			wantSolo, wantShots, wantBase, wantVariants := hashOf(solo), hashOf(shots), hashOf(base), hashOf(variants)
 			if err == nil {
 				fp := circuit.Fingerprint(fresh)
-				wantSolo = fp[:]
+				wantShots = fp[:]
+				// A solo job without shots is an amplitude job, cached (and
+				// so routed) under its read-out-stripped twin's fingerprint.
 				link := circuit.Fingerprint(stripped)
+				wantSolo = link[:]
 				wantBase = link[:]
 				if k := circuit.SharedPrefixLen(stripped, stripped); k > 0 {
 					link := circuit.Chain(stripped)[k]
@@ -52,6 +57,9 @@ func TestRouteKeyMemoMatchesParse(t *testing.T) {
 			for _, pass := range []string{"first", "repeat"} {
 				if got := rt.routeKey(solo); !bytes.Equal(got, wantSolo) {
 					t.Errorf("%s: routeKey differs from a fresh parse", pass)
+				}
+				if got := rt.routeKey(shots); !bytes.Equal(got, wantShots) {
+					t.Errorf("%s: shots routeKey differs from a fresh parse", pass)
 				}
 				if got := rt.batchRouteKey(base); !bytes.Equal(got, wantBase) {
 					t.Errorf("%s: base-form batchRouteKey differs from a fresh parse", pass)
@@ -65,7 +73,7 @@ func TestRouteKeyMemoMatchesParse(t *testing.T) {
 				t.Fatalf("a failed parse entered the memo: %+v", st)
 			}
 			if err == nil && (st.Entries != 1 || st.Misses != 1) {
-				t.Fatalf("one source, three body shapes, two passes: %+v", st)
+				t.Fatalf("one source, four body shapes, two passes: %+v", st)
 			}
 		})
 	}

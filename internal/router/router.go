@@ -306,19 +306,25 @@ func retryAfter(w http.ResponseWriter, wait time.Duration) {
 	w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
 }
 
-// routeKey derives the ring key for a submission: the canonical circuit
-// fingerprint when the body parses (whitespace/comment/register-name
+// routeKey derives the ring key for a submission: the fingerprint of the
+// job's cache identity when the body parses (whitespace/comment/register-name
 // variants of one circuit all route to the same worker — the one whose
 // cache has it), otherwise a hash of the raw body (the worker will refuse
 // it with a real parse error, which the client deserves to see verbatim).
-// The parse and the fingerprint come from the memo after the first time.
+// An amplitude job (no shots) is cached under its read-out-stripped twin's
+// fingerprint, so it routes by that too. The parse and the fingerprints
+// come from the memo after the first time.
 func (rt *Router) routeKey(body []byte) []byte {
 	var req struct {
-		QASM string `json:"qasm"`
+		QASM  string `json:"qasm"`
+		Shots int    `json:"shots"`
 	}
 	if err := json.Unmarshal(body, &req); err == nil && strings.TrimSpace(req.QASM) != "" {
 		if p, err := rt.memo.Parse(req.QASM, "route"); err == nil {
 			fp := p.Fingerprint()
+			if req.Shots == 0 {
+				_, fp = p.Stripped()
+			}
 			return fp[:]
 		}
 	}
