@@ -278,7 +278,7 @@ func printStats[T any](m *core.Manager[T]) {
 	fmt.Printf("         %d interned weights, CT load %.1f%% (%d/%d), %d prunes (%d nodes)\n",
 		st.InternedWeights, 100*st.CTLoadFactor(), st.CTEntries, st.CTCapacity,
 		st.Prunes, st.PrunedNodes)
-	fmt.Printf("         %d/%d scalar-op hits (exact Mul/Div memo)\n", st.ScalarHits, st.ScalarLookups)
+	fmt.Printf("         %d/%d scalar-op hits (exact Mul/Div/Add memo)\n", st.ScalarHits, st.ScalarLookups)
 }
 
 func printTop[T any](m *core.Manager[T], s *sim.Simulator[T], n, k int) {

@@ -63,7 +63,7 @@ type Stats struct {
 	CTHits          uint64
 	CTEntries       int    // occupied compute-table slots
 	CTCapacity      int    // compute-table logical slot count
-	ScalarLookups   uint64 // nontrivial weight Mul/Div calls that reached the scalar table (exact rings only)
+	ScalarLookups   uint64 // nontrivial weight Mul/Div (and same-node Add) calls that reached the scalar table (exact rings only)
 	ScalarHits      uint64 // ... of which were answered from it
 	InternedWeights int    // distinct weights in the intern table
 	Prunes          uint64 // garbage-collection runs

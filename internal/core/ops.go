@@ -24,6 +24,19 @@ func (m *Manager[T]) Add(x, y Edge[T]) Edge[T] {
 	if x.N.Level != y.N.Level || len(x.N.E) != len(y.N.E) {
 		panic("core: Add of diagrams with different levels/arities")
 	}
+	// a·N + b·N = (a+b)·N, and under exact left normalization the canonical
+	// form of (a+b)·N is that very edge: N's pivot weight is an exact 1, so
+	// the recursion would rebuild every child as (a+b)·cᵢ and normalize
+	// back to N with factor a+b. Float sums are not bit-equal to that, NormMax
+	// picks its pivot by float magnitude and NormGCD can fall back to a
+	// different node, so those keep the recursion (DESIGN.md §5.6).
+	if x.N == y.N && m.st != nil && m.Norm == NormLeft {
+		w := m.st.Add(x.W, y.W)
+		if m.R.IsZero(w) {
+			return m.ZeroEdge()
+		}
+		return Edge[T]{W: w, N: x.N}
+	}
 	// Addition is commutative; canonicalize the operand order by
 	// (node ID, weight ID) for CT hits.
 	xw, yw := m.WID(x.W), m.WID(y.W)

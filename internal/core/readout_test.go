@@ -10,7 +10,6 @@ import (
 	"repro/internal/algorithms"
 	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/load"
 	"repro/internal/num"
 	"repro/internal/sim"
 )
@@ -57,10 +56,7 @@ func pathWalkTop[T any](m *core.Manager[T], v core.Edge[T], n, k int) []core.Out
 // Its amplitudes take few distinct values, so the read-out meets ties.
 func groverSuffix(tb testing.TB, marked uint64, i int) *circuit.Circuit {
 	tb.Helper()
-	c, err := load.Lower(algorithms.Grover(8, marked, 0))
-	if err != nil {
-		tb.Fatal(err)
-	}
+	c := loweredGrover8(tb, marked)
 	pattern := (i*37 + 11) & 0xff
 	for b := 0; b < 8; b++ {
 		if pattern>>b&1 == 1 {

@@ -3,7 +3,8 @@ package core
 import "repro/internal/coeff"
 
 // scalarTable memoizes nontrivial edge-weight products and quotients for
-// exact coefficient rings. Under Q[ω] a single Mul or Div costs microseconds
+// exact coefficient rings, and the weight sums of same-node Adds (ops.go).
+// Under Q[ω] a single Mul or Div costs microseconds
 // of big-integer work, and within one simulation half or more of the operand
 // pairs repeat (the same gate entries meet the same normalized weights over
 // and over), so caching them pays; a float product costs nanoseconds and is
@@ -41,6 +42,7 @@ const (
 	scalarFree scalarOp = iota
 	scalarMul
 	scalarDiv
+	scalarAdd
 )
 
 type scalarEntry[T any] struct {
@@ -142,16 +144,29 @@ func (t *scalarTable[T]) Div(a, b T) T {
 	return t.memo(scalarDiv, a, b)
 }
 
+// Add returns a+b through the table (see Mul). Only the same-node exact
+// Add (ops.go) calls it; every other sum goes to the ring.
+func (t *scalarTable[T]) Add(a, b T) T {
+	r := t.r
+	if r.IsZero(a) || r.IsZero(b) {
+		return r.Add(a, b)
+	}
+	return t.memo(scalarAdd, a, b)
+}
+
 func (t *scalarTable[T]) memo(op scalarOp, a, b T) T {
 	ha, hb := t.r.Hash(a), t.r.Hash(b)
 	if v, ok := t.get(op, ha, hb, a, b); ok {
 		return v
 	}
 	var v T
-	if op == scalarMul {
+	switch op {
+	case scalarMul:
 		v = t.r.Mul(a, b)
-	} else {
+	case scalarDiv:
 		v = t.r.Div(a, b)
+	default:
+		v = t.r.Add(a, b)
 	}
 	t.put(op, ha, hb, a, b, v)
 	return v

@@ -286,8 +286,8 @@ func (e *Engine) batchCircuits(template *JobRequest, req BatchRequest) ([]jobCir
 		}
 		return p, nil
 	}
-	check := func(c *circuit.Circuit, i int) *SubmitError {
-		if errBody := e.checkCircuit(template, c); errBody != nil {
+	check := func(c *circuit.Circuit, dynamic bool, i int) *SubmitError {
+		if errBody := e.checkCircuit(template, c, dynamic); errBody != nil {
 			errBody.Message = fmt.Sprintf("variant %d: %s", i, errBody.Message)
 			return &SubmitError{Reason: RejectInvalid, Body: *errBody}
 		}
@@ -323,7 +323,9 @@ func (e *Engine) batchCircuits(template *JobRequest, req BatchRequest) ([]jobCir
 				Cbits: sc.Cbits,
 				Gates: gates,
 			}
-			if serr := check(v, i); serr != nil {
+			// The base has no measure, reset or condition, so the variant
+			// is dynamic exactly when its suffix is.
+			if serr := check(v, sp.Dynamic(), i); serr != nil {
 				return nil, 0, serr
 			}
 			v = v.StripReadout()
@@ -346,7 +348,7 @@ func (e *Engine) batchCircuits(template *JobRequest, req BatchRequest) ([]jobCir
 		if serr != nil {
 			return nil, 0, serr
 		}
-		if serr := check(p.Circuit(), i); serr != nil {
+		if serr := check(p.Circuit(), p.Dynamic(), i); serr != nil {
 			return nil, 0, serr
 		}
 		c, fp := p.Stripped()

@@ -548,7 +548,7 @@ func (e *Engine) validate(req *JobRequest) (jobCircuit, *ErrorBody) {
 	if errBody != nil {
 		return jobCircuit{}, errBody
 	}
-	if errBody := e.checkCircuit(req, p.Circuit()); errBody != nil {
+	if errBody := e.checkCircuit(req, p.Circuit(), p.Dynamic()); errBody != nil {
 		return jobCircuit{}, errBody
 	}
 	if req.Shots == 0 {
@@ -667,10 +667,11 @@ func (e *Engine) normalizeRequest(req *JobRequest) *ErrorBody {
 
 // checkCircuit applies the engine's circuit-level checks to an
 // already-normalized request: the width cap, the static-circuit requirement
-// of amplitude mode, and the classical-bit cap of a histogram key. An
-// amplitude-mode job then runs the circuit's StripReadout form, so it
-// shares a cache key with its measure-free twin.
-func (e *Engine) checkCircuit(req *JobRequest, circ *circuit.Circuit) *ErrorBody {
+// of amplitude mode (dynamic is circ.Dynamic(), memoized by the caller),
+// and the classical-bit cap of a histogram key. An amplitude-mode job then
+// runs the circuit's StripReadout form, so it shares a cache key with its
+// measure-free twin.
+func (e *Engine) checkCircuit(req *JobRequest, circ *circuit.Circuit, dynamic bool) *ErrorBody {
 	invalid := func(format string, args ...any) *ErrorBody {
 		return &ErrorBody{Kind: KindInvalidRequest, Message: fmt.Sprintf(format, args...)}
 	}
@@ -678,7 +679,7 @@ func (e *Engine) checkCircuit(req *JobRequest, circ *circuit.Circuit) *ErrorBody
 		return invalid("circuit has %d qubits, server cap is %d", circ.N, e.cfg.MaxQubits)
 	}
 	if req.Shots == 0 {
-		if circ.Dynamic() {
+		if dynamic {
 			return invalid("circuit contains mid-circuit measurement, reset or classical control; submit with shots > 0 to run it")
 		}
 	} else if circ.Cbits > 64 {

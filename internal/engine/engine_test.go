@@ -33,7 +33,7 @@ func testSuffix(i int) string {
 	return fmt.Sprintf("OPENQASM 2.0;\nqreg q[3];\n%s q[%d];\nh q[%d];\n", gate, i%3, (i+1)%3)
 }
 
-func newTestEngine(t *testing.T, cfg Config) *Engine {
+func newTestEngine(t testing.TB, cfg Config) *Engine {
 	t.Helper()
 	if cfg.Workers == 0 {
 		cfg.Workers = 2

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/algorithms"
 	"repro/internal/circuit"
 	"repro/internal/qasm"
 	"repro/internal/qasm/qasmtest"
@@ -44,7 +45,7 @@ func TestValidateMemoMatchesParse(t *testing.T) {
 						wantErr.Line = pe.Line
 					}
 				default:
-					if wantErr = e.checkCircuit(&want, c); wantErr == nil {
+					if wantErr = e.checkCircuit(&want, c, c.Dynamic()); wantErr == nil {
 						if want.Shots == 0 {
 							c = c.StripReadout()
 						}
@@ -122,4 +123,32 @@ func resultJSON(t *testing.T, res *JobResult) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// BenchmarkValidateHit times validate on a parse-memo hit, what every
+// repeated submission pays before its result-cache lookup: the SHA-256 of
+// the source, the memo lookup and the circuit checks, on lowered Grover-8
+// and on lowered BWT 6×60 (14,341 gates, whose Dynamic scan the memo now
+// answers once per source).
+func BenchmarkValidateHit(b *testing.B) {
+	e := newTestEngine(b, Config{Workers: 1})
+	for _, job := range []struct {
+		name string
+		c    *circuit.Circuit
+	}{{"grover8", algorithms.Grover(8, 37, 0)}, {"bwt", algorithms.BWT(6, 60)}} {
+		src := figureQASM(b, job.c)
+		validate := func(b *testing.B) {
+			req := JobRequest{QASM: src}
+			if _, eb := e.validate(&req); eb != nil {
+				b.Fatal(eb)
+			}
+		}
+		validate(b) // the miss that fills the memo
+		b.Run(job.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				validate(b)
+			}
+		})
+	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // figureQASM lowers a figure circuit to the OpenQASM a client would send.
-func figureQASM(t *testing.T, c *circuit.Circuit) string {
+func figureQASM(t testing.TB, c *circuit.Circuit) string {
 	t.Helper()
 	low, err := load.Lower(c)
 	if err != nil {

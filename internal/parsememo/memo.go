@@ -34,16 +34,18 @@ import (
 const MaxBytes = 8 << 20
 
 // Parsed is one memo entry: the parsed circuit and, each computed on first
-// use and shared afterwards, its fingerprint, its read-out-stripped form and
-// that form's fingerprint.
+// use and shared afterwards, its fingerprint, its read-out-stripped form,
+// that form's fingerprint and whether the circuit is dynamic.
 type Parsed struct {
-	circ   *circuit.Circuit
-	srcLen int
-	fpOnce sync.Once
-	fp     [sha256.Size]byte
-	stOnce sync.Once
-	st     *circuit.Circuit
-	stFP   [sha256.Size]byte
+	circ    *circuit.Circuit
+	srcLen  int
+	fpOnce  sync.Once
+	fp      [sha256.Size]byte
+	stOnce  sync.Once
+	st      *circuit.Circuit
+	stFP    [sha256.Size]byte
+	dynOnce sync.Once
+	dyn     bool
 }
 
 // Circuit returns the parsed circuit.
@@ -53,6 +55,13 @@ func (p *Parsed) Circuit() *circuit.Circuit { return p.circ }
 func (p *Parsed) Fingerprint() [sha256.Size]byte {
 	p.fpOnce.Do(func() { p.fp = circuit.Fingerprint(p.circ) })
 	return p.fp
+}
+
+// Dynamic returns the parsed circuit's Dynamic, a scan of every gate that
+// a repeated source then skips.
+func (p *Parsed) Dynamic() bool {
+	p.dynOnce.Do(func() { p.dyn = p.circ.Dynamic() })
+	return p.dyn
 }
 
 // Stripped returns the circuit's StripReadout form and its fingerprint.
@@ -100,7 +109,9 @@ func New() *Memo { return &Memo{lru: qcache.NewMemory(MaxBytes, size)} }
 // that first parsed the source. Two concurrent first requests for one
 // source may both parse it; either entry is correct.
 func (m *Memo) Parse(src, name string) (*Parsed, error) {
-	k := qcache.Key(sha256.Sum256([]byte(src)))
+	// Hash the string's bytes in place: a []byte(src) conversion would copy
+	// the whole source on every lookup (221 KB for lowered BWT 6×60).
+	k := qcache.Key(sha256.Sum256(unsafe.Slice(unsafe.StringData(src), len(src))))
 	if p, ok := m.lru.Get(k); ok {
 		m.hits.Add(1)
 		return p, nil

@@ -13,9 +13,10 @@ import (
 )
 
 // TestMemoMatchesParse: for every corpus program, the first lookup, a memo
-// hit and a fresh qasm.Parse agree on the fingerprint and on the stripped
-// form's fingerprint; a failing source returns the fresh parse's error, line
-// included, on every resubmission and never enters the memo.
+// hit and a fresh qasm.Parse agree on the fingerprint, on the stripped
+// form's fingerprint and on Dynamic; a failing source returns the fresh
+// parse's error, line included, on every resubmission and never enters the
+// memo.
 func TestMemoMatchesParse(t *testing.T) {
 	for i, src := range qasmtest.Corpus(t) {
 		t.Run(fmt.Sprint(i), func(t *testing.T) {
@@ -57,6 +58,9 @@ func TestMemoMatchesParse(t *testing.T) {
 			for name, p := range map[string]*Parsed{"first": first, "hit": hit} {
 				if p.Fingerprint() != wantFP {
 					t.Errorf("%s: fingerprint differs from a fresh parse", name)
+				}
+				if p.Dynamic() != fresh.Dynamic() {
+					t.Errorf("%s: Dynamic %v, fresh parse %v", name, p.Dynamic(), fresh.Dynamic())
 				}
 				st, stFP := p.Stripped()
 				if stFP != wantStFP || circuit.Fingerprint(st) != wantStFP {
@@ -136,8 +140,8 @@ func TestConcurrentMemoLookup(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, st := p.Stripped(); p.Fingerprint() != want || st != wantSt {
-					t.Error("concurrent lookup saw a different fingerprint")
+				if _, st := p.Stripped(); p.Fingerprint() != want || st != wantSt || p.Dynamic() != fresh.Dynamic() {
+					t.Error("concurrent lookup saw a different fingerprint or Dynamic")
 					return
 				}
 			}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/circuit"
 	"repro/internal/engine"
 	"repro/internal/load"
 	"repro/internal/qasm"
@@ -343,13 +344,19 @@ func slowGSEQASM(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return loweredQASM(t, c)
+}
+
+// loweredQASM lowers c to the OpenQASM a client would send.
+func loweredQASM(tb testing.TB, c *circuit.Circuit) string {
+	tb.Helper()
 	low, err := load.Lower(c)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	var sb strings.Builder
 	if err := qasm.Write(&sb, low); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return sb.String()
 }
