@@ -11,6 +11,14 @@ package core
 // (opTag, node IDs, WIDs). The hit paths compare machine words only — they
 // neither format nor allocate. See DESIGN.md ("Keying and interning").
 //
+// Slot layout: each unique-table and intern-table probe reads the table's own
+// memory first. A unique-table slot holds a node's hash beside its pointer,
+// and an intern-table slot packs a weight's hash tag beside its index, so a
+// probe leaves the slot array only when the hash (or tag) matches. Placement
+// is independent of the layout: the start index h&mask, linear probing, the
+// ¾-load doubling and grow's rehash order fix where every entry lands, and
+// with it forEach order, WIDs and every ε > 0 output (TestTableLayoutGolden).
+//
 // Striping: each table is split into tableShardCount independent
 // open-addressed shards selected by the *top* bits of the key hash (the low
 // bits index slots within a shard, so the two selections stay uncorrelated).
@@ -53,15 +61,30 @@ const (
 func shardOf(h uint64) uint64 { return h >> (64 - tableShardBits) }
 
 // wtShard is one stripe of the weight intern table: an append-only list of
-// canonical representatives plus an open-addressed index. Lookup is linear
-// probing over cached hashes; candidate values are compared with Ring.Equal
-// only when their hashes match (see Manager.internWeight).
+// canonical representatives, each stored beside its mixed hash, plus an
+// open-addressed index. A slot packs the hash's high 32 bits (its tag) above
+// local+1, so a probe reads the entry list only on a tag match, then
+// compares the full hash, and calls Ring.Equal only when that matches too
+// (see Manager.internWeight).
 type wtShard[T any] struct {
-	weights []T      // local index → canonical representative
-	hashes  []uint64 // local index → mixed hash, cached for growth
-	slots   []uint32 // open-addressed index; 0 = empty, else local+1
+	entries []wtEntry[T] // local index → canonical representative and its hash
+	slots   []uint64     // open-addressed index; 0 = empty, else tag | local+1
 	mask    uint64
 }
+
+// wtEntry is one interned weight with its mixed hash, cached for probing
+// and growth.
+type wtEntry[T any] struct {
+	h uint64
+	w T
+}
+
+// wtTagMask selects a slot's tag: the high 32 bits of the weight's mixed
+// hash. The low 32 bits hold local+1.
+const wtTagMask uint64 = 0xffff_ffff_0000_0000
+
+// wtSlot packs the tag of h and a local index into a nonzero slot.
+func wtSlot(h uint64, local int) uint64 { return h&wtTagMask | (uint64(local) + 1) }
 
 // internTable assigns uint32 IDs (WIDs) to distinct weights across
 // tableShardCount stripes. WID 0 is reserved for the ring's zero (stored in
@@ -72,15 +95,14 @@ type internTable[T any] struct {
 }
 
 // init empties the table into fresh slot arrays of the given size. The
-// weight lists keep their capacity but drop their references: everything
+// entry lists keep their capacity but drop their references: everything
 // past len is zero at all times, so clearing the live part clears them.
 func (t *internTable[T]) init(sizePerShard int) {
 	for s := range t.shards {
 		sh := &t.shards[s]
-		clear(sh.weights)
-		sh.weights = sh.weights[:0]
-		sh.hashes = sh.hashes[:0]
-		sh.slots = make([]uint32, sizePerShard)
+		clear(sh.entries)
+		sh.entries = sh.entries[:0]
+		sh.slots = make([]uint64, sizePerShard)
 		sh.mask = uint64(sizePerShard - 1)
 	}
 }
@@ -89,7 +111,7 @@ func (t *internTable[T]) init(sizePerShard int) {
 func (t *internTable[T]) count() int {
 	n := 1 // WID 0, the reserved zero
 	for s := range t.shards {
-		n += len(t.shards[s].weights)
+		n += len(t.shards[s].entries)
 	}
 	return n
 }
@@ -110,42 +132,52 @@ func (t *internTable[T]) intern(w T, h uint64, equal func(a, b T) bool) (uint32,
 		if s == 0 {
 			break
 		}
-		if local := s - 1; sh.hashes[local] == h && equal(sh.weights[local], w) {
-			return encodeWID(shardOf(h), int(local)), sh.weights[local], false
+		if s&wtTagMask == h&wtTagMask {
+			local := int(uint32(s)) - 1
+			if e := &sh.entries[local]; e.h == h && equal(e.w, w) {
+				return encodeWID(shardOf(h), local), e.w, false
+			}
 		}
 		i = (i + 1) & sh.mask
 	}
-	local := len(sh.weights)
-	sh.weights = append(sh.weights, w)
-	sh.hashes = append(sh.hashes, h)
-	sh.slots[i] = uint32(local) + 1
-	if uint64(len(sh.weights))*4 >= uint64(len(sh.slots))*3 {
+	local := len(sh.entries)
+	sh.entries = append(sh.entries, wtEntry[T]{h: h, w: w})
+	sh.slots[i] = wtSlot(h, local)
+	if uint64(len(sh.entries))*4 >= uint64(len(sh.slots))*3 {
 		sh.grow()
 	}
 	return encodeWID(shardOf(h), local), w, true
 }
 
 func (sh *wtShard[T]) grow() {
-	slots := make([]uint32, len(sh.slots)*2)
+	slots := make([]uint64, len(sh.slots)*2)
 	mask := uint64(len(slots) - 1)
-	for local, h := range sh.hashes {
+	for local := range sh.entries {
+		h := sh.entries[local].h
 		i := h & mask
 		for slots[i] != 0 {
 			i = (i + 1) & mask
 		}
-		slots[i] = uint32(local) + 1
+		slots[i] = wtSlot(h, local)
 	}
 	sh.slots, sh.mask = slots, mask
 }
 
-// utShard is one stripe of the hash-consing table. Slots hold node pointers
-// directly; every node carries its own key (Level, child pointers, child
-// WIDs) plus its cached hash, so probing is pointer/ID comparisons.
+// utShard is one stripe of the hash-consing table. Each slot holds a node
+// pointer beside the node's unique-table hash, so a probe dereferences a
+// node only when the hashes match; the node carries its own key (Level,
+// child pointers, child WIDs) for that final comparison.
 type utShard[T any] struct {
-	slots         []*Node[T]
+	slots         []utSlot[T]
 	mask          uint64
 	used          int
 	lookups, hits uint64
+}
+
+// utSlot is one unique-table slot; n == nil marks it empty.
+type utSlot[T any] struct {
+	hash uint64
+	n    *Node[T]
 }
 
 // uniqueTable is the sharded hash-consing table. Deletion happens only
@@ -157,7 +189,7 @@ type uniqueTable[T any] struct {
 func (t *uniqueTable[T]) init(sizePerShard int) {
 	for s := range t.shards {
 		sh := &t.shards[s]
-		sh.slots = make([]*Node[T], sizePerShard)
+		sh.slots = make([]utSlot[T], sizePerShard)
 		sh.mask = uint64(sizePerShard - 1)
 		sh.used = 0
 	}
@@ -194,10 +226,15 @@ func (t *uniqueTable[T]) counters() (lookups, hits uint64) {
 func (t *uniqueTable[T]) insert(n *Node[T]) {
 	sh := &t.shards[shardOf(n.hash)]
 	i := n.hash & sh.mask
-	for sh.slots[i] != nil {
+	for sh.slots[i].n != nil {
 		i = (i + 1) & sh.mask
 	}
-	sh.slots[i] = n
+	sh.place(i, n)
+}
+
+// place stores n in the empty slot i and doubles the shard at ¾ load.
+func (sh *utShard[T]) place(i uint64, n *Node[T]) {
+	sh.slots[i] = utSlot[T]{hash: n.hash, n: n}
 	sh.used++
 	if uint64(sh.used)*4 >= uint64(len(sh.slots))*3 {
 		sh.grow()
@@ -206,26 +243,26 @@ func (t *uniqueTable[T]) insert(n *Node[T]) {
 
 func (sh *utShard[T]) grow() {
 	old := sh.slots
-	sh.slots = make([]*Node[T], len(old)*2)
+	sh.slots = make([]utSlot[T], len(old)*2)
 	sh.mask = uint64(len(sh.slots) - 1)
-	for _, n := range old {
-		if n == nil {
+	for _, s := range old {
+		if s.n == nil {
 			continue
 		}
-		i := n.hash & sh.mask
-		for sh.slots[i] != nil {
+		i := s.hash & sh.mask
+		for sh.slots[i].n != nil {
 			i = (i + 1) & sh.mask
 		}
-		sh.slots[i] = n
+		sh.slots[i] = s
 	}
 }
 
 // forEach visits every live node in shard-then-slot order (Prune, tests).
 func (t *uniqueTable[T]) forEach(f func(n *Node[T])) {
 	for s := range t.shards {
-		for _, n := range t.shards[s].slots {
-			if n != nil {
-				f(n)
+		for _, slot := range t.shards[s].slots {
+			if slot.n != nil {
+				f(slot.n)
 			}
 		}
 	}

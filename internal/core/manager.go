@@ -321,27 +321,46 @@ func (m *Manager[T]) internNode(level int, es []Edge[T]) *Node[T] {
 	sh.lookups++
 	i := h & sh.mask
 	for {
-		n := sh.slots[i]
-		if n == nil {
+		s := sh.slots[i]
+		if s.n == nil {
 			break
 		}
-		if n.hash == h && n.Level == level && len(n.E) == len(es) && sameKids(n, es, &wids) {
+		if s.hash == h && s.n.Level == level && len(s.n.E) == len(es) && sameKids(s.n, es, &wids) {
 			sh.hits++
-			return n
+			return s.n
 		}
 		i = (i + 1) & sh.mask
 	}
-	kids := make([]Edge[T], len(es))
-	copy(kids, es)
 	m.nextID++
-	n := &Node[T]{ID: m.nextID, Level: level, E: kids, wids: wids, hash: h}
-	sh.slots[i] = n
-	sh.used++
-	if uint64(sh.used)*4 >= uint64(len(sh.slots))*3 {
-		sh.grow()
-	}
+	n := newNode(es)
+	n.ID, n.Level, n.wids, n.hash = m.nextID, level, wids, h
+	sh.place(i, n)
 	m.noteNode()
 	return n
+}
+
+// vectorNode and matrixNode hold a node and its edges in one allocation:
+// the node's E slices the kids array beside it.
+type vectorNode[T any] struct {
+	Node[T]
+	kids [VectorArity]Edge[T]
+}
+
+type matrixNode[T any] struct {
+	Node[T]
+	kids [MatrixArity]Edge[T]
+}
+
+// newNode allocates a node whose E is a copy of es, in one object.
+func newNode[T any](es []Edge[T]) *Node[T] {
+	if len(es) == VectorArity {
+		b := &vectorNode[T]{kids: [VectorArity]Edge[T](es)}
+		b.E = b.kids[:]
+		return &b.Node
+	}
+	b := &matrixNode[T]{kids: [MatrixArity]Edge[T](es)}
+	b.E = b.kids[:]
+	return &b.Node
 }
 
 // sameKids reports whether n's outgoing edges match the probe key: identical

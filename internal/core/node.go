@@ -30,7 +30,8 @@ type Edge[T any] struct {
 // row-major order: top-left, top-right, bottom-left, bottom-right — the
 // outgoing edges e₀…e₃ of the paper's figures) and length 2 for vector
 // nodes (upper and lower half). Nodes are immutable once interned; never
-// modify E after creation.
+// modify E after creation. The manager allocates a node and its edges as one
+// object, with E slicing the edge array that follows the node.
 type Node[T any] struct {
 	ID    uint64
 	Level int
